@@ -38,7 +38,6 @@ from .graph import (
     DiameterResult,
     DoublingEstimate,
     SinrParams,
-    all_pairs_hop_distances,
     ball,
     bfs_distances,
     build_geometric_graph,
@@ -135,7 +134,6 @@ __all__ = [
     "StepMetrics",
     "WallDemo",
     "WallTopology",
-    "all_pairs_hop_distances",
     "ball",
     "bfs_distances",
     "build_geometric_graph",

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -28,7 +28,6 @@ __all__ = [
     "build_geometric_graph",
     "build_sinr_graph",
     "bfs_distances",
-    "all_pairs_hop_distances",
     "ball",
     "greedy_cover",
     "estimate_doubling_dimension",
@@ -242,11 +241,6 @@ def bfs_distances(g: ConnectivityGraph, source: int) -> np.ndarray:
     return dijkstra(g.csr, unweighted=True, indices=source)
 
 
-def all_pairs_hop_distances(g: ConnectivityGraph) -> np.ndarray:
-    """Dense (n, n) hop-distance matrix with inf across components."""
-    return dijkstra(g.csr, unweighted=True)
-
-
 def ball(g: ConnectivityGraph, u: int, radius: int) -> np.ndarray:
     """Node ids within ``radius`` hops of ``u``, ascending."""
     if radius < 0:
@@ -268,7 +262,18 @@ def greedy_cover(g: ConnectivityGraph, u: int, radius: int) -> list[int]:
     """
     if radius < 1:
         raise ParameterError(f"cover radius must be at least 1, got {radius}")
-    dist_u = bfs_distances(g, u)
+    return _greedy_cover(g, u, radius, lambda v: bfs_distances(g, v))
+
+
+def _greedy_cover(
+    g: ConnectivityGraph, u: int, radius: int, row: Callable[[int], np.ndarray]
+) -> list[int]:
+    """``greedy_cover`` with hop-distance rows taken from ``row(source)``.
+
+    A row may hold any numeric dtype, as long as an unreachable node reads
+    larger than ``2 * radius``.
+    """
+    dist_u = row(u)
     nodes = np.flatnonzero(dist_u <= 2 * radius)
     target = nodes[np.argsort(dist_u[nodes], kind="stable")]
     covered = np.zeros(g.n, dtype=bool)
@@ -277,7 +282,7 @@ def greedy_cover(g: ConnectivityGraph, u: int, radius: int) -> list[int]:
     for v in target:
         if covered[v]:
             continue
-        dist_v = bfs_distances(g, v)
+        dist_v = row(int(v))
         for prev, prev_dist in zip(centers, center_dists):
             if prev_dist[v] <= radius:
                 raise ProtocolInvariantError(
@@ -304,7 +309,15 @@ class DoublingEstimate:
 def estimate_doubling_dimension(
     g: ConnectivityGraph, radii: Sequence[int], center_sample: int, seed: int
 ) -> DoublingEstimate:
-    """Max greedy cover count over sampled centers, per radius and overall."""
+    """Max greedy cover count over sampled centers, per radius and overall.
+
+    Covers around nearby centers search the same sources again and again, so
+    BFS rows are memoized once per graph: each source is searched at most
+    once per estimate.  A row is stored compactly, in the narrowest unsigned
+    integer type that holds every hop count and every compared radius, with
+    the type's maximum as the sentinel for an unreachable node, so that
+    unreachable still reads farther than every radius.
+    """
     if len(radii) == 0:
         raise ParameterError("at least one radius is required")
     if any(r < 1 for r in radii):
@@ -314,8 +327,21 @@ def estimate_doubling_dimension(
     rng = np.random.default_rng(seed)
     count = min(center_sample, g.n)
     centers = np.sort(rng.choice(g.n, size=count, replace=False))
+    dtype = np.min_scalar_type(max(g.n, 2 * max(int(r) for r in radii) + 1))
+    unreachable = np.iinfo(dtype).max
+    rows: dict[int, np.ndarray] = {}
+
+    def row(source: int) -> np.ndarray:
+        cached = rows.get(source)
+        if cached is None:
+            dist = bfs_distances(g, source)
+            dist[np.isinf(dist)] = unreachable
+            cached = rows[source] = dist.astype(dtype)
+        return cached
+
     cover_sizes = {
-        int(r): max(len(greedy_cover(g, int(c), int(r))) for c in centers) for r in radii
+        int(r): max(len(_greedy_cover(g, int(c), int(r), row)) for c in centers)
+        for r in radii
     }
     return DoublingEstimate(
         cover_sizes=cover_sizes,

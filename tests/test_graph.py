@@ -350,6 +350,50 @@ def test_doubling_estimate_deterministic() -> None:
     assert first.alpha_hat == second.alpha_hat
 
 
+def two_cluster_graph(seed: int) -> ConnectivityGraph:
+    """A 150-node and a 30-node random layout 100 units apart, so the graph
+    has at least two components."""
+    big = sample_uniform_positions(150, make_domain(150), seed=seed)
+    small = sample_uniform_positions(30, make_domain(30), seed=seed + 1)
+    far = [Position(p.x + 100.0, p.y) for p in small]
+    return build_geometric_graph(big + far, math.sqrt(2.0 * math.log(150)))
+
+
+def test_doubling_estimate_matches_uncached_greedy_covers() -> None:
+    graphs = [two_cluster_graph(seed=5)]
+    for seed in (0, 1):
+        n = 150
+        positions = sample_uniform_positions(n, make_domain(n), seed=seed)
+        graphs.append(build_geometric_graph(positions, math.sqrt(1.5 * math.log(n))))
+    assert math.isinf(bfs_distances(graphs[0], 0).max())
+    # Rows are uint8 for radii up to 127 at these sizes; radius 130 puts 2R
+    # above every uint8 value, so the row type has to widen for the
+    # unreachable sentinel to stay outside the 2R-ball.
+    for g in graphs:
+        for radii in ([1, 3], [130]):
+            est = estimate_doubling_dimension(g, radii=radii, center_sample=12, seed=3)
+            expected = {
+                r: max(len(greedy_cover(g, c, r)) for c in est.centers) for r in radii
+            }
+            assert est.cover_sizes == expected
+
+
+def test_doubling_estimate_searches_each_source_once(monkeypatch) -> None:
+    searched: list[int] = []
+
+    def counting_bfs(g: ConnectivityGraph, source: int) -> np.ndarray:
+        searched.append(int(source))
+        return bfs_distances(g, source)
+
+    monkeypatch.setattr("beaconsim.graph.bfs_distances", counting_bfs)
+    n = 300
+    positions = sample_uniform_positions(n, make_domain(n), seed=2)
+    g = build_geometric_graph(positions, math.sqrt(2.0 * math.log(n)))
+    est = estimate_doubling_dimension(g, radii=[2, 4], center_sample=8, seed=9)
+    assert set(est.centers) <= set(searched)
+    assert len(searched) == len(set(searched))
+
+
 def test_doubling_estimate_rejects_bad_inputs() -> None:
     g = path_graph(4)
     with pytest.raises(ParameterError):
