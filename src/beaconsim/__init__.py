@@ -6,7 +6,7 @@ The package splits into six layers, re-exported here for convenience:
 - :mod:`beaconsim.geometry`: torus domains, seeded placement, squarelet grids
 - :mod:`beaconsim.graph`: connectivity graphs, BFS, covers, growth estimates
 - :mod:`beaconsim.mobility`: movement models and hop-distance smoothness
-- :mod:`beaconsim.topology`: walls, holes, combs, and the sparse regime
+- :mod:`beaconsim.topology`: walls, squarelet thinning, combs, and the sparse regime
 - :mod:`beaconsim.protocol`: beacon hierarchy maintenance and forwarding
 - :mod:`beaconsim.harness`: the simulation driver, experiments, and CSV output
 
@@ -37,11 +37,9 @@ from .graph import (
     ConnectivityGraph,
     DiameterResult,
     DoublingEstimate,
-    SinrParams,
     ball,
     bfs_distances,
     build_geometric_graph,
-    build_sinr_graph,
     diameter,
     estimate_doubling_dimension,
     greedy_cover,
@@ -71,7 +69,6 @@ from .mobility import (
     SmoothnessReport,
     SmoothnessSample,
     measure_smoothness,
-    scaled_gap_kappa,
     step,
     theoretical_kappa,
 )
@@ -84,11 +81,8 @@ from .protocol import (
 )
 from .topology import (
     CombTopology,
-    Hole,
-    HoleReport,
     WallTopology,
     comb_udg,
-    hole_report,
     remove_squarelets,
     subcritical_positions,
     wall_graph,
@@ -109,8 +103,6 @@ __all__ = [
     "DomainSpec",
     "DoublingEstimate",
     "ForwardReceipt",
-    "Hole",
-    "HoleReport",
     "HorizonError",
     "Lockstep",
     "Membership",
@@ -127,7 +119,6 @@ __all__ = [
     "RegimeRow",
     "RoundReport",
     "SimConfig",
-    "SinrParams",
     "SmoothnessReport",
     "SmoothnessSample",
     "SquareletGrid",
@@ -137,7 +128,6 @@ __all__ = [
     "ball",
     "bfs_distances",
     "build_geometric_graph",
-    "build_sinr_graph",
     "comb_udg",
     "diameter",
     "estimate_doubling_dimension",
@@ -146,7 +136,6 @@ __all__ = [
     "experiment_stretch_cdf",
     "greedy_cover",
     "greedy_georoute_baseline",
-    "hole_report",
     "load_config",
     "log_fit_r2",
     "measure_smoothness",
@@ -156,7 +145,6 @@ __all__ = [
     "remove_squarelets",
     "run_simulation",
     "sample_uniform_positions",
-    "scaled_gap_kappa",
     "squarelet_of",
     "step",
     "subcritical_positions",

@@ -3,9 +3,9 @@
 Coordinates live in the half-open square [0, side) x [0, side). The squarelet
 grid divides the domain into cells of side r_n / c; with c >= sqrt(5) any two
 points in horizontally or vertically adjacent cells are within r_n of each
-other, which is what the occupancy, interference-schedule, and hole analyses
-rely on. When side is not an integer multiple of the cell side the grid
-overhangs the boundary and the edge cells are clipped.
+other, which is what the occupancy check relies on. When side is not an
+integer multiple of the cell side the grid overhangs the boundary and the edge
+cells are clipped.
 """
 
 from __future__ import annotations

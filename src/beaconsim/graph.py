@@ -1,14 +1,13 @@
 """Connectivity graphs over planar node layouts.
 
-Provides the two graph builders (plain-distance and slotted-interference),
-hop-distance queries, greedy ball covers with their growth-rate estimator,
-and diameter computation. Graphs are undirected, unweighted, and stored as
+Provides the unit-disk graph builder (plain Euclidean distance), hop-distance
+queries, greedy ball covers with their growth-rate estimator, and diameter
+computation. Graphs are undirected, unweighted, and stored as
 scipy CSR adjacency; node ids are dense integers.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -18,21 +17,18 @@ from scipy.sparse.csgraph import dijkstra
 from scipy.spatial import cKDTree
 
 from .errors import ConnectivityError, ParameterError, ProtocolInvariantError
-from .geometry import Position, SquareletGrid, positions_as_array
+from .geometry import Position, positions_as_array
 
 __all__ = [
     "ConnectivityGraph",
-    "SinrParams",
     "DoublingEstimate",
     "DiameterResult",
     "build_geometric_graph",
-    "build_sinr_graph",
     "bfs_distances",
     "ball",
     "greedy_cover",
     "estimate_doubling_dimension",
     "diameter",
-    "dump_edge_list",
 ]
 
 
@@ -96,136 +92,6 @@ def build_geometric_graph(positions: Sequence[Position], r_n: float) -> Connecti
         diffs = arr[pairs[:, 0]] - arr[pairs[:, 1]]
         d2 = np.einsum("ij,ij->i", diffs, diffs)
         pairs = pairs[d2 < r_n * r_n]  # strict inequality: boundary pairs stay out
-    return ConnectivityGraph._from_pair_array(n, pairs)
-
-
-# ---------------------------------------------------------------------------
-# Slotted-interference graph
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SinrParams:
-    """Physical-layer parameters for the slotted-interference edge rule."""
-
-    transmit_power: float
-    noise: float
-    path_loss_exponent: float
-    threshold: float
-    tdma_k: int = 4
-
-    def __post_init__(self) -> None:
-        if self.transmit_power <= 0:
-            raise ParameterError(f"transmit power must be positive, got {self.transmit_power}")
-        if self.noise <= 0:
-            raise ParameterError(f"noise floor must be positive, got {self.noise}")
-        if self.path_loss_exponent <= 2:
-            raise ParameterError(
-                f"path-loss exponent must exceed 2, got {self.path_loss_exponent}"
-            )
-        if self.threshold <= 0:
-            raise ParameterError(f"decoding threshold must be positive, got {self.threshold}")
-        if self.tdma_k < 1:
-            raise ParameterError(f"slot period must be at least 1, got {self.tdma_k}")
-
-    @classmethod
-    def calibrated(
-        cls,
-        r_n: float,
-        noise: float = 1.0,
-        path_loss_exponent: float = 4.0,
-        threshold: float = 1.0,
-        tdma_k: int = 4,
-    ) -> "SinrParams":
-        """Power chosen so the clean-channel decoding range is exactly ``r_n``."""
-        if r_n <= 0:
-            raise ParameterError(f"communication radius must be positive, got {r_n}")
-        power = (noise * threshold * r_n) ** path_loss_exponent
-        return cls(
-            transmit_power=power,
-            noise=noise,
-            path_loss_exponent=path_loss_exponent,
-            threshold=threshold,
-            tdma_k=tdma_k,
-        )
-
-    @property
-    def clean_range(self) -> float:
-        """Largest distance decodable with zero interference."""
-        return (self.transmit_power / (self.noise * self.threshold)) ** (
-            1.0 / self.path_loss_exponent
-        )
-
-
-def _slot_rectangles(
-    grid: SquareletGrid, tdma_k: int
-) -> dict[tuple[int, int], tuple[np.ndarray, ...]]:
-    """Cell rectangles per schedule slot, clipped to the domain."""
-    m = grid.cells_per_side
-    s = grid.cell_side
-    slots = {}
-    for sa in range(min(tdma_k, m)):
-        for sb in range(min(tdma_k, m)):
-            a, b = np.meshgrid(
-                np.arange(sa, m, tdma_k), np.arange(sb, m, tdma_k), indexing="ij"
-            )
-            a = a.ravel()
-            b = b.ravel()
-            x0 = a * s
-            y0 = b * s
-            x1 = np.minimum(x0 + s, grid.side)
-            y1 = np.minimum(y0 + s, grid.side)
-            slots[(sa, sb)] = (a, b, x0, y0, x1, y1)
-    return slots
-
-
-def build_sinr_graph(
-    positions: Sequence[Position], params: SinrParams, grid: SquareletGrid
-) -> ConnectivityGraph:
-    """Link pairs whose worst-case interference ratio clears the threshold
-    in both directions.
-
-    Worst case: every cell sharing the transmitter's schedule slot hosts an
-    interferer at the cell point nearest the receiver, whether or not the
-    cell holds a node. The transmitter's own cell is exempt.
-    """
-    arr = positions_as_array(positions)
-    n = len(arr)
-    if np.any(arr < 0) or np.any(arr >= grid.side):
-        raise ParameterError("positions must lie inside the grid domain")
-    m = grid.cells_per_side
-    s = grid.cell_side
-    k = params.tdma_k
-    beta = params.path_loss_exponent
-    power = params.transmit_power
-
-    cells = np.minimum(np.floor(arr / s).astype(np.int64), m - 1)
-    slots = _slot_rectangles(grid, k)
-
-    def direction_ok(tx: int, rx: int, d: float) -> bool:
-        if d == 0.0:
-            return True
-        ca, cb = int(cells[tx, 0]), int(cells[tx, 1])
-        a, b, x0, y0, x1, y1 = slots[(ca % k, cb % k)]
-        keep = ~((a == ca) & (b == cb))
-        px, py = arr[rx]
-        dx = np.maximum(np.maximum(x0[keep] - px, px - x1[keep]), 0.0)
-        dy = np.maximum(np.maximum(y0[keep] - py, py - y1[keep]), 0.0)
-        d2 = dx * dx + dy * dy
-        if np.any(d2 == 0.0):
-            return False  # receiver sits inside an active interferer cell
-        interference = power * float(np.sum(d2 ** (-beta / 2.0)))
-        signal = power * d ** (-beta)
-        return signal / (params.noise + interference) >= params.threshold
-
-    tree = cKDTree(arr)
-    candidates = tree.query_pairs(params.clean_range, output_type="ndarray")
-    accepted = []
-    for u, v in candidates:
-        d = float(math.dist(arr[u], arr[v]))
-        if direction_ok(int(u), int(v), d) and direction_ok(int(v), int(u), d):
-            accepted.append((int(u), int(v)))
-    pairs = np.array(accepted, dtype=np.int64).reshape(-1, 2)
     return ConnectivityGraph._from_pair_array(n, pairs)
 
 
@@ -379,18 +245,3 @@ def diameter(g: ConnectivityGraph, exact_cutoff: int = 5000) -> DiameterResult:
     a = int(np.argmax(from_zero))
     from_a = bfs_distances(g, a)
     return DiameterResult(hops=int(from_a.max()), exact=False)
-
-
-# ---------------------------------------------------------------------------
-# Edge-list dump
-# ---------------------------------------------------------------------------
-
-
-def dump_edge_list(g: ConnectivityGraph, path) -> None:
-    """Write ``n m`` then one ``u v`` line per edge (u < v, lexicographic)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{g.n} {g.num_edges}\n")
-        for u in range(g.n):
-            for v in g.neighbors(u):
-                if u < v:
-                    fh.write(f"{u} {v}\n")

@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -429,8 +429,33 @@ def _levels_for(config: SimConfig, g0: ConnectivityGraph) -> int:
             "the largest component); level count taken from that component",
             stacklevel=3,
         )
-    hops = diameter(core).hops
-    return max(0, math.ceil(math.log2(max(hops, 1))))
+    return ProtocolParams.levels_for_diameter(diameter(core).hops)
+
+
+def _is_mobile(config: SimConfig) -> bool:
+    return config.max_speed > 0.0 and config.topology == "plain"
+
+
+def _warmup(config: SimConfig, levels: int) -> int:
+    """Rounds before recording starts: when nodes move, long enough for every
+    level to refresh at least once."""
+    return max(config.nu * 2**levels, 10) if _is_mobile(config) else 0
+
+
+def _initial_graph(layout: _Layout) -> ConnectivityGraph:
+    return layout.static_graph or build_geometric_graph(layout.positions, layout.r_n)
+
+
+def _check_route_bound(
+    source: int, dest: int, route_hops: int, hops: int, kappa: float
+) -> None:
+    """Raise if a delivered route exceeds the hard 6*kappa^2*d bound."""
+    bound = 6.0 * kappa**2
+    if route_hops > bound * hops:
+        raise ProtocolInvariantError(
+            f"route {source}->{dest} took {route_hops} hops, "
+            f"over the bound {bound} x {hops}"
+        )
 
 
 def _mobility_model(config: SimConfig):
@@ -462,7 +487,7 @@ def run_simulation(config: SimConfig) -> MetricsSeries:
     if m < 2:
         raise ParameterError(f"layout kept only {m} nodes; nothing to route")
     positions = layout.positions
-    g = layout.static_graph or build_geometric_graph(positions, layout.r_n)
+    g = _initial_graph(layout)
     levels = _levels_for(config, g)
     params = ProtocolParams(
         kappa=config.kappa,
@@ -470,8 +495,8 @@ def run_simulation(config: SimConfig) -> MetricsSeries:
         nu=config.nu,
         alpha_hat=config.alpha_hat,
     )
-    mobile = config.max_speed > 0.0 and config.topology == "plain"
-    warmup = max(config.nu * 2**levels, 10) if mobile else 0
+    mobile = _is_mobile(config)
+    warmup = _warmup(config, levels)
     if config.steps <= warmup and mobile:
         raise ParameterError(
             f"steps={config.steps} leaves no recorded rounds after the "
@@ -479,7 +504,6 @@ def run_simulation(config: SimConfig) -> MetricsSeries:
         )
     engine = ProtocolEngine(m, params, mode=config.protocol_mode)
     model = _mobility_model(config) if mobile else None
-    bound = 6.0 * config.kappa**2
     recorded: list[StepMetrics] = []
     for t in range(config.steps):
         if mobile and t > 0:
@@ -503,11 +527,7 @@ def run_simulation(config: SimConfig) -> MetricsSeries:
                     continue
                 hops = int(dist[dest])
                 receipt = engine.forward(g, source, dest)
-                if receipt.route_hops > bound * hops:
-                    raise ProtocolInvariantError(
-                        f"route {source}->{dest} took {receipt.route_hops} hops, "
-                        f"over the bound {bound} x {hops}"
-                    )
+                _check_route_bound(source, dest, receipt.route_hops, hops, config.kappa)
                 samples.append((receipt.route_hops, hops))
                 probe_tx += receipt.probe_transmissions
         recorded.append(
@@ -539,22 +559,15 @@ class OverheadRow(NamedTuple):
     benchmark: float
 
 
-def _planned_warmup(config: SimConfig) -> int:
-    if not (config.max_speed > 0.0 and config.topology == "plain"):
-        return 0
-    layout = _build_layout(config)
-    g0 = layout.static_graph or build_geometric_graph(layout.positions, layout.r_n)
-    return max(config.nu * 2 ** _levels_for(config, g0), 10)
-
-
 def experiment_overhead_scaling(
     n_list: Sequence[int], trials: int, base_config: SimConfig
 ) -> list[OverheadRow]:
     """Mean control packets per node per recorded step, for each size.
 
-    ``base_config.steps`` counts recorded rounds; the warmup for each size is
-    measured on the initial graph and prepended. Trial k shifts the base seed
-    by k. Raises if any measured mean exceeds the 100*log2(n) envelope.
+    ``base_config.steps`` counts recorded rounds; the level count for each
+    size is measured once on the initial graph and handed to the run, and its
+    warmup is prepended. Trial k shifts the base seed by k. Raises if any
+    measured mean exceeds the 100*log2(n) envelope.
     """
     if list(n_list) != sorted(set(n_list)):
         raise ParameterError(f"sizes must be ascending and unique, got {list(n_list)}")
@@ -565,7 +578,8 @@ def experiment_overhead_scaling(
         values: list[float] = []
         for k in range(trials):
             cfg = replace(base_config, n=n).with_seed(base_config.placement_seed + k)
-            cfg = replace(cfg, steps=_planned_warmup(cfg) + base_config.steps)
+            levels = _levels_for(cfg, _initial_graph(_build_layout(cfg)))
+            cfg = replace(cfg, levels=levels, steps=_warmup(cfg, levels) + base_config.steps)
             series = run_simulation(cfg)
             values.extend(st.control_packets_per_node for st in series.steps)
         mean = float(np.mean(values))
@@ -784,11 +798,7 @@ def wall_demonstration(
             baseline_failures += 1
         hops = int(bfs_distances(g, source)[dest])
         receipt = engine.forward(g, source, dest)
-        if receipt.route_hops > 6.0 * kappa**2 * hops:
-            raise ProtocolInvariantError(
-                f"route {source}->{dest} took {receipt.route_hops} hops, over "
-                f"the bound {6.0 * kappa**2} x {hops}"
-            )
+        _check_route_bound(source, dest, receipt.route_hops, hops, kappa)
         delivered += 1
         worst = max(worst, receipt.route_hops / hops)
     return WallDemo(

@@ -27,7 +27,6 @@ __all__ = [
     "step",
     "measure_smoothness",
     "theoretical_kappa",
-    "scaled_gap_kappa",
 ]
 
 _SQRT10 = math.sqrt(10.0)
@@ -285,17 +284,3 @@ def theoretical_kappa(r_n: float, max_speed: float, tau: float, d: float) -> flo
     shrink = rd / denominator
     grow = _SQRT10 * (1.0 + 2.0 * tau * max_speed * _SQRT10 / rd)
     return max(shrink, grow)
-
-
-def scaled_gap_kappa(nu: float, max_speed: float, r_n: float = 1.0, d: float = 1.0) -> float:
-    """The ratio bound at gap nu*d with unit-normalized radius and distance;
-    constant in d. When the shrink branch is undefined the growth branch alone
-    applies."""
-    if nu <= 0:
-        raise ParameterError(f"gap factor must be positive, got {nu}")
-    tau = nu * d
-    try:
-        return theoretical_kappa(r_n, max_speed, tau, d)
-    except HorizonError:
-        rd = r_n * d
-        return _SQRT10 * (1.0 + 2.0 * tau * max_speed * _SQRT10 / rd)

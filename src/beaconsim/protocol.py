@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
-from typing import IO, NamedTuple, Optional, Union
+from dataclasses import dataclass
+from typing import IO, NamedTuple, Optional
 
 import numpy as np
 from scipy.sparse.csgraph import dijkstra
@@ -99,9 +99,13 @@ class ProtocolParams:
     ) -> "ProtocolParams":
         """Level count from the current hop diameter unless overridden."""
         if levels is None:
-            hops = diameter(g).hops
-            levels = max(0, math.ceil(math.log2(max(hops, 1))))
+            levels = cls.levels_for_diameter(diameter(g).hops)
         return cls(kappa=kappa, levels=levels, nu=nu, alpha_hat=alpha_hat)
+
+    @staticmethod
+    def levels_for_diameter(hops: int) -> int:
+        """Smallest top level L whose cover radius 2**L spans ``hops``."""
+        return max(0, math.ceil(math.log2(max(hops, 1))))
 
     def cover_radius(self, level: int) -> int:
         return 2**level
@@ -237,6 +241,9 @@ class ProtocolEngine:
         self.n = n
         self.params = params
         self.mode = mode
+        self._flood_radius = (
+            params.lb_flood_radius if mode == "load_balanced" else params.flood_radius
+        )
         self._nodes = [_NodeState() for _ in range(n)]
         self._clear_time = [-1] * (params.levels + 1)
         self._lb_holders: dict[tuple[int, int], int] = {}
@@ -330,7 +337,6 @@ class ProtocolEngine:
         params = self.params
         levels = params.levels
         lb = self.mode == "load_balanced"
-        radius_fn = params.lb_flood_radius if lb else params.flood_radius
         flood_bits = params.flood_packet_bits(self.n, lb=lb)
         member_bits = params.membership_packet_bits(self.n)
 
@@ -359,7 +365,7 @@ class ProtocolEngine:
 
         for start in range(0, self.n, _CHUNK):
             chunk = pi[start : start + _CHUNK]
-            rows = self._flood_rows(g, chunk, gamma, radius_fn)
+            rows = self._flood_rows(g, chunk, gamma)
             for u in chunk:
                 st = self._nodes[u]
                 if st.beacon_level <= gamma:
@@ -383,18 +389,13 @@ class ProtocolEngine:
                     above = st.memberships.get(beta + 1)
                     parent = above.beacon_id if above is not None else None
 
-                radius = radius_fn(beta)
                 dist_row, pred_row = rows[u]
-                reached = np.flatnonzero(dist_row <= radius)
-                reached = reached[np.lexsort((reached, dist_row[reached]))]
-                flood_tx_u = int(np.count_nonzero(dist_row <= radius - 1))
+                reached, flood_tx_u = self._post_flood(
+                    u, beta, self._flood_radius(beta), dist_row, pred_row, t, parent
+                )
                 flood_tx += flood_tx_u
                 control_bits += flood_tx_u * flood_bits
 
-                for v in reached[1:]:  # skip the origin itself (distance 0)
-                    v = int(v)
-                    d = int(dist_row[v])
-                    self._post_entry(v, u, beta, d, int(pred_row[v]), t, parent)
                 for v in reached[1:]:
                     v = int(v)
                     d = int(dist_row[v])
@@ -443,7 +444,7 @@ class ProtocolEngine:
         )
 
     def _flood_rows(
-        self, g: ConnectivityGraph, chunk: list[int], gamma: int, radius_fn
+        self, g: ConnectivityGraph, chunk: list[int], gamma: int
     ) -> dict[int, tuple[np.ndarray, np.ndarray]]:
         """Limited-horizon distances and predecessors for each flood origin.
 
@@ -453,7 +454,7 @@ class ProtocolEngine:
         by_limit: dict[int, list[int]] = {}
         for u in chunk:
             beta = self._nodes[u].beacon_level
-            limit = radius_fn(gamma if beta <= gamma else beta)
+            limit = self._flood_radius(gamma if beta <= gamma else beta)
             by_limit.setdefault(limit, []).append(u)
         rows: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         for limit, sources in by_limit.items():
@@ -467,6 +468,29 @@ class ProtocolEngine:
             for row, u in enumerate(sources):
                 rows[u] = (dist[row], pred[row])
         return rows
+
+    def _post_flood(
+        self,
+        origin: int,
+        level: int,
+        radius: int,
+        dist_row: np.ndarray,
+        pred_row: np.ndarray,
+        t: int,
+        parent: Optional[int],
+    ) -> tuple[np.ndarray, int]:
+        """Post ``origin``'s flood entry at every node within ``radius``.
+
+        Returns the reached nodes sorted by (distance, id), the origin first,
+        and the transmission count: every node within radius-1 rebroadcasts
+        once, the origin included.
+        """
+        reached = np.flatnonzero(dist_row <= radius)
+        reached = reached[np.lexsort((reached, dist_row[reached]))]
+        for v in reached[1:]:  # skip the origin itself (distance 0)
+            v = int(v)
+            self._post_entry(v, origin, level, int(dist_row[v]), int(pred_row[v]), t, parent)
+        return reached, int(np.count_nonzero(dist_row <= radius - 1))
 
     def _post_entry(
         self,
@@ -680,8 +704,7 @@ class ProtocolEngine:
         if source == dest:
             return ForwardReceipt(route=(), route_hops=0, probe_transmissions=0, probes=())
 
-        lb = self.mode == "load_balanced"
-        radius_fn = self.params.lb_flood_radius if lb else self.params.flood_radius
+        radius_fn = self._flood_radius
         levels = self.params.levels
         probes: list[ProbeRecord] = []
         legs: list[tuple[int, ...]] = []
@@ -840,11 +863,7 @@ class ProtocolEngine:
         for the nearest answerer, or None when even the widest flood radius
         hears nobody.  Cost is one broadcast per node inside every ring tried
         plus the answer walking back."""
-        radius_fn = (
-            self.params.lb_flood_radius
-            if self.mode == "load_balanced"
-            else self.params.flood_radius
-        )
+        radius_fn = self._flood_radius
         max_radius = radius_fn(self.params.levels)
         parent = {start: -1}
         frontier = deque([start])
@@ -980,13 +999,7 @@ def flood(
         limit=float(radius),
         return_predecessors=True,
     )
-    dist, pred = dist[0], pred[0]
-    for v in np.flatnonzero(dist <= radius):
-        v = int(v)
-        if v == origin:
-            continue
-        engine._post_entry(v, origin, level, int(dist[v]), int(pred[v]), t, parent)
-    return int(np.count_nonzero(dist <= radius - 1))
+    return engine._post_flood(origin, level, radius, dist[0], pred[0], t, parent)[1]
 
 
 def probe(

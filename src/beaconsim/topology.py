@@ -1,48 +1,38 @@
 """Adversarial and inhomogeneous layout generators.
 
 Covers the obstructed-wall layout (a node-free strip crossed only through a
-central gap), squarelet thinning, detection of empty regions that actually
-detour shortest paths (with their perimeter bound), the comb unit-disk graph
-whose cover counts grow without bound, and the sparse-radius position
-generator.
+central gap), squarelet thinning, the comb unit-disk graph whose cover counts
+grow without bound, and the sparse-radius position generator.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
-from scipy import ndimage
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra
 
 from .errors import ParameterError, ProtocolInvariantError
 from .geometry import (
     MIN_SUBDIVISION,
     DomainSpec,
-    OccupancyReport,
     Position,
     SquareletGrid,
     positions_as_array,
     sample_uniform_positions,
+    squarelet_of,
 )
 from .graph import ConnectivityGraph, build_geometric_graph, greedy_cover
 
 __all__ = [
     "WallTopology",
-    "Hole",
-    "HoleReport",
     "CombTopology",
     "wall_topology",
     "wall_graph",
     "remove_squarelets",
-    "hole_report",
     "comb_udg",
     "subcritical_positions",
-    "dump_positions_csv",
 ]
 
 
@@ -159,109 +149,7 @@ def remove_squarelets(
             raise ParameterError(f"cell ({i}, {j}) outside the {m}x{m} grid")
     if not doomed:
         return list(positions)
-    kept = []
-    for p in positions:
-        i = min(math.floor(p.x / grid.cell_side), m - 1)
-        j = min(math.floor(p.y / grid.cell_side), m - 1)
-        if (i, j) not in doomed:
-            kept.append(p)
-    return kept
-
-
-# ---------------------------------------------------------------------------
-# Empty-region (hole) analysis
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Hole:
-    """A maximal empty-cell component whose virtual filling shortens some
-    cell-to-cell distance; perimeter is twice the longest way around."""
-
-    cells: frozenset[tuple[int, int]]
-    perimeter: float
-
-
-@dataclass(frozen=True)
-class HoleReport:
-    holes: list[Hole]
-    p_max: float
-    doubling_bound: float
-
-
-_EIGHT = np.ones((3, 3), dtype=int)
-_SHIFTS = ((0, 1), (1, 0), (1, 1), (1, -1))
-
-
-def _cell_distances(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """All-pairs hop distances between True cells under 8-neighborhood moves.
-
-    Returns (dist matrix over compact ids, compact id per cell or -1)."""
-    count = int(mask.sum())
-    idx = np.full(mask.shape, -1, dtype=np.int64)
-    idx[mask] = np.arange(count)
-    rows_acc = []
-    cols_acc = []
-    m = mask.shape[0]
-    for di, dj in _SHIFTS:
-        i0, i1 = max(0, -di), min(m, m - di)
-        j0, j1 = max(0, -dj), min(m, m - dj)
-        both = mask[i0:i1, j0:j1] & mask[i0 + di : i1 + di, j0 + dj : j1 + dj]
-        ii, jj = np.nonzero(both)
-        ii = ii + i0
-        jj = jj + j0
-        rows_acc.append(idx[ii, jj])
-        cols_acc.append(idx[ii + di, jj + dj])
-    if rows_acc and sum(len(r) for r in rows_acc):
-        r = np.concatenate(rows_acc)
-        c = np.concatenate(cols_acc)
-        data = np.ones(2 * len(r), dtype=np.int8)
-        adj = csr_matrix(
-            (data, (np.concatenate([r, c]), np.concatenate([c, r]))),
-            shape=(count, count),
-        )
-    else:
-        adj = csr_matrix((count, count), dtype=np.int8)
-    return dijkstra(adj, unweighted=True), idx
-
-
-def hole_report(occupancy: OccupancyReport) -> HoleReport:
-    """Find empty-cell components that actually detour shortest cell paths.
-
-    A component qualifies only if virtually filling it shortens the distance
-    between some pair of occupied cells by at least two steps; the test is
-    run exactly (full before/after BFS), not approximated. One step is the
-    8-neighborhood grid's discretization slack: a lone empty cell shaves a
-    single step off diagonal chains while axis-aligned crossings detour via
-    a corner at equal length, so it obstructs nothing. Qualifying components
-    get perimeter p = 2x the maximum pairwise distance among their occupied
-    border cells (measured around the component)."""
-    occupied = occupancy.counts > 0
-    empty = ~occupied
-    if not empty.any():
-        return HoleReport(holes=[], p_max=1.0, doubling_bound=1.0)
-    labels, k = ndimage.label(empty, structure=_EIGHT)
-    base_dist, base_idx = _cell_distances(occupied)
-    occ_ids = base_idx[occupied]
-    holes: list[Hole] = []
-    for comp in range(1, k + 1):
-        comp_mask = labels == comp
-        filled_dist, filled_idx = _cell_distances(occupied | comp_mask)
-        occ_ids_filled = filled_idx[occupied]
-        before = base_dist[np.ix_(occ_ids, occ_ids)]
-        after = filled_dist[np.ix_(occ_ids_filled, occ_ids_filled)]
-        if not (after < before - 1.0).any():
-            continue
-        border = ndimage.binary_dilation(comp_mask, structure=_EIGHT) & occupied
-        border_ids = base_idx[border]
-        if len(border_ids) >= 2:
-            perimeter = 2.0 * float(base_dist[np.ix_(border_ids, border_ids)].max())
-        else:
-            perimeter = 0.0
-        cells = frozenset((int(i), int(j)) for i, j in np.argwhere(comp_mask))
-        holes.append(Hole(cells=cells, perimeter=perimeter))
-    p_max = max((h.perimeter for h in holes), default=1.0)
-    return HoleReport(holes=holes, p_max=p_max, doubling_bound=p_max * p_max)
+    return [p for p in positions if squarelet_of(p, grid) not in doomed]
 
 
 # ---------------------------------------------------------------------------
@@ -321,17 +209,3 @@ def subcritical_positions(
     r_n = (math.log(n) / math.log(log_base)) ** ((1.0 - theta) / 2.0)
     positions = sample_uniform_positions(n, DomainSpec.for_nodes(n), seed)
     return positions, r_n
-
-
-# ---------------------------------------------------------------------------
-# Position dump
-# ---------------------------------------------------------------------------
-
-
-def dump_positions_csv(positions: Sequence[Position], path) -> None:
-    """Write node_id,x,y rows (full float precision)."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["node_id", "x", "y"])
-        for i, p in enumerate(positions):
-            writer.writerow([i, p.x, p.y])

@@ -1,9 +1,8 @@
-"""Tests for connectivity-graph construction, ball/cover queries, diameter,
-and the slotted-interference graph.
+"""Tests for connectivity-graph construction, ball/cover queries, and diameter.
 
 Oracles live next to the tests that use them: an O(n^2) brute-force pairwise
-adjacency scan, a deque BFS, a filter-over-distances ball, an independent
-per-pair interference evaluation, and exhaustive coverage re-checks.
+adjacency scan, a deque BFS, a filter-over-distances ball, and exhaustive
+coverage re-checks.
 """
 
 from __future__ import annotations
@@ -17,16 +16,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beaconsim.errors import ConnectivityError, ParameterError
-from beaconsim.geometry import DomainSpec, Position, SquareletGrid, sample_uniform_positions
+from beaconsim.geometry import DomainSpec, Position, sample_uniform_positions
 from beaconsim.graph import (
     ConnectivityGraph,
-    SinrParams,
     ball,
     bfs_distances,
     build_geometric_graph,
-    build_sinr_graph,
     diameter,
-    dump_edge_list,
     estimate_doubling_dimension,
     greedy_cover,
 )
@@ -452,148 +448,3 @@ def test_diameter_random_supercritical_within_grid_bounds() -> None:
     lower = side / (r_n * math.sqrt(10.0))
     upper = math.sqrt(2.0) * side * math.sqrt(10.0) / r_n
     assert lower <= result.hops <= upper
-
-
-# ---------------------------------------------------------------------------
-# slotted-interference (SINR) graph
-# ---------------------------------------------------------------------------
-
-
-def sinr_oracle_edges(
-    positions: list[Position], params: SinrParams, grid: SquareletGrid
-) -> set[tuple[int, int]]:
-    """Independent per-pair evaluation of the worst-case interference rule."""
-    k = params.tdma_k
-    m = grid.cells_per_side
-    s = grid.cell_side
-
-    def cell_of(p: Position) -> tuple[int, int]:
-        return (
-            min(math.floor(p.x / s), m - 1),
-            min(math.floor(p.y / s), m - 1),
-        )
-
-    def nearest_dist(cell: tuple[int, int], p: Position) -> float:
-        x0, y0 = cell[0] * s, cell[1] * s
-        x1 = min(x0 + s, grid.side)
-        y1 = min(y0 + s, grid.side)
-        dx = max(x0 - p.x, 0.0, p.x - x1)
-        dy = max(y0 - p.y, 0.0, p.y - y1)
-        return math.hypot(dx, dy)
-
-    def direction_ok(tx: int, rx: int) -> bool:
-        d = math.dist(positions[tx], positions[rx])
-        if d == 0.0:
-            return True
-        tx_cell = cell_of(positions[tx])
-        slot = (tx_cell[0] % k, tx_cell[1] % k)
-        interference = 0.0
-        for a in range(slot[0], m, k):
-            for b in range(slot[1], m, k):
-                if (a, b) == tx_cell:
-                    continue
-                dmin = nearest_dist((a, b), positions[rx])
-                if dmin == 0.0:
-                    return False
-                interference += params.transmit_power * dmin ** (-params.path_loss_exponent)
-        signal = params.transmit_power * d ** (-params.path_loss_exponent)
-        return signal / (params.noise + interference) >= params.threshold
-
-    edges = set()
-    for u in range(len(positions)):
-        for v in range(u + 1, len(positions)):
-            if direction_ok(u, v) and direction_ok(v, u):
-                edges.add((u, v))
-    return edges
-
-
-def test_sinr_params_reject_low_path_loss_exponent() -> None:
-    with pytest.raises(ParameterError):
-        SinrParams(transmit_power=1.0, noise=1.0, path_loss_exponent=2.0, threshold=1.0)
-
-
-def test_sinr_params_reject_nonpositive_threshold() -> None:
-    with pytest.raises(ParameterError):
-        SinrParams(transmit_power=1.0, noise=1.0, path_loss_exponent=4.0, threshold=0.0)
-
-
-def test_sinr_clean_channel_connects_exactly_to_radius() -> None:
-    # A 4x4-cell domain has no two cells in the same slot, so there is no
-    # interference. With power (noise * threshold * r_n)^beta and
-    # noise = threshold = 1 the clean-channel range is exactly r_n.
-    domain = DomainSpec(side=3.0, boundary_mode="torus", n=9)
-    r_n = 2.0
-    grid = SquareletGrid.from_radius(domain, r_n)
-    assert grid.cells_per_side == 4
-    params = SinrParams.calibrated(r_n, noise=1.0, path_loss_exponent=4.0, threshold=1.0)
-    at_radius = [Position(0.4, 0.5), Position(2.4, 0.5)]
-    beyond = [Position(0.4, 0.5), Position(2.4000001, 0.5)]
-    within = [Position(0.4, 0.5), Position(2.3, 0.5)]
-    assert edge_set(build_sinr_graph(at_radius, params, grid)) == {(0, 1)}
-    assert edge_set(build_sinr_graph(beyond, params, grid)) == set()
-    assert edge_set(build_sinr_graph(within, params, grid)) == {(0, 1)}
-
-
-def test_sinr_clean_range_tracks_noise_and_threshold() -> None:
-    # With power (noise * threshold * r_n)^beta the zero-interference range is
-    # (noise * threshold)^(1 - 1/beta) * r_n; it equals r_n only when their
-    # product is 1.
-    r_n = 2.0
-    params = SinrParams.calibrated(r_n, noise=2.0, path_loss_exponent=4.0, threshold=1.0)
-    assert params.clean_range == pytest.approx(2.0 ** 0.75 * r_n)
-    unit = SinrParams.calibrated(r_n, noise=2.0, path_loss_exponent=4.0, threshold=0.5)
-    assert unit.clean_range == pytest.approx(r_n)
-
-
-def test_sinr_single_node_has_no_edges() -> None:
-    domain = DomainSpec(side=3.0, boundary_mode="torus", n=9)
-    grid = SquareletGrid.from_radius(domain, 2.0)
-    params = SinrParams.calibrated(2.0)
-    g = build_sinr_graph([Position(1.0, 1.0)], params, grid)
-    assert g.n == 1
-    assert edge_set(g) == set()
-
-
-def test_sinr_graph_matches_oracle_one_node_per_cell() -> None:
-    # 3x3 cells, one node per cell centre, slot period 2: corner cells share
-    # slots, so interference is live.
-    r_n = math.sqrt(5.0)  # cell_side = 1
-    domain = DomainSpec(side=3.0, boundary_mode="torus", n=9)
-    grid = SquareletGrid.from_radius(domain, r_n)
-    params = SinrParams.calibrated(r_n, path_loss_exponent=3.0, tdma_k=2)
-    positions = [Position(i + 0.5, j + 0.5) for i in range(3) for j in range(3)]
-    g = build_sinr_graph(positions, params, grid)
-    assert edge_set(g) == sinr_oracle_edges(positions, params, grid)
-
-
-def test_sinr_graph_matches_oracle_on_random_cluster_layout() -> None:
-    # 8x8 cells with slot period 2: dense co-slot interference plus close
-    # in-cell pairs. Checks the implementation against the independent oracle
-    # and that interference strictly prunes the clean-range graph.
-    rng = np.random.default_rng(12)
-    r_n = math.sqrt(5.0)
-    side = 8.0
-    domain = DomainSpec(side=side, boundary_mode="torus", n=64)
-    grid = SquareletGrid.from_radius(domain, r_n)
-    pts = rng.random((40, 2)) * side
-    positions = [Position(float(x), float(y)) for x, y in pts]
-    params = SinrParams.calibrated(r_n, path_loss_exponent=3.0, tdma_k=2)
-    g = build_sinr_graph(positions, params, grid)
-    oracle = sinr_oracle_edges(positions, params, grid)
-    assert edge_set(g) == oracle
-    clean = edge_set(build_geometric_graph(positions, r_n * (1.0 + 1e-12)))
-    assert oracle < clean  # interference must remove at least one in-range pair
-
-
-# ---------------------------------------------------------------------------
-# edge-list dump
-# ---------------------------------------------------------------------------
-
-
-def test_dump_edge_list_format(tmp_path) -> None:
-    g = ConnectivityGraph.from_edges(4, [(0, 1), (1, 2), (0, 3)])
-    out = tmp_path / "edges.txt"
-    dump_edge_list(g, out)
-    lines = out.read_text().splitlines()
-    assert lines[0] == "4 3"
-    assert lines[1:] == ["0 1", "0 3", "1 2"]

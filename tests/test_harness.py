@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from beaconsim import harness
 from beaconsim.errors import ParameterError, ProtocolInvariantError
 from beaconsim.geometry import DomainSpec, Position, sample_uniform_positions
 from beaconsim.graph import ConnectivityGraph, build_geometric_graph, diameter
@@ -401,6 +402,22 @@ def test_overhead_scaling_single_row_under_benchmark(tmp_path):
         assert len(list(reader)) == 1
 
 
+def test_overhead_scaling_measures_each_diameter_once(monkeypatch):
+    # The level count measured for the warm-up is handed to the run, so each
+    # ladder run computes its exact diameter once.
+    calls = []
+
+    def counting_diameter(g, *args, **kwargs):
+        calls.append(g.n)
+        return diameter(g, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "diameter", counting_diameter)
+    base = SimConfig(n=50, max_speed=1.0, steps=6, pair_samples=0).with_seed(41)
+    rows = experiment_overhead_scaling([50, 100], 1, base)
+    assert [row.n for row in rows] == [50, 100]
+    assert calls == [50, 100]
+
+
 def test_overhead_scaling_empty_input_gives_empty_table():
     base = SimConfig(n=50, max_speed=1.0, steps=6)
     assert experiment_overhead_scaling([], trials=1, base_config=base) == []
@@ -537,6 +554,41 @@ def test_wall_demonstration_protocol_beats_greedy():
     assert demo.baseline_failure_rate == pytest.approx(0.30)
     assert demo.protocol_delivery_rate == 1.0
     assert 1.0 <= demo.worst_stretch <= 6.0
+
+
+def overlong_forward(monkeypatch):
+    """Make every forward report a route far over the 6*kappa^2*d bound, and
+    record each call of the shared route-bound check."""
+    checked = []
+    real_forward = ProtocolEngine.forward
+    real_check = harness._check_route_bound
+
+    def forward(self, g, source, dest):
+        receipt = real_forward(self, g, source, dest)
+        return replace(receipt, route_hops=10**6)
+
+    def check(source, dest, *args):
+        checked.append((source, dest))
+        real_check(source, dest, *args)
+
+    monkeypatch.setattr(ProtocolEngine, "forward", forward)
+    monkeypatch.setattr(harness, "_check_route_bound", check)
+    return checked
+
+
+def test_run_simulation_raises_on_a_route_over_the_bound(monkeypatch):
+    checked = overlong_forward(monkeypatch)
+    cfg = SimConfig(n=60, steps=1, pair_samples=5).with_seed(3)
+    with pytest.raises(ProtocolInvariantError, match="over the bound 6.0 x"):
+        run_simulation(cfg)
+    assert len(checked) == 1
+
+
+def test_wall_demonstration_raises_on_a_route_over_the_bound(monkeypatch):
+    checked = overlong_forward(monkeypatch)
+    with pytest.raises(ProtocolInvariantError, match="over the bound 6.0 x"):
+        wall_demonstration(n=200, seed=21, pair_count=10)
+    assert len(checked) == 1
 
 
 # ---------------------------------------------------------------------------

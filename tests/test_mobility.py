@@ -22,7 +22,6 @@ from beaconsim.mobility import (
     RandomWalk,
     RandomWaypoint,
     measure_smoothness,
-    scaled_gap_kappa,
     step,
     theoretical_kappa,
 )
@@ -324,16 +323,3 @@ def test_kappa_bound_validates_parameters() -> None:
 def test_small_gap_constant_is_finite_and_matches_closed_form() -> None:
     value = theoretical_kappa(1.0, 1.0, 0.01, 1.0)
     assert math.isfinite(value)
-    assert value == pytest.approx(scaled_gap_kappa(nu=0.01, max_speed=1.0))
-
-
-def test_unit_parameters_constant_value() -> None:
-    # At nu = S = 1 the first branch is undefined and the constant comes from
-    # the second branch alone: sqrt10 * (1 + 2*sqrt10) = sqrt10 + 20.
-    assert scaled_gap_kappa(nu=1.0, max_speed=1.0) == pytest.approx(SQRT10 + 20.0)
-
-
-def test_constant_reduces_to_bound_when_branch_one_defined() -> None:
-    assert scaled_gap_kappa(nu=0.02, max_speed=0.5) == pytest.approx(
-        theoretical_kappa(1.0, 0.5, 0.02, 1.0)
-    )

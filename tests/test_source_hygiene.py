@@ -1,0 +1,87 @@
+"""Static checks over the package sources, standing in for a linter.
+
+Each ``src/beaconsim/*.py`` file is parsed with ``ast``: every top-level
+import must bind a name the module reads (or re-exports through
+``__all__``), and every ``__all__`` entry must resolve on the imported
+module.
+"""
+
+from __future__ import annotations
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "beaconsim"
+SOURCES = sorted(SRC.glob("*.py"))
+
+
+def _module_name(path: Path) -> str:
+    return "beaconsim" if path.stem == "__init__" else f"beaconsim.{path.stem}"
+
+
+def _imported_names(tree: ast.Module) -> dict[str, int]:
+    """Names bound by top-level imports, with their line numbers."""
+    bound: dict[str, int] = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    return bound
+
+
+def _annotation_strings(tree: ast.Module):
+    """String annotations, e.g. ``-> "ConnectivityGraph"``, parsed as code."""
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+        elif isinstance(node, ast.arg):
+            annotations.append(node.annotation)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+    for annotation in annotations:
+        for sub in ast.walk(annotation) if annotation is not None else ():
+            if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                yield ast.parse(sub.value, mode="eval")
+
+
+def _declared_all(tree: ast.Module) -> list[str]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            return list(ast.literal_eval(node.value))
+    return []
+
+
+def _read_names(tree: ast.Module) -> set[str]:
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for parsed in _annotation_strings(tree):
+        read |= {node.id for node in ast.walk(parsed) if isinstance(node, ast.Name)}
+    return read | set(_declared_all(tree))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_top_level_import_is_used(path: Path) -> None:
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    read = _read_names(tree)
+    unused = [
+        f"{path.name}:{line} {name}"
+        for name, line in _imported_names(tree).items()
+        if name not in read
+    ]
+    assert unused == [], f"unused imports: {unused}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_all_entry_resolves(path: Path) -> None:
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    module = importlib.import_module(_module_name(path))
+    missing = [name for name in _declared_all(tree) if not hasattr(module, name)]
+    assert missing == [], f"{path.name} __all__ names that do not resolve: {missing}"

@@ -1,16 +1,14 @@
 """Tests for the adversarial topology generators: the obstructed-wall layout,
-squarelet thinning, empty-region (hole) analysis, the comb unit-disk graph,
-and the sparse-radius regime.
+squarelet thinning, the comb unit-disk graph, and the sparse-radius regime.
 
 Oracles: dense point-sampling along segments for the wall-crossing predicate,
-a brute-force recount for thinning, an independent grid-BFS for hole
-perimeters, and BFS verification of the comb separation argument.
+a brute-force recount for thinning, and BFS verification of the comb
+separation argument.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 
 import numpy as np
 import pytest
@@ -20,7 +18,6 @@ from beaconsim.geometry import (
     DomainSpec,
     Position,
     SquareletGrid,
-    occupancy_report,
     sample_uniform_positions,
 )
 from beaconsim.graph import (
@@ -31,8 +28,6 @@ from beaconsim.graph import (
 )
 from beaconsim.topology import (
     comb_udg,
-    dump_positions_csv,
-    hole_report,
     remove_squarelets,
     subcritical_positions,
     wall_graph,
@@ -209,105 +204,6 @@ def test_checker_pattern_count_matches_recount_oracle() -> None:
 
 
 # ---------------------------------------------------------------------------
-# hole report
-# ---------------------------------------------------------------------------
-
-
-def occupancy_with_empty(cells: int, empty: set[tuple[int, int]]):
-    grid = unit_grid(cells)
-    positions = [
-        Position(i + 0.5, j + 0.5)
-        for i in range(cells)
-        for j in range(cells)
-        if (i, j) not in empty
-    ]
-    return occupancy_report(positions, grid)
-
-
-def grid_bfs_oracle(
-    active: set[tuple[int, int]], source: tuple[int, int]
-) -> dict[tuple[int, int], int]:
-    # 8-neighborhood breadth-first distances over the active cells.
-    dist = {source: 0}
-    queue = deque([source])
-    while queue:
-        a = queue.popleft()
-        for di in (-1, 0, 1):
-            for dj in (-1, 0, 1):
-                if di == dj == 0:
-                    continue
-                b = (a[0] + di, a[1] + dj)
-                if b in active and b not in dist:
-                    dist[b] = dist[a] + 1
-                    queue.append(b)
-    return dist
-
-
-def test_full_occupancy_has_no_holes() -> None:
-    report = hole_report(occupancy_with_empty(8, set()))
-    assert report.holes == []
-    assert report.p_max == 1.0
-    assert report.doubling_bound == 1.0
-
-
-def test_single_interior_empty_cell_is_not_a_hole() -> None:
-    # Axis-aligned crossings detour around one missing cell via a corner at
-    # equal length; diagonal chains lose only the single step of grid slack.
-    report = hole_report(occupancy_with_empty(9, {(4, 4)}))
-    assert report.holes == []
-    assert report.doubling_bound == 1.0
-
-
-def test_corner_empty_cell_is_not_a_hole() -> None:
-    report = hole_report(occupancy_with_empty(6, {(0, 0)}))
-    assert report.holes == []
-
-
-def test_strip_hole_perimeter_matches_grid_bfs_oracle() -> None:
-    cells = 15
-    lengths = (3, 5, 7)
-    perimeters = []
-    for k in lengths:
-        empty = {(7, 4 + j) for j in range(k)}
-        report = hole_report(occupancy_with_empty(cells, empty))
-        assert len(report.holes) == 1
-        hole = report.holes[0]
-        assert hole.cells == frozenset(empty)
-
-        active = {
-            (i, j) for i in range(cells) for j in range(cells) if (i, j) not in empty
-        }
-        border = {
-            c
-            for c in active
-            if any(
-                (c[0] + di, c[1] + dj) in empty
-                for di in (-1, 0, 1)
-                for dj in (-1, 0, 1)
-            )
-        }
-        best = 0
-        for src in border:
-            dist = grid_bfs_oracle(active, src)
-            best = max(best, max(dist[b] for b in border))
-        assert hole.perimeter == 2 * best
-        perimeters.append(hole.perimeter)
-        assert report.p_max == hole.perimeter
-        assert report.doubling_bound == hole.perimeter**2
-    assert perimeters[0] < perimeters[1] < perimeters[2]
-
-
-def test_two_separate_holes_reported_with_max_perimeter() -> None:
-    cells = 15
-    empty = {(3, j) for j in range(3, 8)} | {(11, j) for j in range(5, 8)}
-    report = hole_report(occupancy_with_empty(cells, empty))
-    assert len(report.holes) == 2
-    assert report.p_max == max(h.perimeter for h in report.holes)
-    assert len({h.perimeter for h in report.holes}) == 2
-    assert report.doubling_bound == report.p_max**2
-
-
-# ---------------------------------------------------------------------------
 # comb unit-disk graph
 # ---------------------------------------------------------------------------
 
@@ -400,18 +296,3 @@ def test_subcritical_rejects_bad_theta() -> None:
         subcritical_positions(100, theta=0.0, seed=0)
     with pytest.raises(ParameterError):
         subcritical_positions(100, theta=1.5, seed=0)
-
-
-# ---------------------------------------------------------------------------
-# position dump
-# ---------------------------------------------------------------------------
-
-
-def test_dump_positions_csv_roundtrip(tmp_path) -> None:
-    positions = [Position(0.25, 1.5), Position(2.0, 0.125)]
-    out = tmp_path / "positions.csv"
-    dump_positions_csv(positions, out)
-    lines = out.read_text().splitlines()
-    assert lines[0] == "node_id,x,y"
-    assert lines[1] == "0,0.25,1.5"
-    assert lines[2] == "1,2.0,0.125"
