@@ -14,7 +14,6 @@ import csv
 import math
 from collections import deque
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,9 +24,7 @@ from beaconsim.geometry import DomainSpec, Position, sample_uniform_positions
 from beaconsim.graph import ConnectivityGraph, build_geometric_graph, diameter
 from beaconsim.harness import (
     BaselineResult,
-    MetricsSeries,
     SimConfig,
-    StepMetrics,
     WallDemo,
     dump_config,
     experiment_doubling_regimes,

@@ -1,9 +1,9 @@
 """Static checks over the package sources, standing in for a linter.
 
-Each ``src/beaconsim/*.py`` file is parsed with ``ast``: every top-level
-import must bind a name the module reads (or re-exports through
-``__all__``), and every ``__all__`` entry must resolve on the imported
-module.
+Each ``src/beaconsim/*.py`` and ``tests/*.py`` file is parsed with ``ast``:
+every top-level import must bind a name the module reads (or re-exports
+through ``__all__``), and every ``__all__`` entry of a package module must
+resolve on the imported module.
 """
 
 from __future__ import annotations
@@ -14,8 +14,10 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "beaconsim"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "beaconsim"
 SOURCES = sorted(SRC.glob("*.py"))
+TEST_SOURCES = sorted(TESTS.glob("*.py"))
 
 
 def _module_name(path: Path) -> str:
@@ -67,7 +69,7 @@ def _read_names(tree: ast.Module) -> set[str]:
     return read | set(_declared_all(tree))
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", SOURCES + TEST_SOURCES, ids=lambda p: p.name)
 def test_every_top_level_import_is_used(path: Path) -> None:
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     read = _read_names(tree)
