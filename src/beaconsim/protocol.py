@@ -8,6 +8,15 @@ level upward, then descends the hierarchy until the destination's level-0
 beacon hands the packet over. A load-balanced variant spreads member
 identifiers from beacons onto chain termini chosen by identifier closeness.
 
+Routing state has two parts. Flood entries live in one pool of
+origin-major arrays: one row per live (origin, level) flood, n columns wide,
+holding each node's hop distance to the origin, its next hop toward it, and
+the step that wrote the cell; a round merges each flood into its row with
+one masked vector update, and clearing a level drops that level's rows.
+Forward state left by membership registrations is a small per-node overlay
+dict. The two never hold the same (origin, level) key at the same node, so a
+node's table is their union. Rounds are expected at non-decreasing steps.
+
 Cost accounting is explicit: flood cost is transmissions times the flood
 packet width, probe and membership cost is path hops times the respective
 packet width, with concrete field widths derived from the node count and
@@ -207,18 +216,89 @@ class ForwardReceipt:
 
 
 class _NodeState:
-    __slots__ = ("beacon_level", "memberships", "member_lists", "table", "temp", "lb_store")
+    __slots__ = (
+        "beacon_level", "memberships", "member_lists", "registrations", "temp", "lb_store"
+    )
 
     def __init__(self) -> None:
         self.beacon_level = 0
         self.memberships: dict[int, Membership] = {}
         self.member_lists: dict[int, set[int]] = {}
-        # (origin, level) -> (distance, next_hop, time, parent)
-        self.table: dict[tuple[int, int], tuple[int, int, int, Optional[int]]] = {}
+        # member -> {level: (distance, next_hop, time)}: forward state that a
+        # membership registration installed here. It shadows the flood row
+        # of the same (member, level), whose cell at this node stays empty.
+        self.registrations: dict[int, dict[int, tuple[int, int, int]]] = {}
         # origin -> (distance, next_hop); reverse state left behind by probes
         self.temp: dict[int, tuple[int, int]] = {}
         # (node, level) -> owning beacon chain; load-balanced mode only
         self.lb_store: dict[tuple[int, int], tuple[int, ...]] = {}
+
+
+class _FloodRows:
+    """Flood entries as origin-major arrays, one row per (origin, level).
+
+    ``dist`` holds each node's hop distance to the origin, or ``unreached``
+    where the flood left no entry; the type holds every hop distance, since
+    ``flood`` takes any radius. ``next_hop`` and ``stamp`` (the step that
+    wrote the cell) are meaningful only where ``dist`` is set. A row's
+    ``parent`` is the origin's beacon one level up: it cannot change while
+    the level stays uncleared. Free rows carry level -1.
+    """
+
+    def __init__(self, n: int) -> None:
+        self.n = n
+        dist_type = np.min_scalar_type(n)
+        self.unreached = int(np.iinfo(dist_type).max)
+        self.dist = np.empty((0, n), dtype=dist_type)
+        self.next_hop = np.empty((0, n), dtype=np.int16 if n < 2**15 else np.int32)
+        self.stamp = np.empty((0, n), dtype=np.int32)
+        self.level = np.empty(0, dtype=np.int16)
+        self.origin = np.empty(0, dtype=np.int64)
+        self.parent: list[Optional[int]] = []
+        self.of_origin: dict[int, dict[int, int]] = {}  # origin -> {level: row}
+        self._free: list[int] = []
+
+    def row(self, origin: int, level: int) -> Optional[int]:
+        rows = self.of_origin.get(origin)
+        return rows.get(level) if rows else None
+
+    def add(self, origin: int, level: int, parent: Optional[int]) -> int:
+        if not self._free:
+            self._grow()
+        row = self._free.pop()
+        self.dist[row] = self.unreached
+        self.level[row] = level
+        self.origin[row] = origin
+        self.parent[row] = parent
+        self.of_origin.setdefault(origin, {})[level] = row
+        return row
+
+    def drop_levels(self, top: int) -> None:
+        """Free every row at a level <= ``top``."""
+        for row in np.flatnonzero((self.level >= 0) & (self.level <= top)).tolist():
+            origin = int(self.origin[row])
+            rows = self.of_origin[origin]
+            del rows[int(self.level[row])]
+            if not rows:
+                del self.of_origin[origin]
+            self.level[row] = -1
+            self.parent[row] = None
+            self._free.append(row)
+
+    def live(self) -> np.ndarray:
+        return np.flatnonzero(self.level >= 0)
+
+    def _grow(self) -> None:
+        cap = len(self.level)
+        extra = cap or self.n  # one row per node is what a round keeps
+        n = self.n
+        self.dist = np.concatenate([self.dist, np.empty((extra, n), self.dist.dtype)])
+        self.next_hop = np.concatenate([self.next_hop, np.empty((extra, n), self.next_hop.dtype)])
+        self.stamp = np.concatenate([self.stamp, np.empty((extra, n), self.stamp.dtype)])
+        self.level = np.concatenate([self.level, np.full(extra, -1, self.level.dtype)])
+        self.origin = np.concatenate([self.origin, np.zeros(extra, self.origin.dtype)])
+        self.parent.extend([None] * extra)
+        self._free.extend(range(cap + extra - 1, cap - 1, -1))  # low rows first
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +325,9 @@ class ProtocolEngine:
             params.lb_flood_radius if mode == "load_balanced" else params.flood_radius
         )
         self._nodes = [_NodeState() for _ in range(n)]
-        self._clear_time = [-1] * (params.levels + 1)
+        self._floods = _FloodRows(n)
+        # (member, level) -> nodes whose registrations hold that key
+        self._registered_at: dict[tuple[int, int], set[int]] = {}
         self._lb_holders: dict[tuple[int, int], int] = {}
 
     # -- public state accessors ------------------------------------------
@@ -266,14 +348,28 @@ class ProtocolEngine:
 
     def routing_entries(self, u: int) -> list[RoutingEntry]:
         self._check_node(u)
-        entries = []
-        for (origin, level), e in self._nodes[u].table.items():
-            if e[2] >= self._clear_time[level]:
-                entries.append(
-                    RoutingEntry(
-                        node_id=origin, distance=e[0], level=level, next_hop=e[1], parent=e[3]
-                    )
-                )
+        pool = self._floods
+        rows = pool.live()
+        dist = pool.dist[rows, u]
+        reached = dist != pool.unreached
+        rows = rows[reached].tolist()
+        entries = [
+            RoutingEntry(
+                node_id=origin, distance=distance, level=level, next_hop=hop, parent=pool.parent[row]
+            )
+            for row, origin, distance, level, hop in zip(
+                rows,
+                pool.origin[rows].tolist(),
+                dist[reached].tolist(),
+                pool.level[rows].tolist(),
+                pool.next_hop[rows, u].tolist(),
+            )
+        ]
+        entries.extend(
+            RoutingEntry(node_id=member, distance=e[0], level=level, next_hop=e[1])
+            for member, by_level in self._nodes[u].registrations.items()
+            for level, e in by_level.items()
+        )
         entries.sort(key=lambda entry: (entry.node_id, entry.level))
         return entries
 
@@ -312,11 +408,11 @@ class ProtocolEngine:
 
     def _write_state(self, fh: IO[str]) -> None:
         fh.write("node_id,beacon_level,membership_count,table_entries\n")
+        pool = self._floods
+        flooded = np.count_nonzero(pool.dist[pool.live()] != pool.unreached, axis=0).tolist()
         for u in range(self.n):
             st = self._nodes[u]
-            live = sum(
-                1 for (_, level), e in st.table.items() if e[2] >= self._clear_time[level]
-            )
+            live = flooded[u] + sum(len(by_level) for by_level in st.registrations.values())
             fh.write(f"{u},{st.beacon_level},{len(st.memberships)},{live}\n")
 
     # -- beaconing ---------------------------------------------------------
@@ -343,8 +439,8 @@ class ProtocolEngine:
         qualifying = [j for j in range(levels + 1) if t % (params.nu << j) == 0]
         gamma = max(qualifying) if qualifying else -1
 
-        for level in range(gamma + 1):
-            self._clear_time[level] = t
+        self._floods.drop_levels(gamma)
+        self._drop_registrations(gamma)
         for st in self._nodes:
             st.temp.clear()
             for level in range(gamma + 1):
@@ -352,8 +448,6 @@ class ProtocolEngine:
                 members = st.member_lists.get(level)
                 if members:
                     members.clear()
-            if gamma == levels:
-                st.table.clear()
 
         rng = np.random.default_rng((seed, t))
         pi = [int(u) for u in rng.permutation(self.n)]
@@ -390,19 +484,22 @@ class ProtocolEngine:
                     parent = above.beacon_id if above is not None else None
 
                 dist_row, pred_row = rows[u]
-                reached, flood_tx_u = self._post_flood(
+                reached, reached_dist, flood_tx_u = self._post_flood(
                     u, beta, self._flood_radius(beta), dist_row, pred_row, t, parent
                 )
                 flood_tx += flood_tx_u
                 control_bits += flood_tx_u * flood_bits
 
-                for v in reached[1:]:
-                    v = int(v)
-                    d = int(dist_row[v])
-                    low = (d - 1).bit_length()
-                    if low > beta:
-                        break  # reached is distance-sorted; later nodes are even farther
+                # Joins come from within the cover radius; reached is
+                # distance-sorted and starts with the origin itself.
+                covered = np.searchsorted(reached_dist, params.cover_radius(beta), side="right")
+                for v, d in zip(
+                    reached[1:covered].tolist(), reached_dist[1:covered].astype(np.int64).tolist()
+                ):
                     vst = self._nodes[v]
+                    if len(vst.memberships) > levels:
+                        continue  # already a member at every level
+                    low = (d - 1).bit_length()
                     join = [
                         level for level in range(low, beta + 1) if level not in vst.memberships
                     ]
@@ -421,7 +518,7 @@ class ProtocolEngine:
                         control_bits += d * member_bits
                         toward = v
                         for hops, w in enumerate(path, start=1):
-                            self._post_entry(w, v, level, hops, toward, t, None)
+                            self._post_registration(w, v, level, hops, toward, t)
                             toward = w
 
         self._assert_cover_complete(levels)
@@ -478,38 +575,102 @@ class ProtocolEngine:
         pred_row: np.ndarray,
         t: int,
         parent: Optional[int],
-    ) -> tuple[np.ndarray, int]:
-        """Post ``origin``'s flood entry at every node within ``radius``.
+    ) -> tuple[np.ndarray, np.ndarray, int]:
+        """Merge ``origin``'s flood into its row at every node within ``radius``.
 
-        Returns the reached nodes sorted by (distance, id), the origin first,
-        and the transmission count: every node within radius-1 rebroadcasts
-        once, the origin included.
+        A cell takes the flood when it was written before step ``t`` or holds
+        a longer distance; so same-step repeats only displace strictly worse
+        hop counts. Returns the reached nodes sorted by (distance, id), the
+        origin first, their distances, and the transmission count: every
+        node within radius-1 rebroadcasts once, the origin included.
         """
         reached = np.flatnonzero(dist_row <= radius)
-        reached = reached[np.lexsort((reached, dist_row[reached]))]
-        for v in reached[1:]:  # skip the origin itself (distance 0)
-            v = int(v)
-            self._post_entry(v, origin, level, int(dist_row[v]), int(pred_row[v]), t, parent)
-        return reached, int(np.count_nonzero(dist_row <= radius - 1))
+        reached_dist = dist_row[reached]
+        order = np.argsort(reached_dist, kind="stable")  # ids ascend within a distance
+        reached, reached_dist = reached[order], reached_dist[order]
+        pool = self._floods
+        row = pool.row(origin, level)
+        cells = reached[1:]  # the origin (distance 0) holds no entry for itself
+        distance = reached_dist[1:].astype(pool.dist.dtype)
+        if row is None:
+            row = pool.add(origin, level, parent)
+        elif pool.parent[row] != parent:
+            raise ParameterError(
+                f"node {origin}'s level-{level} flood carries parent {pool.parent[row]}, "
+                "which stays until the level is cleared"
+            )
+        take = (pool.stamp[row, cells] < t) | (distance < pool.dist[row, cells])
+        holders = self._registered_at.get((origin, level))
+        if holders:
+            for node in self._settle_registrations(origin, level, holders, dist_row, radius, t):
+                take &= cells != node
+        cells = cells[take]
+        pool.dist[row, cells] = distance[take]
+        pool.next_hop[row, cells] = pred_row[cells]
+        pool.stamp[row, cells] = t
+        transmissions = int(np.searchsorted(reached_dist, radius - 1, side="right"))
+        return reached, reached_dist, transmissions
 
-    def _post_entry(
+    def _settle_registrations(
         self,
-        node: int,
         origin: int,
         level: int,
-        distance: int,
-        next_hop: int,
+        holders: set[int],
+        dist_row: np.ndarray,
+        radius: int,
         t: int,
-        parent: Optional[int],
+    ) -> list[int]:
+        """Let the flood of (origin, level) contest the registration entries
+        for the same key: a registration written at step ``t`` survives at
+        an equal or shorter distance, any other reached one is dropped so
+        the flood row takes its cell. Returns the surviving holders."""
+        kept = []
+        for node in list(holders):
+            d = dist_row[node]
+            if d > radius:
+                continue
+            distance, _, stamp = self._nodes[node].registrations[origin][level]
+            if stamp >= t and distance <= d:
+                kept.append(node)
+                continue
+            self._unregister(node, origin, level)
+            holders.discard(node)
+        if not holders:
+            del self._registered_at[(origin, level)]
+        return kept
+
+    def _post_registration(
+        self, node: int, member: int, level: int, distance: int, next_hop: int, t: int
     ) -> None:
-        # Same-step repeats only displace strictly worse hop counts; a fresher
-        # step replaces unconditionally.
-        table = self._nodes[node].table
-        key = (origin, level)
-        cur = table.get(key)
+        """Install forward state for ``member`` at ``node``, by the same rule
+        as a flood cell: it replaces an entry for (member, level) written
+        before step ``t`` or holding a longer distance. The row cell is
+        emptied so the registration alone holds the key at this node."""
+        st = self._nodes[node]
+        pool = self._floods
+        by_level = st.registrations.get(member)
+        cur = by_level.get(level) if by_level else None
+        row = pool.row(member, level)
+        if cur is None and row is not None and pool.dist.item(row, node) != pool.unreached:
+            cur = (pool.dist.item(row, node), -1, pool.stamp.item(row, node))
         if cur is not None and cur[2] >= t and cur[0] <= distance:
             return
-        table[key] = (distance, next_hop, t, parent)
+        if row is not None:
+            pool.dist[row, node] = pool.unreached
+        st.registrations.setdefault(member, {})[level] = (distance, next_hop, t)
+        self._registered_at.setdefault((member, level), set()).add(node)
+
+    def _drop_registrations(self, top: int) -> None:
+        """Forget every registration entry at a level <= ``top``."""
+        for key in [key for key in self._registered_at if key[1] <= top]:
+            for node in self._registered_at.pop(key):
+                self._unregister(node, *key)
+
+    def _unregister(self, node: int, member: int, level: int) -> None:
+        registrations = self._nodes[node].registrations
+        del registrations[member][level]
+        if not registrations[member]:
+            del registrations[member]
 
     def _beacon_sets(self, levels: int) -> dict[int, tuple[int, ...]]:
         sets: dict[int, list[int]] = {level: [] for level in range(levels + 1)}
@@ -591,16 +752,26 @@ class ProtocolEngine:
         vanished edges), then shorter, then lower level; probe-installed
         reverse state is the last resort."""
         st = self._nodes[node]
+        pool = self._floods
         best = None
         best_key = None
-        for level in range(self.params.levels + 1):
-            e = st.table.get((origin, level))
-            if e is None or e[2] < self._clear_time[level]:
-                continue
-            key = (-e[2], e[0], level)
-            if best_key is None or key < best_key:
-                best = (e[0], level, e[1])
-                best_key = key
+        rows = pool.of_origin.get(origin)
+        if rows:
+            for level, row in rows.items():
+                distance = pool.dist.item(row, node)
+                if distance == pool.unreached:
+                    continue
+                key = (-pool.stamp.item(row, node), distance, level)
+                if best_key is None or key < best_key:
+                    best = (distance, level, pool.next_hop.item(row, node))
+                    best_key = key
+        by_level = st.registrations.get(origin)
+        if by_level:
+            for level, (distance, hop, stamp) in by_level.items():
+                key = (-stamp, distance, level)
+                if best_key is None or key < best_key:
+                    best = (distance, level, hop)
+                    best_key = key
         if best is None:
             tmp = st.temp.get(origin)
             if tmp is not None:
@@ -640,15 +811,16 @@ class ProtocolEngine:
         if self.mode == "load_balanced":
             found = [lvl for (node, lvl) in st.lb_store if node == dest and lvl <= max_level]
         else:
-            # Any live table row for the destination answers: flood entries
+            # Any table entry for the destination answers: flood entries
             # from the destination's own beaconing and forward state installed
             # by its membership registrations both qualify.
+            pool = self._floods
             found = [
                 lvl
-                for lvl in range(max_level + 1)
-                if (e := st.table.get((dest, lvl))) is not None
-                and e[2] >= self._clear_time[lvl]
+                for lvl, row in pool.of_origin.get(dest, {}).items()
+                if lvl <= max_level and pool.dist.item(row, relay) != pool.unreached
             ]
+            found.extend(lvl for lvl in st.registrations.get(dest, ()) if lvl <= max_level)
         if found:
             return True, min(found)
         return False, -1
@@ -841,17 +1013,26 @@ class ProtocolEngine:
     def _stage_candidates(
         self, node: int, min_level: int, max_distance: int, skip: tuple[int, ...]
     ) -> list[int]:
-        st = self._nodes[node]
-        best: dict[int, int] = {}
-        for (origin, level), e in st.table.items():
-            if level < min_level or origin in skip:
-                continue
-            if e[2] < self._clear_time[level] or e[0] > max_distance:
-                continue
-            cur = best.get(origin)
-            if cur is None or e[0] < cur:
-                best[origin] = e[0]
-        return [origin for origin, _ in sorted(best.items(), key=lambda kv: (kv[1], kv[0]))]
+        """Origins with an entry at ``node`` at level >= ``min_level`` within
+        ``max_distance`` hops, nearest first (ties to the lower id)."""
+        pool = self._floods
+        rows = np.flatnonzero(pool.level >= min_level)
+        dist = pool.dist[rows, node]
+        near = dist <= min(max_distance, pool.unreached - 1)
+        origins = pool.origin[rows[near]]
+        dist = dist[near]
+        extra = [
+            (member, e[0])
+            for member, by_level in self._nodes[node].registrations.items()
+            for level, e in by_level.items()
+            if level >= min_level and e[0] <= max_distance
+        ]
+        if extra:
+            origins = np.concatenate([origins, [member for member, _ in extra]])
+            dist = np.concatenate([dist, [d for _, d in extra]])
+        origins = origins[np.lexsort((origins, dist))]
+        first = np.unique(origins, return_index=True)[1]  # each origin at its shortest
+        return [origin for origin in origins[np.sort(first)].tolist() if origin not in skip]
 
     def _ring_search(
         self, g: ConnectivityGraph, start: int, dest: int, excluded: set[int]
@@ -999,7 +1180,7 @@ def flood(
         limit=float(radius),
         return_predecessors=True,
     )
-    return engine._post_flood(origin, level, radius, dist[0], pred[0], t, parent)[1]
+    return engine._post_flood(origin, level, radius, dist[0], pred[0], t, parent)[2]
 
 
 def probe(

@@ -469,6 +469,32 @@ def test_every_entry_stays_within_its_flood_radius():
                 assert member is not None and member.distance <= 2**level
 
 
+def test_flood_store_keeps_one_row_per_node_across_clears():
+    g = random_graph(150, seed=21)
+    levels = math.ceil(math.log2(diameter(g).hops))
+    engine = ProtocolEngine(g.n, make_params(levels))
+    pool = engine._floods
+    for t in range(2**levels + 1):  # full clears at t=0 and t=2**levels
+        engine.beaconing_round(g, t=t, seed=4)
+        live = pool.live()
+        # One row per origin, at its beacon level: never an n x n block per level.
+        assert sorted(pool.origin[live].tolist()) == list(range(g.n))
+        assert all(
+            pool.level[row] == engine.beacon_level(int(pool.origin[row])) for row in live
+        )
+        assert pool.dist.shape == (g.n, g.n)
+
+
+def test_flood_parent_stays_fixed_until_the_level_is_cleared():
+    g = path_graph(5)
+    engine = ProtocolEngine(5, make_params(levels=2), mode="load_balanced")
+    flood(engine, g, origin=0, radius=3, level=1, t=0, parent=4)
+    flood(engine, g, origin=0, radius=3, level=1, t=1, parent=4)
+    assert {e.parent for e in engine.routing_entries(2)} == {4}
+    with pytest.raises(ParameterError):
+        flood(engine, g, origin=0, radius=3, level=1, t=2, parent=3)
+
+
 def test_round_rejects_mismatched_graph_and_bad_arguments():
     g = path_graph(4)
     engine = ProtocolEngine(4, make_params(levels=2))
@@ -607,8 +633,11 @@ def test_forward_survives_erased_membership_state_via_search():
         state = engine._nodes[u]
         for level_members in state.member_lists.values():
             level_members.discard(dest)
-        for key in [k for k in state.table if k[0] == dest]:
-            del state.table[key]
+        state.registrations.pop(dest, None)
+    engine._registered_at = {k: v for k, v in engine._registered_at.items() if k[0] != dest}
+    for row in engine._floods.of_origin.get(dest, {}).values():
+        engine._floods.dist[row] = engine._floods.unreached
+    assert all(e.node_id != dest for u in range(g.n) for e in engine.routing_entries(u))
     receipt = engine.forward(g, source=source, dest=dest)
     assert_route_valid(g, receipt, source, dest)
     assert receipt.route_hops == int(bfs_oracle(g, source)[dest])
@@ -750,6 +779,7 @@ PINNED_DIGESTS = {
     "mobile-plain-nu2": "b1a87a69ad4d3a17d3974965fb9da582558f6d7c2f827b68cc3c932df725b45b",
     "first-round-at-t3": "c5976a47f85fe81f2d83e3538b7306562e76f2d1c8eedc5ebb242fd2aec0aec8",
     "same-step-floods": "0f3b26ba96c527dfef081b9e5f5bdc089e265b53bc326fe7fbfd0ccedcec5d8c",
+    "floods-then-round": "8affb4dbde36b241b2c0c9f5f68bcfe93ccbbd20431c2e62e62bebbeed43c4d0",
 }
 
 
@@ -778,6 +808,19 @@ def digest(parts: list[str]) -> str:
     return h.hexdigest()
 
 
+def hashed_round(engine: ProtocolEngine, g: ConnectivityGraph, t: int, parts: list[str]) -> bool:
+    """Run one round and hash its report; on an invariant failure hash the
+    error and the state the round left (its checks run after every flood and
+    registration) and return False."""
+    try:
+        parts.append(repr(engine.beaconing_round(g, t=t, seed=37)))
+    except ProtocolInvariantError as exc:
+        parts.append(repr(exc))
+        parts.extend(engine_observables(engine))
+        return False
+    return True
+
+
 def mobile_run_digest(mode: str, nu: int = 1, first_t: int = 0, rounds: Optional[int] = None) -> str:
     n = 300
     domain = DomainSpec(side=math.sqrt(n), boundary_mode="torus", n=n)
@@ -795,13 +838,7 @@ def mobile_run_digest(mode: str, nu: int = 1, first_t: int = 0, rounds: Optional
         if t > first_t:
             positions = step(model, positions, domain, seed=31, t=t)
             g = build_geometric_graph(positions, r_n)
-        try:
-            parts.append(repr(engine.beaconing_round(g, t=t, seed=37)))
-        except ProtocolInvariantError as exc:
-            # The round's invariant checks run after every flood and
-            # registration, so the state it leaves behind is still hashed.
-            parts.append(repr(exc))
-            parts.extend(engine_observables(engine))
+        if not hashed_round(engine, g, t, parts):
             break
         for _ in range(12):
             source, dest = (int(x) for x in rng.choice(n, size=2, replace=False))
@@ -828,6 +865,27 @@ def same_step_floods_digest() -> str:
     return digest(parts)
 
 
+def floods_then_round_digest() -> str:
+    """Stand-alone floods at t=2 and t=3 leave rows at levels the engine has
+    never cleared; its first rounds, from t=3, then register members against
+    them, replacing older cells and losing to same-step ones."""
+    g = random_graph(120, seed=3)
+    levels = math.ceil(math.log2(diameter(g).hops))
+    engine = ProtocolEngine(g.n, make_params(levels))
+    parts = []
+    for origin in range(0, g.n, 3):
+        level = origin % (levels + 1)
+        radius = engine.params.flood_radius(level)
+        t = 2 if origin < g.n // 2 else 3
+        parts.append(repr(flood(engine, g, origin=origin, radius=radius, level=level, t=t)))
+    parts.extend(engine_observables(engine))
+    for t in (3, 4, 5):
+        if not hashed_round(engine, g, t, parts):
+            break
+        parts.extend(engine_observables(engine))
+    return digest(parts)
+
+
 EQUIVALENCE_RUNS = {
     # 2**L + 2 rounds: full clears at t=0 and t=2**L, partial clears between.
     "mobile-plain": lambda: mobile_run_digest("plain"),
@@ -839,6 +897,7 @@ EQUIVALENCE_RUNS = {
     # stay at or below gamma), so the digest pins the error and the state.
     "first-round-at-t3": lambda: mobile_run_digest("plain", first_t=3, rounds=6),
     "same-step-floods": same_step_floods_digest,
+    "floods-then-round": floods_then_round_digest,
 }
 
 
