@@ -8,13 +8,16 @@ level upward, then descends the hierarchy until the destination's level-0
 beacon hands the packet over. A load-balanced variant spreads member
 identifiers from beacons onto chain termini chosen by identifier closeness.
 
-Routing state has two parts. Flood entries live in one pool of
-origin-major arrays: one row per live (origin, level) flood, n columns wide,
-holding each node's hop distance to the origin, its next hop toward it, and
-the step that wrote the cell; a round merges each flood into its row with
-one masked vector update, and clearing a level drops that level's rows.
-Forward state left by membership registrations is a small per-node overlay
-dict. The two never hold the same (origin, level) key at the same node, so a
+Protocol state has three parts. Cluster memberships are (n, L+1) arrays
+holding each node's beacon id, join distance and join step per level, next
+to a vector of beacon levels; a beacon's member list is read from its
+column, never stored. Flood entries live in one pool of origin-major arrays:
+one row per live (origin, level) flood, n columns wide, holding each node's
+hop distance to the origin, its next hop toward it, and the step that wrote
+the cell; a round merges each flood into its row with one masked vector
+update, and clearing a level drops that level's rows. Forward state left by
+membership registrations is a small per-node overlay dict. Flood rows and
+the overlay never hold the same (origin, level) key at the same node, so a
 node's table is their union. Rounds are expected at non-decreasing steps.
 
 Cost accounting is explicit: flood cost is transmissions times the flood
@@ -216,14 +219,12 @@ class ForwardReceipt:
 
 
 class _NodeState:
-    __slots__ = (
-        "beacon_level", "memberships", "member_lists", "registrations", "temp", "lb_store"
-    )
+    """The state whose size varies per node; memberships and beacon levels
+    are engine arrays, and flood entries live in ``_FloodRows``."""
+
+    __slots__ = ("registrations", "temp", "lb_store")
 
     def __init__(self) -> None:
-        self.beacon_level = 0
-        self.memberships: dict[int, Membership] = {}
-        self.member_lists: dict[int, set[int]] = {}
         # member -> {level: (distance, next_hop, time)}: forward state that a
         # membership registration installed here. It shadows the flood row
         # of the same (member, level), whose cell at this node stays empty.
@@ -325,6 +326,14 @@ class ProtocolEngine:
             params.lb_flood_radius if mode == "load_balanced" else params.flood_radius
         )
         self._nodes = [_NodeState() for _ in range(n)]
+        self._beacon_level = np.zeros(n, dtype=np.int64)
+        # Node v's level-l membership: its beacon's id (-1 while v has none),
+        # the hop distance it joined at and the step it joined; a member list
+        # is the column of nodes naming one beacon. Distance and step are
+        # meaningful only where the beacon id is set.
+        self._beacon = np.full((n, params.levels + 1), -1, dtype=np.int64)
+        self._member_dist = np.zeros((n, params.levels + 1), dtype=np.int64)
+        self._member_step = np.zeros((n, params.levels + 1), dtype=np.int64)
         self._floods = _FloodRows(n)
         # (member, level) -> nodes whose registrations hold that key
         self._registered_at: dict[tuple[int, int], set[int]] = {}
@@ -334,17 +343,20 @@ class ProtocolEngine:
 
     def beacon_level(self, u: int) -> int:
         self._check_node(u)
-        return self._nodes[u].beacon_level
+        return self._beacon_level.item(u)
 
     def membership(self, u: int, level: int) -> Optional[Membership]:
         self._check_node(u)
         self._check_level(level)
-        return self._nodes[u].memberships.get(level)
+        beacon = self._beacon.item(u, level)
+        if beacon < 0:
+            return None
+        return Membership(beacon, self._member_dist.item(u, level), self._member_step.item(u, level))
 
     def member_list(self, u: int, level: int) -> frozenset[int]:
         self._check_node(u)
         self._check_level(level)
-        return frozenset(self._nodes[u].member_lists.get(level, ()))
+        return frozenset(np.flatnonzero(self._beacon[:, level] == u).tolist())
 
     def routing_entries(self, u: int) -> list[RoutingEntry]:
         self._check_node(u)
@@ -393,10 +405,7 @@ class ProtocolEngine:
         plain mode, held identifiers in load-balanced mode."""
         if self.mode == "load_balanced":
             return np.array([len(st.lb_store) for st in self._nodes], dtype=np.int64)
-        return np.array(
-            [sum(len(m) for m in st.member_lists.values()) for st in self._nodes],
-            dtype=np.int64,
-        )
+        return np.bincount(self._beacon[self._beacon >= 0], minlength=self.n)
 
     def dump_state_csv(self, destination) -> None:
         """Write per-node beacon level, membership count, and live table size."""
@@ -410,10 +419,10 @@ class ProtocolEngine:
         fh.write("node_id,beacon_level,membership_count,table_entries\n")
         pool = self._floods
         flooded = np.count_nonzero(pool.dist[pool.live()] != pool.unreached, axis=0).tolist()
-        for u in range(self.n):
-            st = self._nodes[u]
+        joined = np.count_nonzero(self._beacon >= 0, axis=1).tolist()
+        for u, (st, beta) in enumerate(zip(self._nodes, self._beacon_level.tolist())):
             live = flooded[u] + sum(len(by_level) for by_level in st.registrations.values())
-            fh.write(f"{u},{st.beacon_level},{len(st.memberships)},{live}\n")
+            fh.write(f"{u},{beta},{joined[u]},{live}\n")
 
     # -- beaconing ---------------------------------------------------------
 
@@ -443,15 +452,12 @@ class ProtocolEngine:
         self._drop_registrations(gamma)
         for st in self._nodes:
             st.temp.clear()
-            for level in range(gamma + 1):
-                st.memberships.pop(level, None)
-                members = st.member_lists.get(level)
-                if members:
-                    members.clear()
+        self._beacon[:, : gamma + 1] = -1
 
         rng = np.random.default_rng((seed, t))
         pi = [int(u) for u in rng.permutation(self.n)]
         elected: dict[int, list[int]] = {level: [] for level in range(levels + 1)}
+        cover = np.array([params.cover_radius(level) for level in range(levels + 1)])
         flood_tx = 0
         membership_packets = 0
         membership_hops = 0
@@ -461,27 +467,16 @@ class ProtocolEngine:
             chunk = pi[start : start + _CHUNK]
             rows = self._flood_rows(g, chunk, gamma)
             for u in chunk:
-                st = self._nodes[u]
-                if st.beacon_level <= gamma:
-                    highest = -1
-                    for level in range(levels, -1, -1):
-                        if level not in st.memberships:
-                            highest = level
-                            break
-                    if highest >= 0:
-                        st.beacon_level = highest
-                        elected[highest].append(u)
-                    else:
-                        st.beacon_level = 0
-                beta = st.beacon_level
-                for level in range(beta + 1):
-                    if level not in st.memberships:
-                        st.memberships[level] = Membership(u, 0, t)
-                        st.member_lists.setdefault(level, set()).add(u)
+                beta = self._beacon_level.item(u)
+                if beta <= gamma:
+                    empty = np.flatnonzero(self._beacon[u] < 0)
+                    beta = int(empty[-1]) if empty.size else 0
+                    if empty.size:
+                        elected[beta].append(u)
+                    self._beacon_level[u] = beta
                 parent: Optional[int] = None
-                if lb:
-                    above = st.memberships.get(beta + 1)
-                    parent = above.beacon_id if above is not None else None
+                if lb and beta < levels and self._beacon.item(u, beta + 1) >= 0:
+                    parent = self._beacon.item(u, beta + 1)
 
                 dist_row, pred_row = rows[u]
                 reached, reached_dist, flood_tx_u = self._post_flood(
@@ -490,38 +485,47 @@ class ProtocolEngine:
                 flood_tx += flood_tx_u
                 control_bits += flood_tx_u * flood_bits
 
-                # Joins come from within the cover radius; reached is
-                # distance-sorted and starts with the origin itself.
+                # Joins come from within the cover radius: a node at distance
+                # d fills each empty level in [ceil(log2 d), beta]. reached is
+                # distance-sorted and starts with the origin itself (mask row
+                # 0), whose d = 0 fills its own empty levels with no packet.
+                # No two covered nodes share a row, so one masked update
+                # sets them all.
                 covered = np.searchsorted(reached_dist, params.cover_radius(beta), side="right")
-                for v, d in zip(
-                    reached[1:covered].tolist(), reached_dist[1:covered].astype(np.int64).tolist()
-                ):
-                    vst = self._nodes[v]
-                    if len(vst.memberships) > levels:
-                        continue  # already a member at every level
-                    low = (d - 1).bit_length()
-                    join = [
-                        level for level in range(low, beta + 1) if level not in vst.memberships
-                    ]
-                    if not join:
-                        continue
-                    path = []
-                    node = v
-                    while node != u:
-                        node = int(pred_row[node])
-                        path.append(node)
-                    for level in join:
-                        vst.memberships[level] = Membership(u, d, t)
-                        st.member_lists.setdefault(level, set()).add(v)
-                        membership_packets += 1
-                        membership_hops += d
-                        control_bits += d * member_bits
-                        toward = v
-                        for hops, w in enumerate(path, start=1):
-                            self._post_registration(w, v, level, hops, toward, t)
-                            toward = w
+                cells = reached[:covered]
+                d = reached_dist[:covered].astype(np.int64)
+                join_at, join_level = np.nonzero(
+                    (self._beacon[cells, : beta + 1] < 0) & (d[:, None] <= cover[: beta + 1])
+                )
+                if not join_at.size:
+                    continue
+                joiners = cells[join_at]
+                join_dist = d[join_at]
+                self._beacon[joiners, join_level] = u
+                self._member_dist[joiners, join_level] = join_dist
+                self._member_step[joiners, join_level] = t
+                sent = int(join_dist.sum())
+                membership_packets += int(np.count_nonzero(join_at))
+                membership_hops += sent
+                control_bits += sent * member_bits
+                # Each registration installs forward state hop by hop along
+                # the joiner's shortest path back to the beacon, node by node,
+                # then level by level; the origin's own path is empty.
+                path: list[int] = []
+                path_of = u
+                for v, level in zip(joiners.tolist(), join_level.tolist()):
+                    if v != path_of:
+                        path = []
+                        node = path_of = v
+                        while node != u:
+                            node = int(pred_row[node])
+                            path.append(node)
+                    toward = v
+                    for hops, w in enumerate(path, start=1):
+                        self._post_registration(w, v, level, hops, toward, t)
+                        toward = w
 
-        self._assert_cover_complete(levels)
+        self._assert_cover_complete()
         self._assert_separation(g, elected)
         registration_hops = 0
         if lb:
@@ -550,7 +554,7 @@ class ProtocolEngine:
         """
         by_limit: dict[int, list[int]] = {}
         for u in chunk:
-            beta = self._nodes[u].beacon_level
+            beta = self._beacon_level.item(u)
             limit = self._flood_radius(gamma if beta <= gamma else beta)
             by_limit.setdefault(limit, []).append(u)
         rows: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -673,19 +677,19 @@ class ProtocolEngine:
             del registrations[member]
 
     def _beacon_sets(self, levels: int) -> dict[int, tuple[int, ...]]:
-        sets: dict[int, list[int]] = {level: [] for level in range(levels + 1)}
-        for u, st in enumerate(self._nodes):
-            sets[st.beacon_level].append(u)
-        return {level: tuple(nodes) for level, nodes in sets.items()}
+        return {
+            level: tuple(np.flatnonzero(self._beacon_level == level).tolist())
+            for level in range(levels + 1)
+        }
 
-    def _assert_cover_complete(self, levels: int) -> None:
-        for u, st in enumerate(self._nodes):
-            for level in range(levels + 1):
-                if level not in st.memberships:
-                    raise ProtocolInvariantError(
-                        f"node {u} has no cluster membership at level {level} "
-                        "after the beaconing round"
-                    )
+    def _assert_cover_complete(self) -> None:
+        missing = np.argwhere(self._beacon < 0)
+        if missing.size:
+            u, level = missing[0].tolist()
+            raise ProtocolInvariantError(
+                f"node {u} has no cluster membership at level {level} "
+                "after the beaconing round"
+            )
 
     def _assert_separation(self, g: ConnectivityGraph, elected: dict[int, list[int]]) -> None:
         for level, nodes in elected.items():
@@ -712,12 +716,10 @@ class ProtocolEngine:
         hops = 0
         for u in range(self.n):
             for level in range(levels + 1):
-                member = self._nodes[u].memberships[level]
-                holder = member.beacon_id
+                holder = self._beacon.item(u, level)
                 chain = [holder]
                 for lam, nxt in self._chain_steps(holder, u):
-                    leg = self._nodes[nxt].memberships[lam].distance
-                    hops += leg
+                    hops += self._member_dist.item(nxt, lam)
                     chain.append(nxt)
                     holder = nxt
                 self._nodes[holder].lb_store[(u, level)] = tuple(chain)
@@ -730,16 +732,11 @@ class ProtocolEngine:
         is ring-closest to the target's, ties to the lower id. Yields only the
         steps that move."""
         holder = start
-        for lam in range(self._nodes[start].beacon_level, 0, -1):
-            hst = self._nodes[holder]
-            best = holder
-            best_key = (ring_distance(target, holder, self.n), holder)
-            for w in hst.member_lists.get(lam, ()):
-                if w == holder or self._nodes[w].beacon_level < lam - 1:
-                    continue
-                key = (ring_distance(target, w, self.n), w)
-                if key < best_key:
-                    best, best_key = w, key
+        for lam in range(self._beacon_level.item(start), 0, -1):
+            members = (self._beacon[:, lam] == holder) & (self._beacon_level >= lam - 1)
+            candidates = np.append(np.flatnonzero(members), holder)
+            gap = (candidates - target) % self.n
+            best = candidates[np.lexsort((candidates, np.minimum(gap, self.n - gap)))[0]].item()
             if best != holder:
                 yield lam, best
                 holder = best
@@ -883,14 +880,10 @@ class ProtocolEngine:
         holder: Optional[int] = None
         found_level = -1
 
-        own = [
-            lvl
-            for lvl, members in self._nodes[source].member_lists.items()
-            if dest in members
-        ]
-        if own:
+        own = np.flatnonzero(self._beacon[dest] == source)
+        if own.size:
             holder = source
-            found_level = min(own)
+            found_level = own.item(0)
             legs.append((source,))
         if holder is None:
             direct = self._best_entry(source, dest)

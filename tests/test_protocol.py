@@ -629,11 +629,10 @@ def test_forward_survives_erased_membership_state_via_search():
     # The expanding search must still deliver because the destination itself
     # answers once a ring covers it, and the reverse flood path is a shortest
     # path on the current graph.
+    engine._beacon[dest] = -1
+    assert all(dest not in engine.member_list(b, level) for b in range(g.n) for level in range(levels + 1))
     for u in range(g.n):
-        state = engine._nodes[u]
-        for level_members in state.member_lists.values():
-            level_members.discard(dest)
-        state.registrations.pop(dest, None)
+        engine._nodes[u].registrations.pop(dest, None)
     engine._registered_at = {k: v for k, v in engine._registered_at.items() if k[0] != dest}
     for row in engine._floods.of_origin.get(dest, {}).values():
         engine._floods.dist[row] = engine._floods.unreached
