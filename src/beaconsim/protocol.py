@@ -549,13 +549,20 @@ class ProtocolEngine:
     ) -> dict[int, tuple[np.ndarray, np.ndarray]]:
         """Limited-horizon distances and predecessors for each flood origin.
 
-        Re-electing nodes end up at a level <= gamma, so gamma's radius is a
-        valid horizon for them before their new level is known.
+        A re-electing node (beacon level <= gamma) ends at the highest level
+        still empty in its membership row, or at level 0 when none is. Rows
+        only fill as the round runs, so the highest level empty now bounds
+        its new level before that is known. The horizon never drops below
+        gamma's, so every re-electing node of a round whose levels above
+        gamma are full shares one BFS batch.
         """
         by_limit: dict[int, list[int]] = {}
         for u in chunk:
             beta = self._beacon_level.item(u)
-            limit = self._flood_radius(gamma if beta <= gamma else beta)
+            if beta <= gamma:
+                empty = np.flatnonzero(self._beacon[u] < 0)
+                beta = max(gamma, empty.item(-1)) if empty.size else gamma
+            limit = self._flood_radius(beta)
             by_limit.setdefault(limit, []).append(u)
         rows: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         for limit, sources in by_limit.items():

@@ -18,6 +18,7 @@ from typing import Optional
 import numpy as np
 import pytest
 
+from beaconsim.acceptance import _audit_round as audit_round
 from beaconsim.errors import DeliveryError, ParameterError, ProtocolInvariantError
 from beaconsim.geometry import DomainSpec, sample_uniform_positions
 from beaconsim.graph import ConnectivityGraph, build_geometric_graph, diameter
@@ -610,6 +611,20 @@ def test_forward_stays_bounded_across_a_mobile_run():
     assert checked >= 180
 
 
+def test_first_round_off_the_refresh_grid_completes_and_passes_the_audit():
+    """A fresh engine's first round at t=3 clears only level 0 (gamma=0), yet
+    every level is empty, so nodes are elected above gamma; their floods must
+    reach their own level's radius or the separation check fails."""
+    g = random_graph(300, seed=23)
+    levels = math.ceil(math.log2(diameter(g).hops))
+    engine = ProtocolEngine(g.n, make_params(levels))
+    for t in (3, 4, 5):
+        report = engine.beaconing_round(g, t=t, seed=37)
+        audit_round(engine, g, report)
+        if t == 3:
+            assert report.gamma == 0 and any(report.elected[level] for level in range(1, levels + 1))
+
+
 def test_forward_raises_for_unreachable_destination():
     g = ConnectivityGraph.from_edges(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
     engine = ProtocolEngine(6, make_params(levels=2))
@@ -776,9 +791,9 @@ PINNED_DIGESTS = {
     "mobile-plain": "007388cbd6917a7ca8abee5511e601c2eb7f0be37940ed0312e0fe3569a46354",
     "mobile-load_balanced": "399221ed29de1c9e9555e6a6ca329cb46f35d05d6ce9de08320c0fd72be54e8d",
     "mobile-plain-nu2": "b1a87a69ad4d3a17d3974965fb9da582558f6d7c2f827b68cc3c932df725b45b",
-    "first-round-at-t3": "c5976a47f85fe81f2d83e3538b7306562e76f2d1c8eedc5ebb242fd2aec0aec8",
+    "first-round-at-t3": "d5aefd745ed18748dfa1b917b494d444ca3a09d72f2d80ce69b08f5f5a625c27",
     "same-step-floods": "0f3b26ba96c527dfef081b9e5f5bdc089e265b53bc326fe7fbfd0ccedcec5d8c",
-    "floods-then-round": "8affb4dbde36b241b2c0c9f5f68bcfe93ccbbd20431c2e62e62bebbeed43c4d0",
+    "floods-then-round": "2c8903353f25546447d2be8091bbab64292f3d24a3b7eb1192db8b5d8244718e",
 }
 
 
@@ -891,9 +906,8 @@ EQUIVALENCE_RUNS = {
     "mobile-load_balanced": lambda: mobile_run_digest("load_balanced"),
     # nu=2 leaves every odd round with gamma=-1, so no level is cleared.
     "mobile-plain-nu2": lambda: mobile_run_digest("plain", nu=2, rounds=9),
-    # The first round at t=3 registers at levels that were never cleared.
-    # Its separation check fails (the flood horizon assumes re-elected nodes
-    # stay at or below gamma), so the digest pins the error and the state.
+    # The first round at t=3 clears only level 0 of an empty engine, so nodes
+    # are elected above gamma and flood to their own level's radius.
     "first-round-at-t3": lambda: mobile_run_digest("plain", first_t=3, rounds=6),
     "same-step-floods": same_step_floods_digest,
     "floods-then-round": floods_then_round_digest,
