@@ -2,8 +2,9 @@
 
 Each ``src/beaconsim/*.py`` and ``tests/*.py`` file is parsed with ``ast``:
 every top-level import must bind a name the module reads (or re-exports
-through ``__all__``), and every ``__all__`` entry of a package module must
-resolve on the imported module.
+through ``__all__``), every ``__all__`` entry of a package module must
+resolve on the imported module, and every private function, method or class
+of the package must be named by some package source.
 """
 
 from __future__ import annotations
@@ -87,3 +88,31 @@ def test_every_all_entry_resolves(path: Path) -> None:
     module = importlib.import_module(_module_name(path))
     missing = [name for name in _declared_all(tree) if not hasattr(module, name)]
     assert missing == [], f"{path.name} __all__ names that do not resolve: {missing}"
+
+
+def _private_definitions(tree: ast.Module):
+    """Private (single leading underscore, not dunder) functions, methods and
+    classes, with their line numbers."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            name = node.name
+            if name.startswith("_") and not (name.startswith("__") and name.endswith("__")):
+                yield name, node.lineno
+
+
+def _referenced_names(tree: ast.Module) -> set[str]:
+    """Names read as variables or as attributes, e.g. ``self._walk``."""
+    attrs = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    return _read_names(tree) | attrs
+
+
+def test_every_private_definition_is_referenced() -> None:
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"), filename=str(path)) for path in SOURCES}
+    referenced = set().union(*(_referenced_names(tree) for tree in trees.values()))
+    unreferenced = [
+        f"{path.name}:{line} {name}"
+        for path, tree in trees.items()
+        for name, line in _private_definitions(tree)
+        if name not in referenced
+    ]
+    assert unreferenced == [], f"private definitions no source references: {unreferenced}"
