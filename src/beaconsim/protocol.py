@@ -351,7 +351,9 @@ class ProtocolEngine:
         beacon = self._beacon.item(u, level)
         if beacon < 0:
             return None
-        return Membership(beacon, self._member_dist.item(u, level), self._member_step.item(u, level))
+        return Membership(
+            beacon, self._member_dist.item(u, level), self._member_step.item(u, level)
+        )
 
     def member_list(self, u: int, level: int) -> frozenset[int]:
         self._check_node(u)
