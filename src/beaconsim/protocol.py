@@ -471,10 +471,11 @@ class ProtocolEngine:
             for u in chunk:
                 beta = self._beacon_level.item(u)
                 if beta <= gamma:
-                    empty = np.flatnonzero(self._beacon[u] < 0)
-                    beta = int(empty[-1]) if empty.size else 0
-                    if empty.size:
+                    beta = self._highest_empty(u)
+                    if beta >= 0:
                         elected[beta].append(u)
+                    else:
+                        beta = 0  # already a member at every level
                     self._beacon_level[u] = beta
                 parent: Optional[int] = None
                 if lb and beta < levels and self._beacon.item(u, beta + 1) >= 0:
@@ -499,8 +500,6 @@ class ProtocolEngine:
                 join_at, join_level = np.nonzero(
                     (self._beacon[cells, : beta + 1] < 0) & (d[:, None] <= cover[: beta + 1])
                 )
-                if not join_at.size:
-                    continue
                 joiners = cells[join_at]
                 join_dist = d[join_at]
                 self._beacon[joiners, join_level] = u
@@ -513,17 +512,11 @@ class ProtocolEngine:
                 # Each registration installs forward state hop by hop along
                 # the joiner's shortest path back to the beacon, node by node,
                 # then level by level; the origin's own path is empty.
-                path: list[int] = []
-                path_of = u
-                for v, level in zip(joiners.tolist(), join_level.tolist()):
-                    if v != path_of:
-                        path = []
-                        node = path_of = v
-                        while node != u:
-                            node = int(pred_row[node])
-                            path.append(node)
+                joins = zip(joiners.tolist(), join_level.tolist(), join_dist.tolist())
+                for v, level, distance in joins:
                     toward = v
-                    for hops, w in enumerate(path, start=1):
+                    for hops in range(1, distance + 1):
+                        w = pred_row.item(toward)
                         self._post_registration(w, v, level, hops, toward, t)
                         toward = w
 
@@ -562,8 +555,7 @@ class ProtocolEngine:
         for u in chunk:
             beta = self._beacon_level.item(u)
             if beta <= gamma:
-                empty = np.flatnonzero(self._beacon[u] < 0)
-                beta = max(gamma, empty.item(-1)) if empty.size else gamma
+                beta = max(gamma, self._highest_empty(u))
             limit = self._flood_radius(beta)
             by_limit.setdefault(limit, []).append(u)
         rows: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -684,6 +676,11 @@ class ProtocolEngine:
         del registrations[member][level]
         if not registrations[member]:
             del registrations[member]
+
+    def _highest_empty(self, u: int) -> int:
+        """The highest level at which ``u`` holds no membership, or -1."""
+        empty = np.flatnonzero(self._beacon[u] < 0)
+        return empty.item(-1) if empty.size else -1
 
     def _beacon_sets(self, levels: int) -> dict[int, tuple[int, ...]]:
         return {
