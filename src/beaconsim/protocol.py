@@ -338,6 +338,9 @@ class ProtocolEngine:
         # (member, level) -> nodes whose registrations hold that key
         self._registered_at: dict[tuple[int, int], set[int]] = {}
         self._lb_holders: dict[tuple[int, int], int] = {}
+        # level -> (member ids grouped by beacon, each beacon's start offset);
+        # the possible chain steps, rebuilt by each load-balanced round
+        self._sub_beacons: dict[int, tuple[list[int], list[int]]] = {}
 
     # -- public state accessors ------------------------------------------
 
@@ -506,7 +509,7 @@ class ProtocolEngine:
                 self._member_dist[joiners, join_level] = join_dist
                 self._member_step[joiners, join_level] = t
                 sent = int(join_dist.sum())
-                membership_packets += int(np.count_nonzero(join_at))
+                membership_packets += int(np.count_nonzero(join_dist))
                 membership_hops += sent
                 control_bits += sent * member_bits
                 # Each registration installs forward state hop by hop along
@@ -719,6 +722,16 @@ class ProtocolEngine:
         for st in self._nodes:
             st.lb_store.clear()
         self._lb_holders.clear()
+        # A level-lam chain step goes to a level-lam member whose beacon level
+        # is >= lam - 1. Group those by beacon once, now that the joins are
+        # done: a stable argsort keeps ids ascending within each beacon.
+        self._sub_beacons.clear()
+        for lam in range(1, levels + 1):
+            members = np.flatnonzero(self._beacon_level >= lam - 1)
+            beacon = self._beacon[members, lam]
+            order = np.argsort(beacon, kind="stable")
+            starts = np.searchsorted(beacon[order], np.arange(self.n + 1))
+            self._sub_beacons[lam] = (members[order].tolist(), starts.tolist())
         hops = 0
         for u in range(self.n):
             for level in range(levels + 1):
@@ -739,10 +752,9 @@ class ProtocolEngine:
         steps that move."""
         holder = start
         for lam in range(self._beacon_level.item(start), 0, -1):
-            members = (self._beacon[:, lam] == holder) & (self._beacon_level >= lam - 1)
-            candidates = np.append(np.flatnonzero(members), holder)
-            gap = (candidates - target) % self.n
-            best = candidates[np.lexsort((candidates, np.minimum(gap, self.n - gap)))[0]].item()
+            ids, starts = self._sub_beacons[lam]
+            candidates = [holder, *ids[starts[holder] : starts[holder + 1]]]
+            best = min(candidates, key=lambda w: (ring_distance(target, w, self.n), w))
             if best != holder:
                 yield lam, best
                 holder = best
