@@ -11,14 +11,15 @@ identifiers from beacons onto chain termini chosen by identifier closeness.
 Protocol state has three parts. Cluster memberships are (n, L+1) arrays
 holding each node's beacon id, join distance and join step per level, next
 to a vector of beacon levels; a beacon's member list is read from its
-column, never stored. Flood entries live in one pool of origin-major arrays:
-one row per live (origin, level) flood, n columns wide, holding each node's
-hop distance to the origin, its next hop toward it, and the step that wrote
-the cell; a round merges each flood into its row with one masked vector
-update, and clearing a level drops that level's rows. Forward state left by
-membership registrations is a small per-node overlay dict. Flood rows and
-the overlay never hold the same (origin, level) key at the same node, so a
-node's table is their union. Rounds are expected at non-decreasing steps.
+column, which a load-balanced round groups by beacon once for its chain
+descent. Flood entries live in one pool of origin-major arrays: one row per
+live (origin, level) flood, n columns wide, holding each node's hop distance
+to the origin, its next hop toward it, and the step that wrote the cell; a
+round merges each flood into its row with one masked vector update, and
+clearing a level drops that level's rows. Forward state left by membership
+registrations is a small per-node overlay dict. Flood rows and the overlay
+never hold the same (origin, level) key at the same node, so a node's table
+is their union. Rounds are expected at non-decreasing steps.
 
 Cost accounting is explicit: flood cost is transmissions times the flood
 packet width, probe and membership cost is path hops times the respective
@@ -492,11 +493,9 @@ class ProtocolEngine:
                 control_bits += flood_tx_u * flood_bits
 
                 # Joins come from within the cover radius: a node at distance
-                # d fills each empty level in [ceil(log2 d), beta]. reached is
-                # distance-sorted and starts with the origin itself (mask row
-                # 0), whose d = 0 fills its own empty levels with no packet.
-                # No two covered nodes share a row, so one masked update
-                # sets them all.
+                # d fills each empty level in [ceil(log2 d), beta], the origin
+                # itself at d = 0, which sends no packet. No two covered nodes
+                # share a row, so one masked update sets them all.
                 covered = np.searchsorted(reached_dist, params.cover_radius(beta), side="right")
                 cells = reached[:covered]
                 d = reached_dist[:covered].astype(np.int64)
