@@ -41,12 +41,14 @@ class ConnectivityGraph:
 
     @classmethod
     def _from_pair_array(cls, n: int, pairs: np.ndarray) -> "ConnectivityGraph":
+        # Every weight is 1, stored as float64: scipy's graph routines convert
+        # any other type to float64 on each call.
         if len(pairs) == 0:
-            empty = csr_matrix((n, n), dtype=np.int8)
+            empty = csr_matrix((n, n), dtype=np.float64)
             return cls(n, empty)
         rows = np.concatenate([pairs[:, 0], pairs[:, 1]])
         cols = np.concatenate([pairs[:, 1], pairs[:, 0]])
-        data = np.ones(len(rows), dtype=np.int8)
+        data = np.ones(len(rows), dtype=np.float64)
         adj = csr_matrix((data, (rows, cols)), shape=(n, n))
         adj.sum_duplicates()
         adj.data[:] = 1

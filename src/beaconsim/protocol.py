@@ -21,6 +21,16 @@ registrations is a small per-node overlay dict. Flood rows and the overlay
 never hold the same (origin, level) key at the same node, so a node's table
 is their union. Rounds are expected at non-decreasing steps.
 
+Probes walk the tables hop by hop. The first walk toward an origin resolves
+which entry every node follows toward it (freshest stamp, then shortest,
+then lowest level) and checks each winner's next hop against the graph's
+sorted edge keys; the result is one base flood row plus a small dict of the
+nodes where another row or a registration wins or the edge is gone, so a
+later hop is one lookup. The resolution holds for one table state and one
+graph: a beaconing round, a stand-alone ``flood`` and a walk on another
+graph each clear it. Walks still leave reverse entries at the nodes they
+cross, which a later walk follows only where a node has no table entry.
+
 Cost accounting is explicit: flood cost is transmissions times the flood
 packet width, probe and membership cost is path hops times the respective
 packet width, with concrete field widths derived from the node count and
@@ -230,8 +240,8 @@ class _NodeState:
         # membership registration installed here. It shadows the flood row
         # of the same (member, level), whose cell at this node stays empty.
         self.registrations: dict[int, dict[int, tuple[int, int, int]]] = {}
-        # origin -> (distance, next_hop); reverse state left behind by probes
-        self.temp: dict[int, tuple[int, int]] = {}
+        # origin -> next hop toward it; reverse state left behind by probes
+        self.temp: dict[int, int] = {}
         # (node, level) -> owning beacon chain; load-balanced mode only
         self.lb_store: dict[tuple[int, int], tuple[int, ...]] = {}
 
@@ -303,6 +313,28 @@ class _FloodRows:
         self._free.extend(range(cap + extra - 1, cap - 1, -1))  # low rows first
 
 
+class _NextHops(NamedTuple):
+    """Where each node's entry for one origin points, on one graph: the cell
+    of one base flood row, except at the nodes in ``overrides``, where
+    another of the origin's rows or a registration wins, or where the
+    winning next hop is no neighbour on the graph (next hop -1). ``dist``
+    and ``hop`` are views of the base row, or None when the origin has no
+    row."""
+
+    level: int
+    dist: Optional[np.ndarray]
+    hop: Optional[np.ndarray]
+    unreached: int
+    overrides: dict[int, tuple[int, int]]  # node -> (level, next_hop)
+
+    def get(self, node: int) -> Optional[tuple[int, int]]:
+        """(level, next_hop) of ``node``'s entry, or None when it has none."""
+        entry = self.overrides.get(node)
+        if entry is None and self.dist is not None and self.dist.item(node) != self.unreached:
+            entry = (self.level, self.hop.item(node))
+        return entry
+
+
 # ---------------------------------------------------------------------------
 # Engine
 # ---------------------------------------------------------------------------
@@ -342,6 +374,11 @@ class ProtocolEngine:
         # level -> (member ids grouped by beacon, each beacon's start offset);
         # the possible chain steps, rebuilt by each load-balanced round
         self._sub_beacons: dict[int, tuple[list[int], list[int]]] = {}
+        # origin -> where each node's entry for it points, resolved on the
+        # first walk toward the origin; every change of the tables clears it
+        self._next_hops: dict[int, _NextHops] = {}
+        # the last graph walked on, with its edges as sorted u * n + v keys
+        self._edges: Optional[tuple[ConnectivityGraph, np.ndarray]] = None
 
     # -- public state accessors ------------------------------------------
 
@@ -454,6 +491,7 @@ class ProtocolEngine:
         qualifying = [j for j in range(levels + 1) if t % (params.nu << j) == 0]
         gamma = max(qualifying) if qualifying else -1
 
+        self._next_hops.clear()
         self._floods.drop_levels(gamma)
         self._drop_registrations(gamma)
         for st in self._nodes:
@@ -549,15 +587,15 @@ class ProtocolEngine:
         A re-electing node (beacon level <= gamma) ends at the highest level
         still empty in its membership row, or at level 0 when none is. Rows
         only fill as the round runs, so the highest level empty now bounds
-        its new level before that is known. The horizon never drops below
-        gamma's, so every re-electing node of a round whose levels above
-        gamma are full shares one BFS batch.
+        its new level before that is known, and its search stops at that
+        level's flood radius. Once the chunks before it have filled the top
+        levels, a chunk searches below the top radius.
         """
         by_limit: dict[int, list[int]] = {}
         for u in chunk:
             beta = self._beacon_level.item(u)
             if beta <= gamma:
-                beta = max(gamma, self._highest_empty(u))
+                beta = max(0, self._highest_empty(u))
             limit = self._flood_radius(beta)
             by_limit.setdefault(limit, []).append(u)
         rows: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -760,83 +798,140 @@ class ProtocolEngine:
 
     # -- probing -----------------------------------------------------------
 
-    def _best_entry(self, node: int, origin: int) -> Optional[tuple[int, int, int]]:
-        """Live (distance, level, next_hop) for ``origin``. Fresher entries win
-        outright (they describe the current graph; older ones may point at
-        vanished edges), then shorter, then lower level; probe-installed
-        reverse state is the last resort."""
-        st = self._nodes[node]
+    def _best_entry(
+        self, g: ConnectivityGraph, node: int, origin: int
+    ) -> Optional[tuple[int, int]]:
+        """(level, next_hop) of the entry ``node`` follows toward ``origin``,
+        next hop -1 where that is no edge of ``g``; probe-installed reverse
+        state, at level -1, is the last resort."""
+        entry = self._next_hops_to(g, origin).get(node)
+        if entry is None:
+            back = self._nodes[node].temp.get(origin)
+            if back is not None:
+                entry = (-1, back)
+        return entry
+
+    def _next_hops_to(self, g: ConnectivityGraph, origin: int) -> _NextHops:
+        keys = self._edge_keys(g)
+        toward = self._next_hops.get(origin)
+        if toward is None:
+            toward = self._next_hops[origin] = self._resolve(origin, keys)
+        return toward
+
+    def _edge_keys(self, g: ConnectivityGraph) -> np.ndarray:
+        """``g``'s directed edges as sorted ``u * n + v`` keys, closed by the
+        key ``n * n`` so that a search never runs off the end. Resolved next
+        hops hold for one graph, so a new graph clears them."""
+        if self._edges is None or self._edges[0] is not g:
+            csr = g.csr
+            rows = np.repeat(np.arange(g.n, dtype=np.int64), np.diff(csr.indptr))
+            self._edges = (g, np.append(np.sort(rows * g.n + csr.indices), g.n * g.n))
+            self._next_hops.clear()
+        return self._edges[1]
+
+    def _resolve(self, origin: int, keys: np.ndarray) -> _NextHops:
+        """Pick, at every node, the entry for ``origin`` that probes follow.
+        Fresher entries win outright (they describe the current graph; older
+        ones may point at vanished edges), then shorter, then lower level.
+        The origin's fullest flood row is the base; the rule is applied node
+        by node only where another of its rows or a registration also holds
+        an entry. Winners whose next hop is no edge in ``keys`` get next hop
+        -1."""
         pool = self._floods
-        best = None
-        best_key = None
-        rows = pool.of_origin.get(origin)
-        if rows:
+        unreached = pool.unreached
+        rows = pool.of_origin.get(origin, {})
+        reached = {row: np.flatnonzero(pool.dist[row] != unreached) for row in rows.values()}
+        base = max(reached, key=lambda row: len(reached[row]), default=-1)
+        contested: set[int] = set()
+        for row, cells in reached.items():
+            if row != base:
+                contested.update(cells.tolist())
+        for level in range(self.params.levels + 1):
+            contested.update(self._registered_at.get((origin, level), ()))
+        overrides: dict[int, tuple[int, int]] = {}
+        for node in contested:
+            best_key, best = None, None
             for level, row in rows.items():
                 distance = pool.dist.item(row, node)
-                if distance == pool.unreached:
-                    continue
-                key = (-pool.stamp.item(row, node), distance, level)
-                if best_key is None or key < best_key:
-                    best = (distance, level, pool.next_hop.item(row, node))
-                    best_key = key
-        by_level = st.registrations.get(origin)
-        if by_level:
-            for level, (distance, hop, stamp) in by_level.items():
+                if distance != unreached:
+                    key = (-pool.stamp.item(row, node), distance, level)
+                    if best_key is None or key < best_key:
+                        best_key, best = key, (row, level, pool.next_hop.item(row, node))
+            for level, (distance, hop, stamp) in (
+                self._nodes[node].registrations.get(origin, {}).items()
+            ):
                 key = (-stamp, distance, level)
                 if best_key is None or key < best_key:
-                    best = (distance, level, hop)
-                    best_key = key
-        if best is None:
-            tmp = st.temp.get(origin)
-            if tmp is not None:
-                best = (tmp[0], -1, tmp[1])
-        return best
+                    best_key, best = key, (-1, level, hop)
+            if best[0] != base:
+                overrides[node] = best[1:]
+
+        n = self.n
+        if overrides:
+            nodes = np.fromiter(overrides, dtype=np.int64, count=len(overrides))
+            cut = nodes * n + [hop for _, hop in overrides.values()]
+            for node in nodes[keys[np.searchsorted(keys, cut)] != cut].tolist():
+                overrides[node] = (overrides[node][0], -1)
+        if base < 0:
+            return _NextHops(-1, None, None, unreached, overrides)
+        level = pool.level.item(base)
+        cells = reached[base]
+        cut = cells * n + pool.next_hop[base, cells]
+        for node in cells[keys[np.searchsorted(keys, cut)] != cut].tolist():
+            overrides.setdefault(node, (level, -1))
+        return _NextHops(level, pool.dist[base], pool.next_hop[base], unreached, overrides)
 
     def _walk(
         self, g: ConnectivityGraph, source: int, relay: int, budget: Optional[int]
     ) -> tuple[bool, list[int]]:
         """Follow table next hops from ``source`` to ``relay``, leaving
         temporary reverse entries behind. Returns (arrived, path)."""
+        _, dist, hop, unreached, overrides = self._next_hops_to(g, relay)
+        n = self.n
+        limit = n if budget is None else min(budget, n)  # n: stale tables sent it in a circle
+        nodes = self._nodes
         path = [source]
         node = source
-        hops = 0
         while node != relay:
-            entry = self._best_entry(node, relay)
-            if entry is None:
+            entry = overrides.get(node)  # _NextHops.get, inlined
+            if entry is not None:
+                nxt = entry[1]
+            elif dist is not None and dist.item(node) != unreached:
+                nxt = hop.item(node)
+            else:
+                nxt = nodes[node].temp.get(relay)
+                if nxt is None:
+                    return False, path
+                keys, key = self._edges[1], node * n + nxt
+                if keys.item(keys.searchsorted(key)) != key:
+                    return False, path
+            if nxt < 0 or len(path) > limit:
                 return False, path
-            nxt = entry[2]
-            if nxt not in g.neighbors(node):
-                return False, path
-            if budget is not None and hops + 1 > budget:
-                return False, path
-            if hops + 1 > self.n:
-                return False, path  # stale tables sent the packet in a circle
-            prev = node
+            nodes[nxt].temp[source] = node
             node = nxt
-            hops += 1
             path.append(node)
-            self._nodes[node].temp[source] = (hops, prev)
         return True, path
 
     def _answer(self, relay: int, dest: int, max_level: int) -> tuple[bool, int]:
         if relay == dest:
             return True, 0
-        st = self._nodes[relay]
         if self.mode == "load_balanced":
-            found = [lvl for (node, lvl) in st.lb_store if node == dest and lvl <= max_level]
-        else:
-            # Any table entry for the destination answers: flood entries
-            # from the destination's own beaconing and forward state installed
-            # by its membership registrations both qualify.
-            pool = self._floods
-            found = [
-                lvl
-                for lvl, row in pool.of_origin.get(dest, {}).items()
-                if lvl <= max_level and pool.dist.item(row, relay) != pool.unreached
-            ]
-            found.extend(lvl for lvl in st.registrations.get(dest, ()) if lvl <= max_level)
-        if found:
-            return True, min(found)
+            for lvl in range(min(max_level, self.params.levels) + 1):
+                if self._lb_holders.get((dest, lvl)) == relay:
+                    return True, lvl
+            return False, -1
+        # Any table entry for the destination answers: flood entries from the
+        # destination's own beaconing and forward state installed by its
+        # membership registrations both qualify.
+        pool = self._floods
+        found = max_level + 1
+        for lvl, row in pool.of_origin.get(dest, {}).items():
+            if lvl < found and pool.dist.item(row, relay) != pool.unreached:
+                found = lvl
+        for lvl in self._nodes[relay].registrations.get(dest, ()):
+            found = min(found, lvl)
+        if found <= max_level:
+            return True, found
         return False, -1
 
     def _probe(
@@ -851,10 +946,10 @@ class ProtocolEngine:
         if relay == source:
             success, found = self._answer(relay, dest, max_level)
             return ProbeResult(success, False, (source,), 0, found, relay)
-        if self._best_entry(source, relay) is None:
-            raise ParameterError(f"node {source} holds no routing entry for relay {relay}")
         arrived, path = self._walk(g, source, relay, budget)
         if not arrived:
+            if len(path) == 1 and self._best_entry(g, source, relay) is None:
+                raise ParameterError(f"node {source} holds no routing entry for relay {relay}")
             return ProbeResult(False, True, tuple(path), 2 * (len(path) - 1), -1, relay)
         hops = len(path) - 1
         terminus = relay
@@ -903,10 +998,10 @@ class ProtocolEngine:
             found_level = own.item(0)
             legs.append((source,))
         if holder is None:
-            direct = self._best_entry(source, dest)
+            direct = self._best_entry(g, source, dest)
             if direct is not None:
                 result = self._probe(
-                    g, source, dest, dest, levels, budget=radius_fn(max(direct[1], 0))
+                    g, source, dest, dest, levels, budget=radius_fn(max(direct[0], 0))
                 )
                 probes.append(self._record(result, dest, levels))
                 if result.success:
@@ -948,12 +1043,12 @@ class ProtocolEngine:
         while current != dest:
             # Registration installed forward state from the holder toward its
             # member, so a direct hand-off is tried before descending levels.
-            direct = self._best_entry(current, dest)
+            direct = self._best_entry(g, current, dest)
             if direct is not None:
                 result = self._probe(
-                    g, current, dest, dest, levels, budget=radius_fn(max(direct[1], 0))
+                    g, current, dest, dest, levels, budget=radius_fn(max(direct[0], 0))
                 )
-                probes.append(self._record(result, dest, max(direct[1], 0)))
+                probes.append(self._record(result, dest, max(direct[0], 0)))
                 transmissions += result.transmissions
                 if result.success:
                     legs.append(result.path)
@@ -1129,11 +1224,15 @@ class ProtocolEngine:
             raise ProtocolInvariantError(
                 f"assembled route {route} does not join {source} and {dest}"
             )
-        for a, b in zip(route, route[1:]):
-            if b not in g.neighbors(a):
-                raise ProtocolInvariantError(
-                    f"assembled route {source} -> {dest} uses missing edge ({a}, {b})"
-                )
+        keys = self._edge_keys(g)
+        nodes = np.asarray(route, dtype=np.int64)
+        hops = nodes[:-1] * self.n + nodes[1:]
+        missing = np.flatnonzero(keys[np.searchsorted(keys, hops)] != hops)
+        if missing.size:
+            a, b = route[missing.item(0)], route[missing.item(0) + 1]
+            raise ProtocolInvariantError(
+                f"assembled route {source} -> {dest} uses missing edge ({a}, {b})"
+            )
 
     def _check_node(self, u: int) -> None:
         if not 0 <= u < self.n:
@@ -1190,6 +1289,7 @@ def flood(
         limit=float(radius),
         return_predecessors=True,
     )
+    engine._next_hops.clear()
     return engine._post_flood(origin, level, radius, dist[0], pred[0], t, parent)[2]
 
 

@@ -781,6 +781,152 @@ def test_lb_spreads_membership_load_off_the_beacons():
 
 
 # ---------------------------------------------------------------------------
+# Resolved next hops and the flood horizon
+# ---------------------------------------------------------------------------
+
+
+def best_entry_oracle(
+    engine: ProtocolEngine, g: ConnectivityGraph, node: int, origin: int
+) -> Optional[tuple[int, int, int, bool]]:
+    """The entry ``node`` follows toward ``origin``, scanned cell by cell over
+    the origin's flood rows and the node's registrations: fresher stamp,
+    then shorter, then lower level. Returns (level, next hop, stamp, is a
+    registration), with next hop -1 where it is no neighbour on ``g``."""
+    pool = engine._floods
+    best_key, best = None, None
+    for level, row in pool.of_origin.get(origin, {}).items():
+        distance = int(pool.dist[row, node])
+        if distance == pool.unreached:
+            continue
+        stamp = int(pool.stamp[row, node])
+        key = (-stamp, distance, level)
+        if best_key is None or key < best_key:
+            best_key, best = key, (level, int(pool.next_hop[row, node]), stamp, False)
+    for level, (distance, hop, stamp) in engine._nodes[node].registrations.get(origin, {}).items():
+        key = (-stamp, distance, level)
+        if best_key is None or key < best_key:
+            best_key, best = key, (level, hop, stamp, True)
+    if best is not None and best[1] not in g.neighbors(node).tolist():
+        best = (best[0], -1, best[2], best[3])
+    return best
+
+
+def check_resolved_next_hops(engine: ProtocolEngine, g: ConnectivityGraph, t: int, gamma: int, seen: dict) -> None:
+    """Compare the engine's resolved entry with the oracle at every (node,
+    origin), tallying the kinds of winner met into ``seen``."""
+    for origin in range(engine.n):
+        toward = engine._next_hops_to(g, origin)
+        for node in range(engine.n):
+            expected = best_entry_oracle(engine, g, node, origin)
+            got = toward.get(node)
+            assert got == (None if expected is None else expected[:2]), (t, node, origin)
+            if expected is None:
+                continue
+            level, hop, stamp, registered = expected
+            seen["registration"] += registered
+            seen["stale_above_gamma"] += stamp < t and level > gamma
+            seen["broken"] += hop == -1
+            seen["other_row"] += not registered and toward.dist is not None and level != toward.level
+
+
+@pytest.mark.parametrize("mode", ["plain", "load_balanced"])
+def test_resolved_next_hops_match_the_scalar_key_rule(mode: str) -> None:
+    n = 150
+    domain = DomainSpec(side=math.sqrt(n), boundary_mode="torus", n=n)
+    positions = sample_uniform_positions(n, domain, 23)
+    r_n = math.sqrt(2.0 * math.log(n))
+    g = build_geometric_graph(positions, r_n)
+    levels = math.ceil(math.log2(diameter(g).hops))
+    engine = ProtocolEngine(n, make_params(levels), mode=mode)
+    model = RandomWalk(max_speed=1.0)
+    rng = np.random.default_rng(29)
+    seen = {"registration": 0, "stale_above_gamma": 0, "broken": 0, "other_row": 0}
+    for t in range(2**levels + 2):
+        if t > 0:
+            positions = step(model, positions, domain, seed=31, t=t)
+            g = build_geometric_graph(positions, r_n)
+        report = engine.beaconing_round(g, t=t, seed=37)
+        for _ in range(5):  # walks leave reverse state, which the resolution ignores
+            source, dest = (int(x) for x in rng.choice(n, size=2, replace=False))
+            if not math.isinf(bfs_oracle(g, source)[dest]):
+                engine.forward(g, source=source, dest=dest)
+        check_resolved_next_hops(engine, g, t, report.gamma, seen)
+    # The run met every case the resolution handles but the multi-row one,
+    # which the stand-alone floods below reach.
+    assert seen["registration"] and seen["stale_above_gamma"] and seen["broken"], seen
+
+
+def test_resolved_next_hops_pick_among_several_rows_of_one_origin() -> None:
+    g = random_graph(120, seed=3)
+    levels = math.ceil(math.log2(diameter(g).hops))
+    engine = ProtocolEngine(g.n, make_params(levels))
+    for t, origin in ((2, 5), (3, 5), (2, 9), (2, 40)):
+        for level in range(levels + 1):
+            radius = engine.params.flood_radius(level)
+            flood(engine, g, origin=origin, radius=radius - (origin + level) % 3, level=level, t=t)
+    engine.beaconing_round(g, t=3, seed=37)
+    seen = {"registration": 0, "stale_above_gamma": 0, "broken": 0, "other_row": 0}
+    severed = ConnectivityGraph.from_edges(g.n, sorted(edge_set(g))[::2])
+    for graph in (g, severed):
+        check_resolved_next_hops(engine, graph, 3, -1, seen)
+    assert seen["other_row"] and seen["broken"] and seen["registration"], seen
+
+
+def test_probe_breaks_when_the_graph_loses_a_resolved_next_hop():
+    g = path_graph(5)
+    engine = ProtocolEngine(5, make_params(levels=2))
+    flood(engine, g, origin=4, radius=4, level=1, t=0)
+    severed = ConnectivityGraph.from_edges(5, [(0, 1), (1, 2), (3, 4)])
+    for graph, broken, path in ((g, False, (0, 1, 2, 3, 4)), (severed, True, (0, 1, 2)), (g, False, (0, 1, 2, 3, 4))):
+        result = probe(engine, graph, source=0, relay=4, dest=3, max_level=2)
+        assert (result.broken, result.path) == (broken, path)
+
+
+def test_stand_alone_flood_between_forwards_is_seen_by_the_second():
+    g = path_graph(5)
+    engine = ProtocolEngine(5, make_params(levels=2))
+    first = engine.forward(g, source=0, dest=4)
+    assert [p.transmissions for p in first.probes] != [8]  # no table entry: ring search
+    flood(engine, g, origin=4, radius=4, level=1, t=0)
+    second = engine.forward(g, source=0, dest=4)
+    assert second.route == (0, 1, 2, 3, 4)
+    assert [(p.relay, p.success, p.transmissions) for p in second.probes] == [(4, True, 8)]
+
+
+def test_first_round_searches_later_chunks_below_the_top_radius(monkeypatch):
+    """Every level is empty when the first round starts, so the first chunk
+    of re-electing nodes searches to the top level's flood radius; later
+    chunks start with most rows filled and must search less far."""
+    import beaconsim.protocol as protocol
+
+    g = random_graph(700, seed=5)
+    levels = math.ceil(math.log2(diameter(g).hops))
+    engine = ProtocolEngine(g.n, make_params(levels))
+    chunks: list[list[tuple[float, int]]] = []
+    real_dijkstra = protocol.dijkstra
+    real_flood_rows = engine._flood_rows
+
+    def recording_dijkstra(csgraph, **kwargs):
+        if kwargs.get("return_predecessors"):
+            chunks[-1].append((kwargs["limit"], len(kwargs["indices"])))
+        return real_dijkstra(csgraph, **kwargs)
+
+    def recording_flood_rows(*args):
+        chunks.append([])
+        return real_flood_rows(*args)
+
+    monkeypatch.setattr(protocol, "dijkstra", recording_dijkstra)
+    monkeypatch.setattr(engine, "_flood_rows", recording_flood_rows)
+    engine.beaconing_round(g, t=0, seed=37)
+    top = float(engine.params.flood_radius(levels))
+    assert len(chunks) == 3
+    assert chunks[0] == [(top, 256)]
+    for searches in chunks[1:]:
+        below = sum(count for limit, count in searches if limit < top)
+        assert below > sum(count for limit, count in searches) // 2, searches
+
+
+# ---------------------------------------------------------------------------
 # Equivalence gate: pinned digests of every observable of the engine
 # ---------------------------------------------------------------------------
 
