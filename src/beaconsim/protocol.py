@@ -866,18 +866,16 @@ class ProtocolEngine:
             if best[0] != base:
                 overrides[node] = best[1:]
 
-        n = self.n
         if overrides:
             nodes = np.fromiter(overrides, dtype=np.int64, count=len(overrides))
-            cut = nodes * n + [hop for _, hop in overrides.values()]
-            for node in nodes[keys[np.searchsorted(keys, cut)] != cut].tolist():
+            hops = np.array([hop for _, hop in overrides.values()], dtype=np.int64)
+            for node in nodes[_not_edges(keys, self.n, nodes, hops)].tolist():
                 overrides[node] = (overrides[node][0], -1)
         if base < 0:
             return _NextHops(-1, None, None, unreached, overrides)
         level = pool.level.item(base)
         cells = reached[base]
-        cut = cells * n + pool.next_hop[base, cells]
-        for node in cells[keys[np.searchsorted(keys, cut)] != cut].tolist():
+        for node in cells[_not_edges(keys, self.n, cells, pool.next_hop[base, cells])].tolist():
             overrides.setdefault(node, (level, -1))
         return _NextHops(level, pool.dist[base], pool.next_hop[base], unreached, overrides)
 
@@ -1224,10 +1222,8 @@ class ProtocolEngine:
             raise ProtocolInvariantError(
                 f"assembled route {route} does not join {source} and {dest}"
             )
-        keys = self._edge_keys(g)
         nodes = np.asarray(route, dtype=np.int64)
-        hops = nodes[:-1] * self.n + nodes[1:]
-        missing = np.flatnonzero(keys[np.searchsorted(keys, hops)] != hops)
+        missing = _not_edges(self._edge_keys(g), self.n, nodes[:-1], nodes[1:])
         if missing.size:
             a, b = route[missing.item(0)], route[missing.item(0) + 1]
             raise ProtocolInvariantError(
@@ -1243,6 +1239,13 @@ class ProtocolEngine:
             raise ParameterError(
                 f"level {level} out of range [0, {self.params.levels}]"
             )
+
+
+def _not_edges(keys: np.ndarray, n: int, tails: np.ndarray, heads: np.ndarray) -> np.ndarray:
+    """Positions i at which (tails[i], heads[i]) is no edge in ``keys``, a
+    graph's sorted ``u * n + v`` keys closed by the key ``n * n``."""
+    cut = tails * n + heads
+    return np.flatnonzero(keys[np.searchsorted(keys, cut)] != cut)
 
 
 def _loop_erase(sequence) -> tuple[int, ...]:
