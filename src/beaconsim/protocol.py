@@ -820,8 +820,9 @@ class ProtocolEngine:
 
     def _edge_keys(self, g: ConnectivityGraph) -> np.ndarray:
         """``g``'s directed edges as sorted ``u * n + v`` keys, closed by the
-        key ``n * n`` so that a search never runs off the end. Resolved next
-        hops hold for one graph, so a new graph clears them."""
+        key ``n * n`` so that a search never runs off the end. A graph is
+        not changed after it is built, so its identity names its edges.
+        Resolved next hops hold for one graph, so a new graph clears them."""
         if self._edges is None or self._edges[0] is not g:
             csr = g.csr
             rows = np.repeat(np.arange(g.n, dtype=np.int64), np.diff(csr.indptr))
