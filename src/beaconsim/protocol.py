@@ -21,14 +21,14 @@ registrations is a small per-node overlay dict. Flood rows and the overlay
 never hold the same (origin, level) key at the same node, so a node's table
 is their union. Rounds are expected at non-decreasing steps.
 
-Probes walk the tables hop by hop. The first walk toward an origin resolves
-which entry every node follows toward it (freshest stamp, then shortest,
-then lowest level) and checks each winner's next hop against the graph's
-sorted edge keys; the result is one base flood row plus a small dict of the
-nodes where another row or a registration wins or the edge is gone, so a
-later hop is one lookup. The resolution holds for one table state and one
-graph: a beaconing round, a stand-alone ``flood`` and a walk on another
-graph each clear it. Walks still leave reverse entries at the nodes they
+Probes walk the tables hop by hop. The entry a node follows toward an
+origin (freshest stamp, then shortest, then lowest level, among the
+origin's flood rows and the node's registrations, its next hop checked
+against the graph's sorted edge keys) is resolved the first time a look-up
+reaches that node and kept in a per-origin dict, so a later hop through the
+node is one dict lookup. Resolved entries hold for one table state and one
+graph: a beaconing round, a stand-alone ``flood`` and a look-up on another
+graph each clear them. Walks still leave reverse entries at the nodes they
 cross, which a later walk follows only where a node has no table entry.
 
 Cost accounting is explicit: flood cost is transmissions times the flood
@@ -313,25 +313,18 @@ class _FloodRows:
         self._free.extend(range(cap + extra - 1, cap - 1, -1))  # low rows first
 
 
-class _NextHops(NamedTuple):
-    """Where each node's entry for one origin points, on one graph: the cell
-    of one base flood row, except at the nodes in ``overrides``, where
-    another of the origin's rows or a registration wins, or where the
-    winning next hop is no neighbour on the graph (next hop -1). ``dist``
-    and ``hop`` are views of the base row, or None when the origin has no
-    row."""
+class _Entries(dict):
+    """node -> (level, next_hop) of its entry toward one origin, or None where
+    it has none; a node's entry is resolved on its first look-up."""
 
-    level: int
-    dist: Optional[np.ndarray]
-    hop: Optional[np.ndarray]
-    unreached: int
-    overrides: dict[int, tuple[int, int]]  # node -> (level, next_hop)
+    __slots__ = ("resolve",)
 
-    def get(self, node: int) -> Optional[tuple[int, int]]:
-        """(level, next_hop) of ``node``'s entry, or None when it has none."""
-        entry = self.overrides.get(node)
-        if entry is None and self.dist is not None and self.dist.item(node) != self.unreached:
-            entry = (self.level, self.hop.item(node))
+    def __init__(self, resolve) -> None:
+        super().__init__()
+        self.resolve = resolve
+
+    def __missing__(self, node: int) -> Optional[tuple[int, int]]:
+        entry = self[node] = self.resolve(node)
         return entry
 
 
@@ -374,9 +367,9 @@ class ProtocolEngine:
         # level -> (member ids grouped by beacon, each beacon's start offset);
         # the possible chain steps, rebuilt by each load-balanced round
         self._sub_beacons: dict[int, tuple[list[int], list[int]]] = {}
-        # origin -> where each node's entry for it points, resolved on the
-        # first walk toward the origin; every change of the tables clears it
-        self._next_hops: dict[int, _NextHops] = {}
+        # origin -> the entries that look-ups toward it have resolved; every
+        # change of the tables clears it
+        self._next_hops: dict[int, _Entries] = {}
         # the last graph walked on, with its edges as sorted u * n + v keys
         self._edges: Optional[tuple[ConnectivityGraph, np.ndarray]] = None
 
@@ -804,25 +797,20 @@ class ProtocolEngine:
         """(level, next_hop) of the entry ``node`` follows toward ``origin``,
         next hop -1 where that is no edge of ``g``; probe-installed reverse
         state, at level -1, is the last resort."""
-        entry = self._next_hops_to(g, origin).get(node)
-        if entry is None:
-            back = self._nodes[node].temp.get(origin)
-            if back is not None:
-                entry = (-1, back)
-        return entry
+        return self._next_hops_to(g, origin)[node] or self._reverse_entry(node, origin)
 
-    def _next_hops_to(self, g: ConnectivityGraph, origin: int) -> _NextHops:
-        keys = self._edge_keys(g)
+    def _next_hops_to(self, g: ConnectivityGraph, origin: int) -> _Entries:
+        self._edge_keys(g)
         toward = self._next_hops.get(origin)
         if toward is None:
-            toward = self._next_hops[origin] = self._resolve(origin, keys)
+            toward = self._next_hops[origin] = _Entries(lambda node: self._resolve(node, origin))
         return toward
 
     def _edge_keys(self, g: ConnectivityGraph) -> np.ndarray:
         """``g``'s directed edges as sorted ``u * n + v`` keys, closed by the
         key ``n * n`` so that a search never runs off the end. A graph is
         not changed after it is built, so its identity names its edges.
-        Resolved next hops hold for one graph, so a new graph clears them."""
+        Resolved entries hold for one graph, so a new graph clears them."""
         if self._edges is None or self._edges[0] is not g:
             csr = g.csr
             rows = np.repeat(np.arange(g.n, dtype=np.int64), np.diff(csr.indptr))
@@ -830,82 +818,59 @@ class ProtocolEngine:
             self._next_hops.clear()
         return self._edges[1]
 
-    def _resolve(self, origin: int, keys: np.ndarray) -> _NextHops:
-        """Pick, at every node, the entry for ``origin`` that probes follow.
-        Fresher entries win outright (they describe the current graph; older
-        ones may point at vanished edges), then shorter, then lower level.
-        The origin's fullest flood row is the base; the rule is applied node
-        by node only where another of its rows or a registration also holds
-        an entry. Winners whose next hop is no edge in ``keys`` get next hop
-        -1."""
-        pool = self._floods
-        unreached = pool.unreached
-        rows = pool.of_origin.get(origin, {})
-        reached = {row: np.flatnonzero(pool.dist[row] != unreached) for row in rows.values()}
-        base = max(reached, key=lambda row: len(reached[row]), default=-1)
-        contested: set[int] = set()
-        for row, cells in reached.items():
-            if row != base:
-                contested.update(cells.tolist())
-        for level in range(self.params.levels + 1):
-            contested.update(self._registered_at.get((origin, level), ()))
-        overrides: dict[int, tuple[int, int]] = {}
-        for node in contested:
-            best_key, best = None, None
-            for level, row in rows.items():
-                distance = pool.dist.item(row, node)
-                if distance != unreached:
-                    key = (-pool.stamp.item(row, node), distance, level)
-                    if best_key is None or key < best_key:
-                        best_key, best = key, (row, level, pool.next_hop.item(row, node))
-            for level, (distance, hop, stamp) in (
-                self._nodes[node].registrations.get(origin, {}).items()
-            ):
-                key = (-stamp, distance, level)
-                if best_key is None or key < best_key:
-                    best_key, best = key, (-1, level, hop)
-            if best[0] != base:
-                overrides[node] = best[1:]
+    def _is_edge(self, u: int, v: int) -> bool:
+        """Whether (u, v) is an edge of the graph last given to ``_edge_keys``."""
+        keys, key = self._edges[1], u * self.n + v
+        return keys.item(keys.searchsorted(key)) == key
 
-        if overrides:
-            nodes = np.fromiter(overrides, dtype=np.int64, count=len(overrides))
-            hops = np.array([hop for _, hop in overrides.values()], dtype=np.int64)
-            for node in nodes[_not_edges(keys, self.n, nodes, hops)].tolist():
-                overrides[node] = (overrides[node][0], -1)
-        if base < 0:
-            return _NextHops(-1, None, None, unreached, overrides)
-        level = pool.level.item(base)
-        cells = reached[base]
-        for node in cells[_not_edges(keys, self.n, cells, pool.next_hop[base, cells])].tolist():
-            overrides.setdefault(node, (level, -1))
-        return _NextHops(level, pool.dist[base], pool.next_hop[base], unreached, overrides)
+    def _resolve(self, node: int, origin: int) -> Optional[tuple[int, int]]:
+        """Pick the entry for ``origin`` that probes follow at ``node`` among
+        the origin's flood rows and the node's registrations. Fresher entries
+        win outright (they describe the current graph; older ones may point
+        at vanished edges), then shorter, then lower level. A winner whose
+        next hop is no edge gets next hop -1."""
+        pool = self._floods
+        best_key, best = None, None
+        for level, row in pool.of_origin.get(origin, {}).items():
+            distance = pool.dist.item(row, node)
+            if distance != pool.unreached:
+                key = (-pool.stamp.item(row, node), distance, level)
+                if best_key is None or key < best_key:
+                    best_key, best = key, (level, pool.next_hop.item(row, node))
+        for level, (distance, hop, stamp) in (
+            self._nodes[node].registrations.get(origin, {}).items()
+        ):
+            key = (-stamp, distance, level)
+            if best_key is None or key < best_key:
+                best_key, best = key, (level, hop)
+        if best is not None and not self._is_edge(node, best[1]):
+            best = (best[0], -1)
+        return best
+
+    def _reverse_entry(self, node: int, origin: int) -> Optional[tuple[int, int]]:
+        """The last resort: reverse state that a probe from ``origin`` left at
+        ``node``, at level -1."""
+        back = self._nodes[node].temp.get(origin)
+        if back is None:
+            return None
+        return (-1, back if self._is_edge(node, back) else -1)
 
     def _walk(
         self, g: ConnectivityGraph, source: int, relay: int, budget: Optional[int]
     ) -> tuple[bool, list[int]]:
         """Follow table next hops from ``source`` to ``relay``, leaving
         temporary reverse entries behind. Returns (arrived, path)."""
-        _, dist, hop, unreached, overrides = self._next_hops_to(g, relay)
-        n = self.n
-        limit = n if budget is None else min(budget, n)  # n: stale tables sent it in a circle
+        toward = self._next_hops_to(g, relay)
+        # Past n hops, stale tables sent the packet in a circle.
+        limit = self.n if budget is None else min(budget, self.n)
         nodes = self._nodes
         path = [source]
         node = source
         while node != relay:
-            entry = overrides.get(node)  # _NextHops.get, inlined
-            if entry is not None:
-                nxt = entry[1]
-            elif dist is not None and dist.item(node) != unreached:
-                nxt = hop.item(node)
-            else:
-                nxt = nodes[node].temp.get(relay)
-                if nxt is None:
-                    return False, path
-                keys, key = self._edges[1], node * n + nxt
-                if keys.item(keys.searchsorted(key)) != key:
-                    return False, path
-            if nxt < 0 or len(path) > limit:
+            entry = toward[node] or self._reverse_entry(node, relay)
+            if entry is None or entry[1] < 0 or len(path) > limit:
                 return False, path
+            nxt = entry[1]
             nodes[nxt].temp[source] = node
             node = nxt
             path.append(node)

@@ -792,49 +792,50 @@ def test_lb_spreads_membership_load_off_the_beacons():
 
 def best_entry_oracle(
     engine: ProtocolEngine, g: ConnectivityGraph, node: int, origin: int
-) -> Optional[tuple[int, int, int, bool]]:
+) -> Optional[tuple[int, int, int, bool, int]]:
     """The entry ``node`` follows toward ``origin``, scanned cell by cell over
     the origin's flood rows and the node's registrations: fresher stamp,
     then shorter, then lower level. Returns (level, next hop, stamp, is a
-    registration), with next hop -1 where it is no neighbour on ``g``."""
+    registration, number of candidates), with next hop -1 where it is no
+    neighbour on ``g``."""
     pool = engine._floods
-    best_key, best = None, None
+    candidates = []
     for level, row in pool.of_origin.get(origin, {}).items():
         distance = int(pool.dist[row, node])
-        if distance == pool.unreached:
-            continue
-        stamp = int(pool.stamp[row, node])
-        key = (-stamp, distance, level)
-        if best_key is None or key < best_key:
-            best_key, best = key, (level, int(pool.next_hop[row, node]), stamp, False)
+        if distance != pool.unreached:
+            stamp = int(pool.stamp[row, node])
+            candidates.append(((-stamp, distance, level), int(pool.next_hop[row, node]), False))
     for level, (distance, hop, stamp) in engine._nodes[node].registrations.get(origin, {}).items():
-        key = (-stamp, distance, level)
-        if best_key is None or key < best_key:
-            best_key, best = key, (level, hop, stamp, True)
-    if best is not None and best[1] not in g.neighbors(node).tolist():
-        best = (best[0], -1, best[2], best[3])
-    return best
+        candidates.append(((-stamp, distance, level), hop, True))
+    if not candidates:
+        return None
+    (neg_stamp, _, level), hop, registered = min(candidates)
+    if hop not in g.neighbors(node).tolist():
+        hop = -1
+    return level, hop, -neg_stamp, registered, len(candidates)
 
 
 def check_resolved_next_hops(
     engine: ProtocolEngine, g: ConnectivityGraph, t: int, gamma: int, seen: dict
 ) -> None:
     """Compare the engine's resolved entry with the oracle at every (node,
-    origin), tallying the kinds of winner met into ``seen``."""
+    origin): first the entries that earlier look-ups resolved, which must not
+    have gone stale, then the rest. Tallies the kinds of winner met into
+    ``seen``."""
     for origin in range(engine.n):
         toward = engine._next_hops_to(g, origin)
-        for node in range(engine.n):
+        seen["resolved_before"] += len(toward)
+        for node in [*toward, *(v for v in range(engine.n) if v not in toward)]:
             expected = best_entry_oracle(engine, g, node, origin)
-            got = toward.get(node)
+            got = toward[node]
             assert got == (None if expected is None else expected[:2]), (t, node, origin)
             if expected is None:
                 continue
-            level, hop, stamp, registered = expected
+            level, hop, stamp, registered, candidates = expected
             seen["registration"] += registered
             seen["stale_above_gamma"] += stamp < t and level > gamma
             seen["broken"] += hop == -1
-            base_level = toward.level if toward.dist is not None else None
-            seen["other_row"] += not registered and level != base_level
+            seen["contested"] += candidates > 1
 
 
 @pytest.mark.parametrize("mode", ["plain", "load_balanced"])
@@ -848,20 +849,23 @@ def test_resolved_next_hops_match_the_scalar_key_rule(mode: str) -> None:
     engine = ProtocolEngine(n, make_params(levels), mode=mode)
     model = RandomWalk(max_speed=1.0)
     rng = np.random.default_rng(29)
-    seen = {"registration": 0, "stale_above_gamma": 0, "broken": 0, "other_row": 0}
+    seen = dict.fromkeys(("resolved_before", "registration", "stale_above_gamma", "broken"), 0)
+    seen["contested"] = 0
     for t in range(2**levels + 2):
         if t > 0:
             positions = step(model, positions, domain, seed=31, t=t)
             g = build_geometric_graph(positions, r_n)
         report = engine.beaconing_round(g, t=t, seed=37)
-        for _ in range(5):  # walks leave reverse state, which the resolution ignores
+        for _ in range(5):  # walks resolve entries and leave reverse state behind
             source, dest = (int(x) for x in rng.choice(n, size=2, replace=False))
             if not math.isinf(bfs_oracle(g, source)[dest]):
                 engine.forward(g, source=source, dest=dest)
         check_resolved_next_hops(engine, g, t, report.gamma, seen)
-    # The run met every case the resolution handles but the multi-row one,
-    # which the stand-alone floods below reach.
+    # Each round starts from entries that the last round's checks resolved
+    # everywhere, so a resolution kept across a round would show up stale.
+    assert seen["resolved_before"], seen
     assert seen["registration"] and seen["stale_above_gamma"] and seen["broken"], seen
+    assert seen["contested"], seen
 
 
 def test_resolved_next_hops_pick_among_several_rows_of_one_origin() -> None:
@@ -873,11 +877,23 @@ def test_resolved_next_hops_pick_among_several_rows_of_one_origin() -> None:
             radius = engine.params.flood_radius(level)
             flood(engine, g, origin=origin, radius=radius - (origin + level) % 3, level=level, t=t)
     engine.beaconing_round(g, t=3, seed=37)
-    seen = {"registration": 0, "stale_above_gamma": 0, "broken": 0, "other_row": 0}
+    seen = dict.fromkeys(("resolved_before", "registration", "stale_above_gamma", "broken"), 0)
+    seen["contested"] = 0
     severed = ConnectivityGraph.from_edges(g.n, sorted(edge_set(g))[::2])
     for graph in (g, severed):
         check_resolved_next_hops(engine, graph, 3, -1, seen)
-    assert seen["other_row"] and seen["broken"] and seen["registration"], seen
+    assert seen["contested"] and seen["broken"] and seen["registration"], seen
+
+
+def test_resolved_next_hops_do_not_outlive_a_round_on_the_same_graph() -> None:
+    g = random_graph(120, seed=3)
+    levels = math.ceil(math.log2(diameter(g).hops))
+    engine = ProtocolEngine(g.n, make_params(levels))
+    seen = dict.fromkeys(("resolved_before", "registration", "stale_above_gamma", "broken"), 0)
+    seen["contested"] = 0
+    for t in range(4):
+        report = engine.beaconing_round(g, t=t, seed=37 + t)
+        check_resolved_next_hops(engine, g, t, report.gamma, seen)
 
 
 def test_stand_alone_flood_between_forwards_is_seen_by_the_second():
