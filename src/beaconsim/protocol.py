@@ -8,18 +8,22 @@ level upward, then descends the hierarchy until the destination's level-0
 beacon hands the packet over. A load-balanced variant spreads member
 identifiers from beacons onto chain termini chosen by identifier closeness.
 
-Protocol state has three parts. Cluster memberships are (n, L+1) arrays
-holding each node's beacon id, join distance and join step per level, next
-to a vector of beacon levels; a beacon's member list is read from its
-column, which a load-balanced round groups by beacon once for its chain
-descent. Flood entries live in one pool of origin-major arrays: one row per
-live (origin, level) flood, n columns wide, holding each node's hop distance
-to the origin, its next hop toward it, and the step that wrote the cell; a
-round merges each flood into its row with one masked vector update, and
-clearing a level drops that level's rows. Forward state left by membership
-registrations is a small per-node overlay dict. Flood rows and the overlay
-never hold the same (origin, level) key at the same node, so a node's table
-is their union. Rounds are expected at non-decreasing steps.
+Each piece of protocol state is held once, by the engine. Cluster
+memberships are (n, L+1) arrays holding each node's beacon id, join distance
+and join step per level, next to a vector of beacon levels; a beacon's
+member list is read from its column, which a load-balanced round groups by
+beacon once for its chain descent. Flood entries live in one pool of
+origin-major arrays: one row per live (origin, level) flood, n columns wide,
+holding each node's hop distance to the origin, its next hop toward it, and
+the step that wrote the cell; a round merges each flood into its row with
+one masked vector update, and clearing a level drops that level's rows.
+Forward state left by membership registrations is one node -> member ->
+level store, indexed back by (member, level) for the floods that contest
+it. Flood rows and registrations never hold the same (origin, level) key at
+the same node, so a node's table is their union. In load-balanced mode an
+(n, L+1) array names the node that stores each (member, level) identifier,
+and one dict keyed the same way holds the beacon chain that led there.
+Rounds are expected at non-decreasing steps.
 
 Probes walk the tables hop by hop. The entry a node follows toward an
 origin (freshest stamp, then shortest, then lowest level, among the
@@ -29,7 +33,8 @@ reaches that node and kept in a per-origin dict, so a later hop through the
 node is one dict lookup. Resolved entries hold for one table state and one
 graph: a beaconing round, a stand-alone ``flood`` and a look-up on another
 graph each clear them. Walks still leave reverse entries at the nodes they
-cross, which a later walk follows only where a node has no table entry.
+cross, one origin -> {node: next hop} dict that each round clears, which a
+later walk follows only where a node has no table entry.
 
 Cost accounting is explicit: flood cost is transmissions times the flood
 packet width, probe and membership cost is path hops times the respective
@@ -229,23 +234,6 @@ class ForwardReceipt:
     probes: tuple[ProbeRecord, ...]
 
 
-class _NodeState:
-    """The state whose size varies per node; memberships and beacon levels
-    are engine arrays, and flood entries live in ``_FloodRows``."""
-
-    __slots__ = ("registrations", "temp", "lb_store")
-
-    def __init__(self) -> None:
-        # member -> {level: (distance, next_hop, time)}: forward state that a
-        # membership registration installed here. It shadows the flood row
-        # of the same (member, level), whose cell at this node stays empty.
-        self.registrations: dict[int, dict[int, tuple[int, int, int]]] = {}
-        # origin -> next hop toward it; reverse state left behind by probes
-        self.temp: dict[int, int] = {}
-        # (node, level) -> owning beacon chain; load-balanced mode only
-        self.lb_store: dict[tuple[int, int], tuple[int, ...]] = {}
-
-
 class _FloodRows:
     """Flood entries as origin-major arrays, one row per (origin, level).
 
@@ -351,7 +339,6 @@ class ProtocolEngine:
         self._flood_radius = (
             params.lb_flood_radius if mode == "load_balanced" else params.flood_radius
         )
-        self._nodes = [_NodeState() for _ in range(n)]
         self._beacon_level = np.zeros(n, dtype=np.int64)
         # Node v's level-l membership: its beacon's id (-1 while v has none),
         # the hop distance it joined at and the step it joined; a member list
@@ -361,9 +348,23 @@ class ProtocolEngine:
         self._member_dist = np.zeros((n, params.levels + 1), dtype=np.int64)
         self._member_step = np.zeros((n, params.levels + 1), dtype=np.int64)
         self._floods = _FloodRows(n)
+        # Indexed by node: member -> {level: (distance, next_hop, step)}, the
+        # forward state that membership registrations installed there. It
+        # shadows the flood row of the same (member, level), whose cell at
+        # that node stays empty.
+        self._registrations: list[dict[int, dict[int, tuple[int, int, int]]]] = [
+            {} for _ in range(n)
+        ]
         # (member, level) -> nodes whose registrations hold that key
         self._registered_at: dict[tuple[int, int], set[int]] = {}
-        self._lb_holders: dict[tuple[int, int], int] = {}
+        # origin -> {node: next hop toward the origin}: reverse state that
+        # probe walks from the origin left behind; a round clears it
+        self._reverse: dict[int, dict[int, int]] = {}
+        # Load-balanced mode: the node that stores each (member, level)
+        # identifier, -1 until a load-balanced round runs, and the beacon
+        # chain that led there
+        self._lb_holder = np.full((n, params.levels + 1), -1, dtype=np.int64)
+        self._lb_chains: dict[tuple[int, int], tuple[int, ...]] = {}
         # level -> (member ids grouped by beacon, each beacon's start offset);
         # the possible chain steps, rebuilt by each load-balanced round
         self._sub_beacons: dict[int, tuple[list[int], list[int]]] = {}
@@ -415,7 +416,7 @@ class ProtocolEngine:
         ]
         entries.extend(
             RoutingEntry(node_id=member, distance=e[0], level=level, next_hop=e[1])
-            for member, by_level in self._nodes[u].registrations.items()
+            for member, by_level in self._registrations[u].items()
             for level, e in by_level.items()
         )
         entries.sort(key=lambda entry: (entry.node_id, entry.level))
@@ -423,25 +424,25 @@ class ProtocolEngine:
 
     def lb_store(self, u: int) -> dict[tuple[int, int], tuple[int, ...]]:
         self._check_node(u)
-        return dict(self._nodes[u].lb_store)
+        held = np.argwhere(self._lb_holder == u).tolist()
+        return {(member, level): self._lb_chains[member, level] for member, level in held}
 
     def lb_holder(self, u: int, level: int) -> int:
         self._check_node(u)
         self._check_level(level)
-        try:
-            return self._lb_holders[(u, level)]
-        except KeyError:
+        holder = self._lb_holder.item(u, level)
+        if holder < 0:
             raise ParameterError(
                 f"no stored identifier for node {u} at level {level}; "
                 "run a load-balanced beaconing round first"
-            ) from None
+            )
+        return holder
 
     def membership_load(self) -> np.ndarray:
         """Per-node count of stored membership records: member-list entries in
         plain mode, held identifiers in load-balanced mode."""
-        if self.mode == "load_balanced":
-            return np.array([len(st.lb_store) for st in self._nodes], dtype=np.int64)
-        return np.bincount(self._beacon[self._beacon >= 0], minlength=self.n)
+        held = self._lb_holder if self.mode == "load_balanced" else self._beacon
+        return np.bincount(held[held >= 0], minlength=self.n)
 
     def dump_state_csv(self, destination) -> None:
         """Write per-node beacon level, membership count, and live table size."""
@@ -456,8 +457,8 @@ class ProtocolEngine:
         pool = self._floods
         flooded = np.count_nonzero(pool.dist[pool.live()] != pool.unreached, axis=0).tolist()
         joined = np.count_nonzero(self._beacon >= 0, axis=1).tolist()
-        for u, (st, beta) in enumerate(zip(self._nodes, self._beacon_level.tolist())):
-            live = flooded[u] + sum(len(by_level) for by_level in st.registrations.values())
+        for u, (by_member, beta) in enumerate(zip(self._registrations, self._beacon_level.tolist())):
+            live = flooded[u] + sum(len(by_level) for by_level in by_member.values())
             fh.write(f"{u},{beta},{joined[u]},{live}\n")
 
     # -- beaconing ---------------------------------------------------------
@@ -471,8 +472,7 @@ class ProtocolEngine:
         cover, separation of same-level electees) are re-checked before
         returning.
         """
-        if g.n != self.n:
-            raise ParameterError(f"graph has {g.n} nodes, engine has {self.n}")
+        self._check_graph(g)
         if t < 0:
             raise ParameterError(f"time step must be >= 0, got {t}")
         params = self.params
@@ -487,8 +487,7 @@ class ProtocolEngine:
         self._next_hops.clear()
         self._floods.drop_levels(gamma)
         self._drop_registrations(gamma)
-        for st in self._nodes:
-            st.temp.clear()
+        self._reverse.clear()
         self._beacon[:, : gamma + 1] = -1
 
         rng = np.random.default_rng((seed, t))
@@ -667,7 +666,7 @@ class ProtocolEngine:
             d = dist_row[node]
             if d > radius:
                 continue
-            distance, _, stamp = self._nodes[node].registrations[origin][level]
+            distance, _, stamp = self._registrations[node][origin][level]
             if stamp >= t and distance <= d:
                 kept.append(node)
                 continue
@@ -684,9 +683,9 @@ class ProtocolEngine:
         as a flood cell: it replaces an entry for (member, level) written
         before step ``t`` or holding a longer distance. The row cell is
         emptied so the registration alone holds the key at this node."""
-        st = self._nodes[node]
+        by_member = self._registrations[node]
         pool = self._floods
-        by_level = st.registrations.get(member)
+        by_level = by_member.get(member)
         cur = by_level.get(level) if by_level else None
         row = pool.row(member, level)
         if cur is None and row is not None and pool.dist.item(row, node) != pool.unreached:
@@ -695,7 +694,7 @@ class ProtocolEngine:
             return
         if row is not None:
             pool.dist[row, node] = pool.unreached
-        st.registrations.setdefault(member, {})[level] = (distance, next_hop, t)
+        by_member.setdefault(member, {})[level] = (distance, next_hop, t)
         self._registered_at.setdefault((member, level), set()).add(node)
 
     def _drop_registrations(self, top: int) -> None:
@@ -705,7 +704,7 @@ class ProtocolEngine:
                 self._unregister(node, *key)
 
     def _unregister(self, node: int, member: int, level: int) -> None:
-        registrations = self._nodes[node].registrations
+        registrations = self._registrations[node]
         del registrations[member][level]
         if not registrations[member]:
             del registrations[member]
@@ -748,10 +747,8 @@ class ProtocolEngine:
 
     def _rebuild_lb_store(self, levels: int) -> int:
         """Re-register every identifier at its chain terminus; returns the
-        total packet hops spent walking the chains."""
-        for st in self._nodes:
-            st.lb_store.clear()
-        self._lb_holders.clear()
+        total packet hops spent walking the chains. Every (member, level)
+        gets a holder and a chain, so nothing from the last round survives."""
         # A level-lam chain step goes to a level-lam member whose beacon level
         # is >= lam - 1. Group those by beacon once, now that the joins are
         # done: a stable argsort keeps ids ascending within each beacon.
@@ -771,8 +768,8 @@ class ProtocolEngine:
                     hops += self._member_dist.item(nxt, lam)
                     chain.append(nxt)
                     holder = nxt
-                self._nodes[holder].lb_store[(u, level)] = tuple(chain)
-                self._lb_holders[(u, level)] = holder
+                self._lb_holder[u, level] = holder
+                self._lb_chains[u, level] = tuple(chain)
         return hops
 
     def _chain_steps(self, start: int, target: int):
@@ -838,7 +835,7 @@ class ProtocolEngine:
                 if best_key is None or key < best_key:
                     best_key, best = key, (level, pool.next_hop.item(row, node))
         for level, (distance, hop, stamp) in (
-            self._nodes[node].registrations.get(origin, {}).items()
+            self._registrations[node].get(origin, {}).items()
         ):
             key = (-stamp, distance, level)
             if best_key is None or key < best_key:
@@ -850,7 +847,7 @@ class ProtocolEngine:
     def _reverse_entry(self, node: int, origin: int) -> Optional[tuple[int, int]]:
         """The last resort: reverse state that a probe from ``origin`` left at
         ``node``, at level -1."""
-        back = self._nodes[node].temp.get(origin)
+        back = self._reverse.get(origin, {}).get(node)
         if back is None:
             return None
         return (-1, back if self._is_edge(node, back) else -1)
@@ -863,7 +860,7 @@ class ProtocolEngine:
         toward = self._next_hops_to(g, relay)
         # Past n hops, stale tables sent the packet in a circle.
         limit = self.n if budget is None else min(budget, self.n)
-        nodes = self._nodes
+        reverse = self._reverse.setdefault(source, {})
         path = [source]
         node = source
         while node != relay:
@@ -871,7 +868,7 @@ class ProtocolEngine:
             if entry is None or entry[1] < 0 or len(path) > limit:
                 return False, path
             nxt = entry[1]
-            nodes[nxt].temp[source] = node
+            reverse[nxt] = node
             node = nxt
             path.append(node)
         return True, path
@@ -880,8 +877,9 @@ class ProtocolEngine:
         if relay == dest:
             return True, 0
         if self.mode == "load_balanced":
+            held = self._lb_holder[dest].tolist()
             for lvl in range(min(max_level, self.params.levels) + 1):
-                if self._lb_holders.get((dest, lvl)) == relay:
+                if held[lvl] == relay:
                     return True, lvl
             return False, -1
         # Any table entry for the destination answers: flood entries from the
@@ -892,7 +890,7 @@ class ProtocolEngine:
         for lvl, row in pool.of_origin.get(dest, {}).items():
             if lvl < found and pool.dist.item(row, relay) != pool.unreached:
                 found = lvl
-        for lvl in self._nodes[relay].registrations.get(dest, ()):
+        for lvl in self._registrations[relay].get(dest, ()):
             found = min(found, lvl)
         if found <= max_level:
             return True, found
@@ -944,8 +942,7 @@ class ProtocolEngine:
         """
         self._check_node(source)
         self._check_node(dest)
-        if g.n != self.n:
-            raise ParameterError(f"graph has {g.n} nodes, engine has {self.n}")
+        self._check_graph(g)
         if source == dest:
             return ForwardReceipt(route=(), route_hops=0, probe_transmissions=0, probes=())
 
@@ -987,17 +984,9 @@ class ProtocolEngine:
             found = self._ring_search(g, source, dest, {source})
             if found is None:
                 self._fail(g, source, dest, "no probed beacon knows the destination")
-            holder, path, tx, found_level = found
-            probes.append(
-                ProbeRecord(
-                    relay=holder,
-                    level=found_level,
-                    success=True,
-                    broken=False,
-                    transmissions=tx,
-                    terminus=holder,
-                )
-            )
+            record, path = found
+            holder, found_level = record.relay, record.level
+            probes.append(record)
             legs.append(path)
 
         transmissions = sum(p.transmissions for p in probes)
@@ -1053,22 +1042,13 @@ class ProtocolEngine:
                     f"holder {current} heard no answer for the destination"
                     " at the widest flood radius",
                 )
-            relay, path, tx, relay_level = found
-            probes.append(
-                ProbeRecord(
-                    relay=relay,
-                    level=relay_level,
-                    success=True,
-                    broken=False,
-                    transmissions=tx,
-                    terminus=relay,
-                )
-            )
-            transmissions += tx
+            record, path = found
+            probes.append(record)
+            transmissions += record.transmissions
             legs.append(path)
-            visited.add(relay)
-            current = relay
-            level = relay_level
+            visited.add(record.relay)
+            current = record.relay
+            level = record.level
 
         route = _loop_erase(leg_node for leg in legs for leg_node in leg)
         self._check_route(g, route, source, dest)
@@ -1092,7 +1072,7 @@ class ProtocolEngine:
         dist = dist[near]
         extra = [
             (member, e[0])
-            for member, by_level in self._nodes[node].registrations.items()
+            for member, by_level in self._registrations[node].items()
             for level, e in by_level.items()
             if level >= min_level and e[0] <= max_distance
         ]
@@ -1105,13 +1085,14 @@ class ProtocolEngine:
 
     def _ring_search(
         self, g: ConnectivityGraph, start: int, dest: int, excluded: set[int]
-    ) -> Optional[tuple[int, tuple[int, ...], int, int]]:
+    ) -> Optional[tuple[ProbeRecord, tuple[int, ...]]]:
         """Expanding scoped floods from ``start`` asking who holds a live
         entry for ``dest``; the destination itself always answers.  Nodes in
         ``excluded`` stay silent so the packet never returns to a spot it
-        already left.  Returns (answerer, path, transmissions, entry level)
-        for the nearest answerer, or None when even the widest flood radius
-        hears nobody.  Cost is one broadcast per node inside every ring tried
+        already left.  Returns the successful probe record (the nearest
+        answerer, its entry level and the transmissions) with the path to
+        the answerer, or None when even the widest flood radius hears
+        nobody.  Cost is one broadcast per node inside every ring tried
         plus the answer walking back."""
         radius_fn = self._flood_radius
         max_radius = radius_fn(self.params.levels)
@@ -1160,7 +1141,15 @@ class ProtocolEngine:
             path.append(parent[path[-1]])
         path.reverse()
         found = self._answer(answerer, dest, self.params.levels)[1]
-        return answerer, tuple(path), transmissions, max(found, 0)
+        record = ProbeRecord(
+            relay=answerer,
+            level=max(found, 0),
+            success=True,
+            broken=False,
+            transmissions=transmissions,
+            terminus=answerer,
+        )
+        return record, tuple(path)
 
     def _record(self, result: ProbeResult, relay: int, level: int) -> ProbeRecord:
         return ProbeRecord(
@@ -1199,6 +1188,10 @@ class ProtocolEngine:
     def _check_node(self, u: int) -> None:
         if not 0 <= u < self.n:
             raise ParameterError(f"node id {u} out of range [0, {self.n})")
+
+    def _check_graph(self, g: ConnectivityGraph) -> None:
+        if g.n != self.n:
+            raise ParameterError(f"graph has {g.n} nodes, engine has {self.n}")
 
     def _check_level(self, level: int) -> None:
         if not 0 <= level <= self.params.levels:
@@ -1247,8 +1240,7 @@ def flood(
     within radius-1 rebroadcasts once, the origin included)."""
     engine._check_node(origin)
     engine._check_level(level)
-    if g.n != engine.n:
-        raise ParameterError(f"graph has {g.n} nodes, engine has {engine.n}")
+    engine._check_graph(g)
     if radius < 1:
         raise ParameterError(f"flood radius must be >= 1, got {radius}")
     dist, pred = dijkstra(
@@ -1277,6 +1269,5 @@ def probe(
     engine._check_node(source)
     engine._check_node(relay)
     engine._check_node(dest)
-    if g.n != engine.n:
-        raise ParameterError(f"graph has {g.n} nodes, engine has {engine.n}")
+    engine._check_graph(g)
     return engine._probe(g, source, relay, dest, max_level, budget=budget)

@@ -652,7 +652,7 @@ def test_forward_survives_erased_membership_state_via_search():
     engine._beacon[dest] = -1
     assert all(dest not in engine.member_list(b, level) for b in range(g.n) for level in range(levels + 1))
     for u in range(g.n):
-        engine._nodes[u].registrations.pop(dest, None)
+        engine._registrations[u].pop(dest, None)
     engine._registered_at = {k: v for k, v in engine._registered_at.items() if k[0] != dest}
     for row in engine._floods.of_origin.get(dest, {}).values():
         engine._floods.dist[row] = engine._floods.unreached
@@ -712,6 +712,12 @@ def test_lb_round_stores_every_identifier_at_one_terminus():
             assert seen[(u, level)] == holder
             assert holder == chain_oracle(engine, u, level)
     assert report.registration_hops > 0
+    load = engine.membership_load()
+    assert load.tolist() == [len(engine.lb_store(u)) for u in range(g.n)]
+    assert load.sum() == g.n * (levels + 1)
+    plain, _ = run_round(g, levels=levels, seed=6)
+    with pytest.raises(ParameterError):
+        plain.lb_holder(0, 0)
 
 
 def test_lb_flood_carries_the_origin_parent():
@@ -805,7 +811,7 @@ def best_entry_oracle(
         if distance != pool.unreached:
             stamp = int(pool.stamp[row, node])
             candidates.append(((-stamp, distance, level), int(pool.next_hop[row, node]), False))
-    for level, (distance, hop, stamp) in engine._nodes[node].registrations.get(origin, {}).items():
+    for level, (distance, hop, stamp) in engine._registrations[node].get(origin, {}).items():
         candidates.append(((-stamp, distance, level), hop, True))
     if not candidates:
         return None
@@ -894,6 +900,21 @@ def test_resolved_next_hops_do_not_outlive_a_round_on_the_same_graph() -> None:
     for t in range(4):
         report = engine.beaconing_round(g, t=t, seed=37 + t)
         check_resolved_next_hops(engine, g, t, report.gamma, seen)
+
+
+def test_probe_reverse_state_does_not_outlive_a_round() -> None:
+    g = random_graph(120, seed=3)
+    levels = math.ceil(math.log2(diameter(g).hops))
+    engine, _ = run_round(g, levels=levels, seed=37)
+    source = 0
+    relay = max(engine.routing_entries(source), key=lambda e: e.distance).node_id
+    result = probe(engine, g, source, relay, relay, levels)
+    assert not result.broken and len(result.path) >= 3
+    # Every node the walk crossed now points back toward the source.
+    for back, node in zip(result.path, result.path[1:]):
+        assert engine._reverse_entry(node, source) == (-1, back)
+    engine.beaconing_round(g, t=1, seed=38)
+    assert all(engine._reverse_entry(node, source) is None for node in result.path)
 
 
 def test_stand_alone_flood_between_forwards_is_seen_by_the_second():

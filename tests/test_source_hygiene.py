@@ -3,8 +3,9 @@
 Each ``src/beaconsim/*.py`` and ``tests/*.py`` file is parsed with ``ast``:
 every top-level import must bind a name the module reads (or re-exports
 through ``__all__``), every ``__all__`` entry of a package module must
-resolve on the imported module, and every private function, method or class
-of the package must be named by some package source.
+resolve on the imported module, every private function, method or class
+of the package must be named by some package source, and every attribute
+that package code stores must be read by some package source.
 """
 
 from __future__ import annotations
@@ -116,3 +117,19 @@ def test_every_private_definition_is_referenced() -> None:
         if name not in referenced
     ]
     assert unreferenced == [], f"private definitions no source references: {unreferenced}"
+
+
+def test_every_stored_attribute_is_read() -> None:
+    """An attribute that package code assigns, e.g. ``self._x = ...``, and no
+    package source reads as ``._x`` is state kept for nothing."""
+    stored: dict[str, str] = {}
+    read: set[str] = set()
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.Attribute):
+                if isinstance(node.ctx, ast.Store):
+                    stored.setdefault(node.attr, f"{path.name}:{node.lineno}")
+                elif isinstance(node.ctx, ast.Load):
+                    read.add(node.attr)
+    unread = [f"{where} {name}" for name, where in stored.items() if name not in read]
+    assert unread == [], f"attributes stored but never read: {unread}"
