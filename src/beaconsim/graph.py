@@ -2,8 +2,10 @@
 
 Provides the unit-disk graph builder (plain Euclidean distance), hop-distance
 queries, greedy ball covers with their growth-rate estimator, and diameter
-computation. Graphs are undirected, unweighted, and stored as
-scipy CSR adjacency; node ids are dense integers.
+computation. The diameter is exact up to a size cutoff: eccentricity bounds
+from a few dozen BFS sources pin it down without a BFS from every node.
+Graphs are undirected, unweighted, and stored as scipy CSR adjacency; node
+ids are dense integers.
 """
 
 from __future__ import annotations
@@ -224,6 +226,9 @@ def estimate_doubling_dimension(
 # ---------------------------------------------------------------------------
 
 
+_ECC_BLOCK = 8  # sources per BFS call in the exact diameter's bounds search
+
+
 class DiameterResult(NamedTuple):
     hops: int
     exact: bool
@@ -231,19 +236,50 @@ class DiameterResult(NamedTuple):
 
 def diameter(g: ConnectivityGraph, exact_cutoff: int = 5000) -> DiameterResult:
     """Hop diameter: exact up to ``exact_cutoff`` nodes, double-sweep lower
-    bound (flagged) beyond. Raises on disconnected input."""
+    bound (flagged) beyond. Raises on disconnected input.
+
+    The exact value comes from eccentricity bounds, not from a BFS at every
+    node: a BFS from ``w`` with eccentricity ``e`` bounds every node ``v`` by
+    ``max(d, e - d) <= ecc(v) <= e + d``, where ``d`` is the hop distance
+    from ``w`` to ``v``.  The search keeps the largest lower bound as the
+    diameter candidate, drops every node whose upper bound does not exceed
+    it, and stops when no node is left; the candidate is then the diameter.
+    """
     from_zero = bfs_distances(g, 0)
     if np.isinf(from_zero).any():
         raise ConnectivityError("graph is disconnected; hop diameter is undefined")
     if g.n == 1:
         return DiameterResult(hops=0, exact=True)
     if g.n <= exact_cutoff:
-        best = 0.0
-        block = 512
-        for start in range(0, g.n, block):
-            rows = dijkstra(g.csr, unweighted=True, indices=np.arange(start, min(start + block, g.n)))
-            best = max(best, float(rows.max()))
-        return DiameterResult(hops=int(best), exact=True)
+        return DiameterResult(hops=_bounded_diameter(g, from_zero), exact=True)
     a = int(np.argmax(from_zero))
     from_a = bfs_distances(g, a)
     return DiameterResult(hops=int(from_a.max()), exact=False)
+
+
+def _bounded_diameter(g: ConnectivityGraph, from_zero: np.ndarray) -> int:
+    """Exact hop diameter of connected ``g``, whose BFS row from node 0 is
+    ``from_zero``, by the eccentricity-bounds search ``diameter`` describes.
+
+    Each step searches a block of still-open nodes: those with the highest
+    upper bounds (likely peripheral, so they raise the candidate) and those
+    with the lowest lower bounds (likely central, so they tighten the upper
+    bounds), ties to the lower id.
+    """
+    lo = np.zeros(g.n)
+    hi = np.full(g.n, np.inf)
+    rows = from_zero[np.newaxis, :]
+    half = _ECC_BLOCK // 2
+    while True:
+        ecc = rows.max(axis=1, keepdims=True)
+        lo = np.maximum(lo, np.maximum(rows, ecc - rows).max(axis=0))
+        hi = np.minimum(hi, (ecc + rows).min(axis=0))
+        best = lo.max()
+        open_nodes = np.flatnonzero(hi > best)
+        if len(open_nodes) == 0:
+            return int(best)
+        peripheral = open_nodes[np.argsort(-hi[open_nodes], kind="stable")[:half]]
+        central = open_nodes[np.argsort(lo[open_nodes], kind="stable")]
+        central = central[~np.isin(central, peripheral)][:half]
+        block = np.concatenate([peripheral, central])
+        rows = dijkstra(g.csr, unweighted=True, indices=block)

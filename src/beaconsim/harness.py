@@ -787,7 +787,7 @@ def wall_demonstration(
         (below[int(rng.integers(len(below)))], above[int(rng.integers(len(above)))])
         for _ in range(pair_count)
     ]
-    levels = max(1, math.ceil(math.log2(diameter(g).hops)))
+    levels = max(1, ProtocolParams.levels_for_diameter(diameter(g).hops))
     engine = ProtocolEngine(m, ProtocolParams(kappa=kappa, levels=levels))
     engine.beaconing_round(g, 0, seed=seed + 2)
     baseline_failures = 0

@@ -45,6 +45,7 @@ level count.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from typing import IO, NamedTuple, Optional
@@ -78,6 +79,19 @@ def ring_distance(a: int, b: int, n: int) -> int:
     if n < 1:
         raise ParameterError(f"ring size must be positive, got {n}")
     return min((a - b) % n, (b - a) % n)
+
+
+def _ring_closest(holder: int, ids: list[int], lo: int, hi: int, target: int, n: int) -> int:
+    """The identifier among ``holder`` and ``ids[lo:hi]`` (ascending) that is
+    ring-closest to ``target``, ties to the lower id. Only the slice's ring
+    successor and ring predecessor of ``target`` (wrapping at the slice ends)
+    can be closest, so they are the only ones compared with ``holder``."""
+    candidates = [holder]
+    if lo < hi:
+        i = bisect_left(ids, target, lo, hi)
+        candidates.append(ids[i] if i < hi else ids[lo])
+        candidates.append(ids[i - 1] if i > lo else ids[hi - 1])
+    return min(candidates, key=lambda w: (ring_distance(target, w, n), w))
 
 
 # ---------------------------------------------------------------------------
@@ -780,8 +794,7 @@ class ProtocolEngine:
         holder = start
         for lam in range(self._beacon_level.item(start), 0, -1):
             ids, starts = self._sub_beacons[lam]
-            candidates = [holder, *ids[starts[holder] : starts[holder + 1]]]
-            best = min(candidates, key=lambda w: (ring_distance(target, w, self.n), w))
+            best = _ring_closest(holder, ids, starts[holder], starts[holder + 1], target, self.n)
             if best != holder:
                 yield lam, best
                 holder = best

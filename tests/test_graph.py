@@ -14,6 +14,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
 
 from beaconsim.errors import ConnectivityError, ParameterError
 from beaconsim.geometry import DomainSpec, Position, sample_uniform_positions
@@ -418,10 +420,85 @@ def test_diameter_path_is_length_minus_one() -> None:
     assert result.exact
 
 
+def cycle_graph(m: int) -> ConnectivityGraph:
+    return ConnectivityGraph.from_edges(m, [(i, (i + 1) % m) for i in range(m)])
+
+
+def all_pairs_diameter(g: ConnectivityGraph) -> int:
+    return int(dijkstra(g.csr, unweighted=True).max())
+
+
+def random_connected_graphs(count: int, seed: int) -> list[ConnectivityGraph]:
+    """Seeded random geometric graphs, sparse radii (long, stringy) to dense
+    ones; layouts that come out disconnected are skipped."""
+    rng = np.random.default_rng(seed)
+    graphs = []
+    while len(graphs) < count:
+        n = int(rng.integers(2, 401))
+        r_n = math.sqrt(float(rng.uniform(1.0, 4.0)) * math.log(max(n, 3)))
+        positions = sample_uniform_positions(n, make_domain(n), seed=int(rng.integers(1 << 30)))
+        g = build_geometric_graph(positions, r_n)
+        if np.isfinite(bfs_distances(g, 0)).all():
+            graphs.append(g)
+    return graphs
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        pytest.param(ConnectivityGraph(1, csr_matrix((1, 1))), id="single-node"),
+        pytest.param(path_graph(2), id="path-2"),
+        pytest.param(path_graph(40), id="path-40"),
+        pytest.param(cycle_graph(3), id="cycle-3"),
+        pytest.param(cycle_graph(31), id="cycle-31"),
+        pytest.param(cycle_graph(32), id="cycle-32"),
+        pytest.param(star_graph(12, hub=5), id="star-12"),
+        pytest.param(
+            ConnectivityGraph.from_edges(9, [(u, v) for u in range(9) for v in range(u + 1, 9)]),
+            id="clique-9",
+        ),
+        *(
+            pytest.param(g, id=f"geometric-{i}-n{g.n}")
+            for i, g in enumerate(random_connected_graphs(60, seed=13))
+        ),
+    ],
+)
+def test_diameter_matches_all_pairs_oracle(g: ConnectivityGraph) -> None:
+    result = diameter(g)
+    assert result.exact
+    assert result.hops == all_pairs_diameter(g)
+
+
 def test_diameter_disconnected_raises() -> None:
-    g = ConnectivityGraph.from_edges(4, [(0, 1), (2, 3)])
-    with pytest.raises(ConnectivityError):
-        diameter(g)
+    cases = [
+        ConnectivityGraph.from_edges(4, [(0, 1), (2, 3)]),
+        ConnectivityGraph.from_edges(50, [(i, i + 1) for i in range(48)]),  # node 49 isolated
+        ConnectivityGraph.from_edges(
+            60, [(i, (i + 1) % 30) for i in range(30)] + [(30 + i, 30 + (i + 1) % 30) for i in range(30)]
+        ),
+    ]
+    for g in cases:
+        with pytest.raises(ConnectivityError):
+            diameter(g)
+
+
+def test_diameter_searches_few_sources(monkeypatch) -> None:
+    # An all-pairs search would run 2000 BFS sources here.
+    n = 2000
+    positions = sample_uniform_positions(n, DomainSpec.for_nodes(n), seed=41)
+    g = build_geometric_graph(positions, math.sqrt(2.0 * math.log(n)))
+    sources = []
+
+    def counting_dijkstra(csgraph, *args, indices=None, **kwargs):
+        sources.extend(np.atleast_1d(np.arange(csgraph.shape[0]) if indices is None else indices))
+        return dijkstra(csgraph, *args, indices=indices, **kwargs)
+
+    monkeypatch.setattr("beaconsim.graph.dijkstra", counting_dijkstra)
+    result = diameter(g)
+    assert result.exact
+    monkeypatch.undo()
+    assert result.hops == all_pairs_diameter(g)
+    assert len(sources) <= 100
 
 
 def test_diameter_estimate_flag_and_lower_bound() -> None:

@@ -29,6 +29,7 @@ from beaconsim.protocol import (
     ProtocolEngine,
     ProtocolParams,
     RoutingEntry,
+    _ring_closest,
     flood,
     probe,
     ring_distance,
@@ -677,6 +678,36 @@ def test_ring_distance_prefers_small_cycles_and_low_ids():
     candidates = [5, 1]
     best = min(candidates, key=lambda w: (ring_distance(3, w, n=10), w))
     assert best == 1
+
+
+@pytest.mark.parametrize(
+    "holder, ids, target, n",
+    [
+        (4, [2, 6], 4, 10),  # equidistant on both sides: the lower id wins
+        (9, [1, 7], 4, 10),  # equidistant again, the holder farther away
+        (5, [0, 1, 9], 8, 10),  # the successor wraps to the slice's first id
+        (5, [3, 4, 6], 0, 10),  # the predecessor wraps to the slice's last id
+        (7, [], 3, 10),  # an empty slice leaves the holder
+        (3, [3], 3, 4),  # the target itself is in the slice
+        (2, [0, 4], 6, 8),  # ring distance 2 both ways, across the wrap
+    ],
+)
+def test_ring_closest_cases_match_brute_force(holder, ids, target, n):
+    brute = min([holder, *ids], key=lambda w: (ring_distance(target, w, n), w))
+    assert _ring_closest(holder, ids, 0, len(ids), target, n) == brute
+
+
+def test_ring_closest_matches_brute_force_on_random_slices():
+    rng = np.random.default_rng(17)
+    for _ in range(3000):
+        n = int(rng.integers(1, 60))
+        ids = sorted(rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False).tolist())
+        lo = int(rng.integers(0, len(ids) + 1))
+        hi = int(rng.integers(lo, len(ids) + 1))
+        holder = int(rng.integers(n))
+        target = int(rng.integers(n))
+        brute = min([holder, *ids[lo:hi]], key=lambda w: (ring_distance(target, w, n), w))
+        assert _ring_closest(holder, ids, lo, hi, target, n) == brute
 
 
 def chain_oracle(engine: ProtocolEngine, u: int, level: int) -> int:
