@@ -7,6 +7,7 @@ coverage re-checks.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from collections import deque
 
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra
+from scipy.sparse.csgraph import connected_components, dijkstra
 
 from beaconsim.errors import ConnectivityError, ParameterError
 from beaconsim.geometry import DomainSpec, Position, sample_uniform_positions
@@ -28,6 +29,7 @@ from beaconsim.graph import (
     estimate_doubling_dimension,
     greedy_cover,
 )
+from beaconsim.topology import comb_udg, subcritical_positions
 
 # ---------------------------------------------------------------------------
 # Helpers and oracles
@@ -376,20 +378,116 @@ def test_doubling_estimate_matches_uncached_greedy_covers() -> None:
             assert est.cover_sizes == expected
 
 
+def spy_dijkstra(monkeypatch) -> list[tuple[np.ndarray, dict]]:
+    """Record the sources and keyword arguments of every ``dijkstra`` call
+    the graph module makes."""
+    calls: list[tuple[np.ndarray, dict]] = []
+
+    def recording_dijkstra(csgraph, *args, indices=None, **kwargs):
+        sources = np.arange(csgraph.shape[0]) if indices is None else indices
+        calls.append((np.atleast_1d(sources), kwargs))
+        return dijkstra(csgraph, *args, indices=indices, **kwargs)
+
+    monkeypatch.setattr("beaconsim.graph.dijkstra", recording_dijkstra)
+    return calls
+
+
 def test_doubling_estimate_searches_each_source_once(monkeypatch) -> None:
-    searched: list[int] = []
-
-    def counting_bfs(g: ConnectivityGraph, source: int) -> np.ndarray:
-        searched.append(int(source))
-        return bfs_distances(g, source)
-
-    monkeypatch.setattr("beaconsim.graph.bfs_distances", counting_bfs)
+    calls = spy_dijkstra(monkeypatch)
     n = 300
     positions = sample_uniform_positions(n, make_domain(n), seed=2)
     g = build_geometric_graph(positions, math.sqrt(2.0 * math.log(n)))
     est = estimate_doubling_dimension(g, radii=[2, 4], center_sample=8, seed=9)
+    searched = [int(s) for sources, _ in calls for s in sources]
     assert set(est.centers) <= set(searched)
     assert len(searched) == len(set(searched))
+
+
+def acceptance_regime_graph(n: int, regime: str) -> ConnectivityGraph:
+    """Largest component of the regimes check's seed-100 layout: wide radius
+    sqrt(2 ln n) or sparse radius (ln n)^0.1 on the same positions."""
+    if regime == "supercritical":
+        positions = sample_uniform_positions(n, DomainSpec.for_nodes(n), 100)
+        g = build_geometric_graph(positions, math.sqrt(2.0 * math.log(n)))
+    else:
+        g = build_geometric_graph(*subcritical_positions(n, 0.8, 100))
+    _, labels = connected_components(g.csr, directed=False)
+    keep = np.flatnonzero(labels == np.bincount(labels).argmax())
+    return ConnectivityGraph(len(keep), g.csr[keep][:, keep])
+
+
+# Frozen: sha256 of repr((cover_sizes, alpha_hat, centers)) of the estimate
+# the regimes check makes on each layout (256 centers, radii 2/4/8, seed 100).
+ESTIMATE_DIGESTS = {
+    (512, "supercritical"): "9147e73b56fabd67ba596aa73f416904a580a65b20c374ce16f9a019819740b5",
+    (512, "subcritical"): "3f713edfd0a31bb95c00cbb712109bddd37d5dfe34c3201d0dd6189fb3e25936",
+    (2048, "supercritical"): "4d0bbd33aa573be02c1de761bd00e939b084044f61e7564861615b3fa280ce6d",
+    (2048, "subcritical"): "51b338dca3b7098056e16fd07849f5dcfaa8735442bd9f7e2e3315a36c15e329",
+}
+
+
+@pytest.mark.parametrize("n, regime", sorted(ESTIMATE_DIGESTS))
+def test_doubling_estimate_matches_pinned_digest(n: int, regime: str) -> None:
+    g = acceptance_regime_graph(n, regime)
+    est = estimate_doubling_dimension(g, radii=(2, 4, 8), center_sample=256, seed=100)
+    summary = repr((est.cover_sizes, est.alpha_hat, est.centers))
+    assert hashlib.sha256(summary.encode()).hexdigest() == ESTIMATE_DIGESTS[(n, regime)]
+
+
+# Frozen: the comb center's greedy cover, in pick order, at each radius.
+COMB_COVERS = {
+    8: [16, 7, 25, 133, 151, 169, 183, 197, 118, 214, 104, 232],
+    16: [32, 15, 49, 457, 491, 525, 559, 593, 623, 653, 683, 713, 426, 746, 396, 780,
+         366, 814, 336, 848],
+    32: [64, 31, 97, 1681, 1747, 1813, 1879, 1945, 2011, 2077, 2143, 2209, 2271, 2333,
+         2395, 2457, 2519, 2581, 2643, 2705, 1618, 2770, 1556, 2836, 1494, 2902, 1432,
+         2968, 1370, 3034, 1308, 3100, 1246, 3166, 1184, 3232],
+}
+
+
+@pytest.mark.parametrize("radius", sorted(COMB_COVERS))
+def test_greedy_cover_on_comb_matches_pinned_centers(radius: int) -> None:
+    comb = comb_udg(radius)
+    assert greedy_cover(comb.graph, comb.center_id, radius) == COMB_COVERS[radius]
+
+
+def greedy_cover_oracle(g: ConnectivityGraph, u: int, radius: int) -> list[int]:
+    """Independent greedy cover: deque BFS over ``g.neighbors``, targets
+    taken closest to ``u`` first, ties by lower id."""
+    from_u = bfs_oracle(g, u)
+    target = sorted((v for v in range(g.n) if from_u[v] <= 2 * radius), key=lambda v: (from_u[v], v))
+    covered = [False] * g.n
+    centers = []
+    for v in target:
+        if covered[v]:
+            continue
+        centers.append(v)
+        for w, d in enumerate(bfs_oracle(g, v)):
+            covered[w] = covered[w] or d <= radius
+    return centers
+
+
+def test_greedy_covers_agree_with_deque_oracle() -> None:
+    # Radius 130 puts 2R + 1 above every uint8 value, so the row type widens.
+    rng = np.random.default_rng(17)
+    graphs = [two_cluster_graph(seed=11)]
+    for seed in (21, 22):
+        n = 160
+        positions = sample_uniform_positions(n, make_domain(n), seed=seed)
+        graphs.append(build_geometric_graph(positions, math.sqrt(2.0 * math.log(n))))
+        sparse = build_geometric_graph(positions, math.log(n) ** 0.1)
+        _, labels = connected_components(sparse.csr, directed=False)
+        keep = np.flatnonzero(labels == np.bincount(labels).argmax())
+        graphs.append(ConnectivityGraph(len(keep), sparse.csr[keep][:, keep]))
+    for g in graphs:
+        assert g.n >= 8
+        for radii in ([1, 2, 3, 4], [130]):
+            est = estimate_doubling_dimension(g, radii=radii, center_sample=8, seed=int(rng.integers(100)))
+            for r in radii:
+                oracle = {c: greedy_cover_oracle(g, c, r) for c in est.centers}
+                for c in est.centers:
+                    assert greedy_cover(g, c, r) == oracle[c]
+                assert est.cover_sizes[r] == max(len(centers) for centers in oracle.values())
 
 
 def test_doubling_estimate_rejects_bad_inputs() -> None:
@@ -487,18 +585,12 @@ def test_diameter_searches_few_sources(monkeypatch) -> None:
     n = 2000
     positions = sample_uniform_positions(n, DomainSpec.for_nodes(n), seed=41)
     g = build_geometric_graph(positions, math.sqrt(2.0 * math.log(n)))
-    sources = []
-
-    def counting_dijkstra(csgraph, *args, indices=None, **kwargs):
-        sources.extend(np.atleast_1d(np.arange(csgraph.shape[0]) if indices is None else indices))
-        return dijkstra(csgraph, *args, indices=indices, **kwargs)
-
-    monkeypatch.setattr("beaconsim.graph.dijkstra", counting_dijkstra)
+    calls = spy_dijkstra(monkeypatch)
     result = diameter(g)
     assert result.exact
     monkeypatch.undo()
     assert result.hops == all_pairs_diameter(g)
-    assert len(sources) <= 100
+    assert sum(len(sources) for sources, _ in calls) <= 100
 
 
 def test_diameter_estimate_flag_and_lower_bound() -> None:
