@@ -38,6 +38,7 @@ from .graph import (
     DiameterResult,
     DoublingEstimate,
     ball,
+    bfs_blocks,
     bfs_distances,
     build_geometric_graph,
     diameter,
@@ -126,6 +127,7 @@ __all__ = [
     "WallDemo",
     "WallTopology",
     "ball",
+    "bfs_blocks",
     "bfs_distances",
     "build_geometric_graph",
     "comb_udg",

@@ -2,8 +2,12 @@
 
 Provides the unit-disk graph builder (plain Euclidean distance), hop-distance
 queries, greedy ball covers with their growth-rate estimator, and diameter
-computation. The diameter is exact up to a size cutoff: eccentricity bounds
-from a few dozen BFS sources pin it down without a BFS from every node.
+computation. Many-source searches run in blocks of up to 64 sources per scipy
+call. The estimator advances all its sampled covers in lockstep, so each
+step's new centers cost one batched search, cut at 2 * max(radii) hops since
+no cover reads farther. The diameter is exact up to a size cutoff:
+eccentricity bounds from a few dozen BFS sources pin it down without a BFS
+from every node.
 Graphs are undirected, unweighted, and stored as scipy CSR adjacency; node
 ids are dense integers.
 """
@@ -11,7 +15,7 @@ ids are dense integers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -27,6 +31,7 @@ __all__ = [
     "DiameterResult",
     "build_geometric_graph",
     "bfs_distances",
+    "bfs_blocks",
     "ball",
     "greedy_cover",
     "estimate_doubling_dimension",
@@ -111,6 +116,26 @@ def bfs_distances(g: ConnectivityGraph, source: int) -> np.ndarray:
     return dijkstra(g.csr, unweighted=True, indices=source)
 
 
+_BFS_BLOCK = 64  # sources per BFS call in bfs_blocks: 64 float64 rows at n=2048 are 1 MB
+
+
+def bfs_blocks(
+    g: ConnectivityGraph, sources: Sequence[int], limit: float = np.inf
+) -> Iterator[tuple[Sequence[int], np.ndarray]]:
+    """Hop distances from many sources, searched up to 64 at a time.
+
+    Yields each block of ``sources`` with its ``(len(block), n)`` rows, one
+    scipy call per block, so the call's set-up is paid once per block and
+    only one block is held at a time.  A node farther than ``limit`` hops,
+    or unreachable, reads inf; the search stops expanding at ``limit``.
+    """
+    if len(sources) and not (0 <= min(sources) and max(sources) < g.n):
+        raise ParameterError(f"sources out of range for n={g.n}")
+    for start in range(0, len(sources), _BFS_BLOCK):
+        block = sources[start : start + _BFS_BLOCK]
+        yield block, dijkstra(g.csr, unweighted=True, indices=block, limit=limit)
+
+
 def ball(g: ConnectivityGraph, u: int, radius: int) -> np.ndarray:
     """Node ids within ``radius`` hops of ``u``, ascending."""
     if radius < 0:
@@ -129,41 +154,82 @@ def greedy_cover(g: ConnectivityGraph, u: int, radius: int) -> list[int]:
 
     Picking an uncovered node keeps every pair of centers more than R apart;
     both that separation and full coverage are re-checked before returning.
+    This is the estimator's lockstep routine run on the one cover around
+    ``u``, so each step's search is 2R-limited.
     """
     if radius < 1:
         raise ParameterError(f"cover radius must be at least 1, got {radius}")
-    return _greedy_cover(g, u, radius, lambda v: bfs_distances(g, v))
+    if not (0 <= u < g.n):
+        raise ParameterError(f"source {u} out of range for n={g.n}")
+    picks = _greedy_covers(g, np.array([u]), [radius])[radius]
+    return [int(v) for v in picks[0]]
 
 
-def _greedy_cover(
-    g: ConnectivityGraph, u: int, radius: int, row: Callable[[int], np.ndarray]
-) -> list[int]:
-    """``greedy_cover`` with hop-distance rows taken from ``row(source)``.
+def _greedy_covers(
+    g: ConnectivityGraph, centers: np.ndarray, radii: Sequence[int]
+) -> dict[int, np.ndarray]:
+    """Greedy covers around every node of ``centers``, advanced in lockstep.
 
-    A row may hold any numeric dtype, as long as an unreachable node reads
-    larger than ``2 * radius``.
+    Returns, per radius, a ``(len(centers), k)`` array whose row ``i`` holds
+    cover ``i``'s centers in pick order, padded with -1; ``k`` is the largest
+    cover's size.  At each step every unfinished cover picks its nearest
+    uncovered node (lowest id on ties) with one ``argmin`` over its masked
+    center row, and the step's new sources are searched together.
+
+    Every comparison is against R or 2R, so BFS runs only to
+    ``2 * max(radii)`` hops, in ``bfs_blocks``' blocks of 64 sources, and each
+    source is searched at most once.  A row is held in the narrowest unsigned
+    type that holds ``2 * max(radii) + 1``; nodes past the limit read as the
+    type's maximum, farther than every compared radius.
     """
-    dist_u = row(u)
-    nodes = np.flatnonzero(dist_u <= 2 * radius)
-    target = nodes[np.argsort(dist_u[nodes], kind="stable")]
-    covered = np.zeros(g.n, dtype=bool)
-    centers: list[int] = []
-    center_dists: list[np.ndarray] = []
-    for v in target:
-        if covered[v]:
-            continue
-        dist_v = row(int(v))
-        for prev, prev_dist in zip(centers, center_dists):
-            if prev_dist[v] <= radius:
-                raise ProtocolInvariantError(
-                    f"cover centers {prev} and {int(v)} are within {radius} hops"
-                )
-        centers.append(int(v))
-        center_dists.append(dist_v)
-        covered |= dist_v <= radius
-    if not covered[target].all():
-        raise ProtocolInvariantError("greedy cover left part of the 2R-ball uncovered")
-    return centers
+    limit = 2 * max(radii)
+    dtype = np.min_scalar_type(limit + 1)
+    unreachable = np.iinfo(dtype).max
+    rows: dict[int, np.ndarray] = {}
+
+    def fetch(sources: np.ndarray) -> np.ndarray:
+        new = [int(v) for v in np.unique(sources) if int(v) not in rows]
+        for block, dist in bfs_blocks(g, new, limit):
+            dist[np.isinf(dist)] = unreachable
+            rows.update(zip(block, dist.astype(dtype)))
+        return np.stack([rows[int(v)] for v in sources])
+
+    from_centers = fetch(centers)
+    picks: dict[int, np.ndarray] = {}
+    for radius in radii:
+        live = np.arange(len(centers))
+        targets = np.where(from_centers <= 2 * radius, from_centers, unreachable)
+        covered = np.zeros(targets.shape, dtype=bool)
+        steps: list[np.ndarray] = []
+        while True:
+            uncovered = np.where(covered, unreachable, targets)
+            nearest = uncovered.argmin(axis=1)
+            going = uncovered[np.arange(len(live)), nearest] != unreachable
+            if not going.all():
+                if (~covered[~going] & (targets[~going] != unreachable)).any():
+                    raise ProtocolInvariantError(
+                        "greedy cover left part of the 2R-ball uncovered"
+                    )
+                live, nearest = live[going], nearest[going]
+                targets, covered = targets[going], covered[going]
+                if len(live) == 0:
+                    break
+            from_new = fetch(nearest)
+            if steps:
+                earlier = np.stack(steps, axis=1)[live]
+                close = from_new[np.arange(len(live))[:, np.newaxis], earlier] <= radius
+                if close.any():
+                    i, j = np.argwhere(close)[0]
+                    raise ProtocolInvariantError(
+                        f"cover centers {earlier[i, j]} and {nearest[i]} are within "
+                        f"{radius} hops"
+                    )
+            covered |= from_new <= radius
+            step = np.full(len(centers), -1)
+            step[live] = nearest
+            steps.append(step)
+        picks[int(radius)] = np.stack(steps, axis=1)
+    return picks
 
 
 @dataclass(frozen=True)
@@ -181,12 +247,12 @@ def estimate_doubling_dimension(
 ) -> DoublingEstimate:
     """Max greedy cover count over sampled centers, per radius and overall.
 
-    Covers around nearby centers search the same sources again and again, so
-    BFS rows are memoized once per graph: each source is searched at most
-    once per estimate.  A row is stored compactly, in the narrowest unsigned
-    integer type that holds every hop count and every compared radius, with
-    the type's maximum as the sentinel for an unreachable node, so that
-    unreachable still reads farther than every radius.
+    For each radius, all sampled covers advance in lockstep: each step picks
+    every unfinished cover's next center at once, and the step's uncached
+    centers are searched together, 2R-limited, in blocks of at most 64
+    sources (the sampled centers' own rows first).  Each source is searched
+    at most once per estimate, and every cover picks the same centers in the
+    same order as ``greedy_cover`` run on its own.
     """
     if len(radii) == 0:
         raise ParameterError("at least one radius is required")
@@ -197,22 +263,8 @@ def estimate_doubling_dimension(
     rng = np.random.default_rng(seed)
     count = min(center_sample, g.n)
     centers = np.sort(rng.choice(g.n, size=count, replace=False))
-    dtype = np.min_scalar_type(max(g.n, 2 * max(int(r) for r in radii) + 1))
-    unreachable = np.iinfo(dtype).max
-    rows: dict[int, np.ndarray] = {}
-
-    def row(source: int) -> np.ndarray:
-        cached = rows.get(source)
-        if cached is None:
-            dist = bfs_distances(g, source)
-            dist[np.isinf(dist)] = unreachable
-            cached = rows[source] = dist.astype(dtype)
-        return cached
-
-    cover_sizes = {
-        int(r): max(len(_greedy_cover(g, int(c), int(r), row)) for c in centers)
-        for r in radii
-    }
+    picks = _greedy_covers(g, centers, [int(r) for r in radii])
+    cover_sizes = {int(r): picks[int(r)].shape[1] for r in radii}
     return DoublingEstimate(
         cover_sizes=cover_sizes,
         alpha_hat=max(cover_sizes.values()),

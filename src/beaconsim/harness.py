@@ -27,7 +27,7 @@ from .errors import ParameterError, ProtocolInvariantError
 from .geometry import DomainSpec, Position, SquareletGrid, sample_uniform_positions
 from .graph import (
     ConnectivityGraph,
-    bfs_distances,
+    bfs_blocks,
     build_geometric_graph,
     diameter,
     estimate_doubling_dimension,
@@ -446,6 +446,20 @@ def _initial_graph(layout: _Layout) -> ConnectivityGraph:
     return layout.static_graph or build_geometric_graph(layout.positions, layout.r_n)
 
 
+def _pair_hops(g: ConnectivityGraph, pairs: Sequence[tuple[int, int]]) -> list[float]:
+    """Hop distance of each (source, dest) pair on ``g``, inf if unreachable:
+    the same-graph oracle, with each distinct source searched once."""
+    wanted: dict[int, list[int]] = {}
+    for i, (source, _) in enumerate(pairs):
+        wanted.setdefault(source, []).append(i)
+    hops = [math.inf] * len(pairs)
+    for block, dist in bfs_blocks(g, sorted(wanted)):
+        for source, row in zip(block, dist):
+            for i in wanted[source]:
+                hops[i] = float(row[pairs[i][1]])
+    return hops
+
+
 def _check_route_bound(
     source: int, dest: int, route_hops: int, hops: int, kappa: float
 ) -> None:
@@ -476,7 +490,8 @@ def run_simulation(config: SimConfig) -> MetricsSeries:
 
     Each round: one mobility step (after the first round), a fresh
     connectivity graph, one beaconing round, then ``pair_samples`` forwards
-    with a same-step BFS oracle as the stretch denominator. Draws whose
+    with a same-step BFS oracle as the stretch denominator. The round's pairs
+    are drawn first and their distinct sources searched together. Draws whose
     endpoints sit in different components are skipped and counted. Delivered
     routes are re-validated by the protocol engine and must stay within the
     hard route bound; stretch below one is impossible because routes are
@@ -517,15 +532,15 @@ def run_simulation(config: SimConfig) -> MetricsSeries:
         probe_tx = 0
         if config.pair_samples > 0:
             rng = np.random.default_rng((config.sampling_seed, t))
-            for _ in range(config.pair_samples):
-                source, dest = (
-                    int(x) for x in rng.choice(m, size=2, replace=False)
-                )
-                dist = bfs_distances(g, source)
-                if math.isinf(dist[dest]):
+            pairs = [
+                tuple(int(x) for x in rng.choice(m, size=2, replace=False))
+                for _ in range(config.pair_samples)
+            ]
+            for (source, dest), dist in zip(pairs, _pair_hops(g, pairs)):
+                if math.isinf(dist):
                     skipped += 1
                     continue
-                hops = int(dist[dest])
+                hops = int(dist)
                 receipt = engine.forward(g, source, dest)
                 _check_route_bound(source, dest, receipt.route_hops, hops, config.kappa)
                 samples.append((receipt.route_hops, hops))
@@ -793,10 +808,10 @@ def wall_demonstration(
     baseline_failures = 0
     delivered = 0
     worst = 0.0
-    for source, dest in pairs:
+    for (source, dest), dist in zip(pairs, _pair_hops(g, pairs)):
         if not greedy_georoute_baseline(g, wall.positions, source, dest).delivered:
             baseline_failures += 1
-        hops = int(bfs_distances(g, source)[dest])
+        hops = int(dist)
         receipt = engine.forward(g, source, dest)
         _check_route_bound(source, dest, receipt.route_hops, hops, kappa)
         delivered += 1

@@ -23,6 +23,7 @@ from beaconsim.geometry import DomainSpec, Position, sample_uniform_positions
 from beaconsim.graph import (
     ConnectivityGraph,
     ball,
+    bfs_blocks,
     bfs_distances,
     build_geometric_graph,
     diameter,
@@ -179,6 +180,23 @@ def test_bfs_symmetry_and_triangle_inequality_on_sampled_triples() -> None:
         assert dist_cache[u][v] == dist_cache[v][u]
         if not math.isinf(dist_cache[u][v]) and not math.isinf(dist_cache[v][w]):
             assert dist_cache[u][w] <= dist_cache[u][v] + dist_cache[v][w]
+
+
+def test_bfs_blocks_match_single_source_rows_and_cut_at_the_limit() -> None:
+    g = two_cluster_graph(seed=4)
+    sources = list(range(0, g.n, 2))  # 90 sources: a full block and a partial one
+    blocks = list(bfs_blocks(g, sources))
+    assert [len(block) for block, _ in blocks] == [64, 26]
+    for block, rows in blocks:
+        for source, row in zip(block, rows):
+            assert row.tolist() == bfs_oracle(g, source)
+    for block, rows in bfs_blocks(g, sources, limit=3):
+        for source, row in zip(block, rows):
+            full = np.array(bfs_oracle(g, source))
+            assert np.array_equal(row, np.where(full <= 3, full, np.inf))
+    assert list(bfs_blocks(g, [])) == []
+    with pytest.raises(ParameterError):
+        list(bfs_blocks(g, [0, g.n]))
 
 
 def test_ball_zero_radius_is_singleton() -> None:
@@ -401,6 +419,20 @@ def test_doubling_estimate_searches_each_source_once(monkeypatch) -> None:
     searched = [int(s) for sources, _ in calls for s in sources]
     assert set(est.centers) <= set(searched)
     assert len(searched) == len(set(searched))
+
+
+def test_doubling_estimate_batches_its_searches_to_2r(monkeypatch) -> None:
+    # 256 covers at n=2048 fetch about 780 distinct rows; one search per row
+    # would be about 780 calls.
+    g = acceptance_regime_graph(2048, "supercritical")
+    calls = spy_dijkstra(monkeypatch)
+    est = estimate_doubling_dimension(g, radii=[2, 4, 8], center_sample=256, seed=100)
+    searched = [int(s) for sources, _ in calls for s in sources]
+    assert all(len(sources) <= 64 for sources, _ in calls)
+    assert all(kwargs.get("limit") == 16 for _, kwargs in calls)
+    assert len(searched) == len(set(searched))
+    assert set(est.centers) <= set(searched)
+    assert len(calls) <= 60
 
 
 def acceptance_regime_graph(n: int, regime: str) -> ConnectivityGraph:
