@@ -161,16 +161,16 @@ def greedy_cover(g: ConnectivityGraph, u: int, radius: int) -> list[int]:
         raise ParameterError(f"cover radius must be at least 1, got {radius}")
     if not (0 <= u < g.n):
         raise ParameterError(f"source {u} out of range for n={g.n}")
-    picks = _greedy_covers(g, np.array([u]), [radius])[radius]
-    return [int(v) for v in picks[0]]
+    (picks,) = _greedy_covers(g, np.array([u]), [radius])
+    return picks[0].tolist()
 
 
 def _greedy_covers(
     g: ConnectivityGraph, centers: np.ndarray, radii: Sequence[int]
-) -> dict[int, np.ndarray]:
+) -> list[np.ndarray]:
     """Greedy covers around every node of ``centers``, advanced in lockstep.
 
-    Returns, per radius, a ``(len(centers), k)`` array whose row ``i`` holds
+    Returns, for each radius in turn, a ``(len(centers), k)`` array whose row ``i`` holds
     cover ``i``'s centers in pick order, padded with -1; ``k`` is the largest
     cover's size.  At each step every unfinished cover picks its nearest
     uncovered node (lowest id on ties) with one ``argmin`` over its masked
@@ -183,7 +183,7 @@ def _greedy_covers(
     type's maximum, farther than every compared radius.
     """
     limit = 2 * max(radii)
-    dtype = np.min_scalar_type(limit + 1)
+    dtype = np.min_scalar_type(int(limit) + 1)
     unreachable = np.iinfo(dtype).max
     rows: dict[int, np.ndarray] = {}
 
@@ -195,7 +195,7 @@ def _greedy_covers(
         return np.stack([rows[int(v)] for v in sources])
 
     from_centers = fetch(centers)
-    picks: dict[int, np.ndarray] = {}
+    picks: list[np.ndarray] = []
     for radius in radii:
         live = np.arange(len(centers))
         targets = np.where(from_centers <= 2 * radius, from_centers, unreachable)
@@ -228,7 +228,7 @@ def _greedy_covers(
             step = np.full(len(centers), -1)
             step[live] = nearest
             steps.append(step)
-        picks[int(radius)] = np.stack(steps, axis=1)
+        picks.append(np.stack(steps, axis=1))
     return picks
 
 
@@ -263,12 +263,13 @@ def estimate_doubling_dimension(
     rng = np.random.default_rng(seed)
     count = min(center_sample, g.n)
     centers = np.sort(rng.choice(g.n, size=count, replace=False))
-    picks = _greedy_covers(g, centers, [int(r) for r in radii])
-    cover_sizes = {int(r): picks[int(r)].shape[1] for r in radii}
+    int_radii = tuple(int(r) for r in radii)
+    picks = _greedy_covers(g, centers, int_radii)
+    cover_sizes = {r: p.shape[1] for r, p in zip(int_radii, picks)}
     return DoublingEstimate(
         cover_sizes=cover_sizes,
         alpha_hat=max(cover_sizes.values()),
-        radii=tuple(int(r) for r in radii),
+        radii=int_radii,
         centers=tuple(int(c) for c in centers),
     )
 
