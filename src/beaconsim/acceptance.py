@@ -25,7 +25,7 @@ from .geometry import (
     occupancy_report,
     sample_uniform_positions,
 )
-from .graph import bfs_distances, build_geometric_graph, greedy_cover
+from .graph import bfs_blocks, build_geometric_graph, greedy_cover
 from .harness import (
     MetricsSeries,
     SimConfig,
@@ -185,17 +185,17 @@ def _audit_round(engine: ProtocolEngine, g, report: RoundReport) -> tuple[int, i
         if len(nodes) < 2:
             continue
         radius = 2**level
-        for b in nodes:
-            dist = bfs_distances(g, b)
-            for other in nodes:
-                if other == b:
-                    continue
-                if dist[other] <= radius:
-                    raise ProtocolInvariantError(
-                        f"level-{level} beacons {b} and {other} are only "
-                        f"{dist[other]:.0f} hops apart"
-                    )
-                separations += 1
+        for block, rows in bfs_blocks(g, nodes, radius):
+            for b, dist in zip(block, rows):
+                for other in nodes:
+                    if other == b:
+                        continue
+                    if dist[other] <= radius:
+                        raise ProtocolInvariantError(
+                            f"level-{level} beacons {b} and {other} are only "
+                            f"{dist[other]:.0f} hops apart"
+                        )
+                    separations += 1
     return memberships, separations
 
 

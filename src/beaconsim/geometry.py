@@ -1,11 +1,11 @@
 """Node placement, network domain, and the squarelet grid.
 
-Coordinates live in the half-open square [0, side) x [0, side). The squarelet
-grid divides the domain into cells of side r_n / c; with c >= sqrt(5) any two
-points in horizontally or vertically adjacent cells are within r_n of each
-other, which is what the occupancy check relies on. When side is not an
-integer multiple of the cell side the grid overhangs the boundary and the edge
-cells are clipped.
+Coordinates live in the half-open square [0, side) x [0, side); motion wraps
+around it as a torus. The squarelet grid divides the domain into cells of
+side r_n / c; with c >= sqrt(5) any two points in horizontally or vertically
+adjacent cells are within r_n of each other, which is what the occupancy
+check relies on. When side is not an integer multiple of the cell side the
+grid overhangs the boundary and the edge cells are clipped.
 """
 
 from __future__ import annotations
@@ -21,8 +21,6 @@ from .errors import DomainError, ParameterError
 #: Minimum grid subdivision factor: guarantees r_n reaches across adjacent cells.
 MIN_SUBDIVISION = math.sqrt(5.0)
 
-_BOUNDARY_MODES = ("torus", "reflect")
-
 
 class Position(NamedTuple):
     """A point in the domain; both coordinates in [0, side)."""
@@ -33,33 +31,28 @@ class Position(NamedTuple):
 
 @dataclass(frozen=True)
 class DomainSpec:
-    """The square network area housing ``n`` nodes.
+    """The square torus housing ``n`` nodes.
 
     ``side`` must equal sqrt(n) up to floating-point tolerance so densities
     stay at one node per unit area.
     """
 
     side: float
-    boundary_mode: str = "torus"
     n: int = 0
 
     def __post_init__(self) -> None:
         if self.side <= 0.0:
             raise ParameterError(f"domain side must be positive, got {self.side}")
-        if self.boundary_mode not in _BOUNDARY_MODES:
-            raise ParameterError(
-                f"boundary_mode must be one of {_BOUNDARY_MODES}, got {self.boundary_mode!r}"
-            )
         if abs(self.side * self.side - self.n) > 1e-6 * max(1.0, float(self.n)):
             raise ParameterError(
                 f"side^2 = {self.side * self.side} does not match declared n = {self.n}"
             )
 
     @classmethod
-    def for_nodes(cls, n: int, boundary_mode: str = "torus") -> "DomainSpec":
+    def for_nodes(cls, n: int) -> "DomainSpec":
         if n < 1:
             raise ParameterError(f"node count must be >= 1, got {n}")
-        return cls(side=math.sqrt(n), boundary_mode=boundary_mode, n=n)
+        return cls(side=math.sqrt(n), n=n)
 
 
 @dataclass(frozen=True)

@@ -5,9 +5,9 @@ queries, greedy ball covers with their growth-rate estimator, and diameter
 computation. Many-source searches run in blocks of up to 64 sources per scipy
 call. The estimator advances all its sampled covers in lockstep, so each
 step's new centers cost one batched search, cut at 2 * max(radii) hops since
-no cover reads farther. The diameter is exact up to a size cutoff:
-eccentricity bounds from a few dozen BFS sources pin it down without a BFS
-from every node.
+no cover reads farther. The diameter is exact at every size: eccentricity
+bounds from a few dozen BFS sources pin it down without a BFS from every
+node. Only ``bfs_distances`` and ``bfs_blocks`` call scipy's search.
 Graphs are undirected, unweighted, and stored as scipy CSR adjacency; node
 ids are dense integers.
 """
@@ -78,9 +78,6 @@ class ConnectivityGraph:
     def neighbors(self, u: int) -> np.ndarray:
         return self.csr.indices[self.csr.indptr[u] : self.csr.indptr[u + 1]]
 
-    def degree(self, u: int) -> int:
-        return int(self.csr.indptr[u + 1] - self.csr.indptr[u])
-
     @property
     def num_edges(self) -> int:
         return int(self.csr.nnz) // 2
@@ -134,6 +131,20 @@ def bfs_blocks(
     for start in range(0, len(sources), _BFS_BLOCK):
         block = sources[start : start + _BFS_BLOCK]
         yield block, dijkstra(g.csr, unweighted=True, indices=block, limit=limit)
+
+
+def _pair_hops(g: ConnectivityGraph, pairs: Sequence[tuple[int, int]] | np.ndarray) -> np.ndarray:
+    """Hop distance of each (source, dest) pair on ``g``, inf if unreachable,
+    with each distinct source searched once, in ``bfs_blocks``' blocks."""
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    sources, slot = np.unique(pairs[:, 0], return_inverse=True)
+    hops = np.empty(len(pairs))
+    start = 0
+    for block, dist in bfs_blocks(g, sources):
+        mine = (slot >= start) & (slot < start + len(block))
+        hops[mine] = dist[slot[mine] - start, pairs[mine, 1]]
+        start += len(block)
+    return hops
 
 
 def ball(g: ConnectivityGraph, u: int, radius: int) -> np.ndarray:
@@ -279,46 +290,31 @@ def estimate_doubling_dimension(
 # ---------------------------------------------------------------------------
 
 
-_ECC_BLOCK = 8  # sources per BFS call in the exact diameter's bounds search
+_ECC_BLOCK = 8  # sources per step of the diameter's bounds search
 
 
 class DiameterResult(NamedTuple):
     hops: int
-    exact: bool
 
 
-def diameter(g: ConnectivityGraph, exact_cutoff: int = 5000) -> DiameterResult:
-    """Hop diameter: exact up to ``exact_cutoff`` nodes, double-sweep lower
-    bound (flagged) beyond. Raises on disconnected input.
+def diameter(g: ConnectivityGraph) -> DiameterResult:
+    """Exact hop diameter. Raises on disconnected input.
 
-    The exact value comes from eccentricity bounds, not from a BFS at every
-    node: a BFS from ``w`` with eccentricity ``e`` bounds every node ``v`` by
+    The value comes from eccentricity bounds, not from a BFS at every node:
+    a BFS from ``w`` with eccentricity ``e`` bounds every node ``v`` by
     ``max(d, e - d) <= ecc(v) <= e + d``, where ``d`` is the hop distance
     from ``w`` to ``v``.  The search keeps the largest lower bound as the
     diameter candidate, drops every node whose upper bound does not exceed
     it, and stops when no node is left; the candidate is then the diameter.
-    """
-    from_zero = bfs_distances(g, 0)
-    if np.isinf(from_zero).any():
-        raise ConnectivityError("graph is disconnected; hop diameter is undefined")
-    if g.n == 1:
-        return DiameterResult(hops=0, exact=True)
-    if g.n <= exact_cutoff:
-        return DiameterResult(hops=_bounded_diameter(g, from_zero), exact=True)
-    a = int(np.argmax(from_zero))
-    from_a = bfs_distances(g, a)
-    return DiameterResult(hops=int(from_a.max()), exact=False)
-
-
-def _bounded_diameter(g: ConnectivityGraph, from_zero: np.ndarray) -> int:
-    """Exact hop diameter of connected ``g``, whose BFS row from node 0 is
-    ``from_zero``, by the eccentricity-bounds search ``diameter`` describes.
 
     Each step searches a block of still-open nodes: those with the highest
     upper bounds (likely peripheral, so they raise the candidate) and those
     with the lowest lower bounds (likely central, so they tighten the upper
     bounds), ties to the lower id.
     """
+    from_zero = bfs_distances(g, 0)
+    if np.isinf(from_zero).any():
+        raise ConnectivityError("graph is disconnected; hop diameter is undefined")
     lo = np.zeros(g.n)
     hi = np.full(g.n, np.inf)
     rows = from_zero[np.newaxis, :]
@@ -330,9 +326,9 @@ def _bounded_diameter(g: ConnectivityGraph, from_zero: np.ndarray) -> int:
         best = lo.max()
         open_nodes = np.flatnonzero(hi > best)
         if len(open_nodes) == 0:
-            return int(best)
+            return DiameterResult(hops=int(best))
         peripheral = open_nodes[np.argsort(-hi[open_nodes], kind="stable")[:half]]
         central = open_nodes[np.argsort(lo[open_nodes], kind="stable")]
         central = central[~np.isin(central, peripheral)][:half]
         block = np.concatenate([peripheral, central])
-        rows = dijkstra(g.csr, unweighted=True, indices=block)
+        ((_, rows),) = bfs_blocks(g, block)  # one block: _ECC_BLOCK is below 64

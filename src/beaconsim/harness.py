@@ -27,7 +27,7 @@ from .errors import ParameterError, ProtocolInvariantError
 from .geometry import DomainSpec, Position, SquareletGrid, sample_uniform_positions
 from .graph import (
     ConnectivityGraph,
-    bfs_blocks,
+    _pair_hops,
     build_geometric_graph,
     diameter,
     estimate_doubling_dimension,
@@ -446,20 +446,6 @@ def _initial_graph(layout: _Layout) -> ConnectivityGraph:
     return layout.static_graph or build_geometric_graph(layout.positions, layout.r_n)
 
 
-def _pair_hops(g: ConnectivityGraph, pairs: Sequence[tuple[int, int]]) -> list[float]:
-    """Hop distance of each (source, dest) pair on ``g``, inf if unreachable:
-    the same-graph oracle, with each distinct source searched once."""
-    wanted: dict[int, list[int]] = {}
-    for i, (source, _) in enumerate(pairs):
-        wanted.setdefault(source, []).append(i)
-    hops = [math.inf] * len(pairs)
-    for block, dist in bfs_blocks(g, sorted(wanted)):
-        for source, row in zip(block, dist):
-            for i in wanted[source]:
-                hops[i] = float(row[pairs[i][1]])
-    return hops
-
-
 def _check_route_bound(
     source: int, dest: int, route_hops: int, hops: int, kappa: float
 ) -> None:
@@ -777,14 +763,14 @@ def wall_demonstration(
     seed: int,
     pair_count: int = 100,
     hole_width_factor: float = 1.0,
-    kappa: float = 1.0,
 ) -> WallDemo:
     """Cross-wall routing contest on one static wall layout.
 
     Samples pairs with the source below the wall strip and the target above
     it, then compares the greedy geographic walk against hierarchical
-    forwarding after a single beaconing round. Greedy walks die against the
-    wall; forwarding must deliver every pair within the hard route bound.
+    forwarding (kappa 1) after a single beaconing round. Greedy walks die
+    against the wall; forwarding must deliver every pair within the hard
+    route bound.
     """
     if pair_count < 1:
         raise ParameterError(f"need at least one pair, got {pair_count}")
@@ -803,7 +789,8 @@ def wall_demonstration(
         for _ in range(pair_count)
     ]
     levels = max(1, ProtocolParams.levels_for_diameter(diameter(g).hops))
-    engine = ProtocolEngine(m, ProtocolParams(kappa=kappa, levels=levels))
+    params = ProtocolParams(kappa=1.0, levels=levels)
+    engine = ProtocolEngine(m, params)
     engine.beaconing_round(g, 0, seed=seed + 2)
     baseline_failures = 0
     delivered = 0
@@ -813,7 +800,7 @@ def wall_demonstration(
             baseline_failures += 1
         hops = int(dist)
         receipt = engine.forward(g, source, dest)
-        _check_route_bound(source, dest, receipt.route_hops, hops, kappa)
+        _check_route_bound(source, dest, receipt.route_hops, hops, params.kappa)
         delivered += 1
         worst = max(worst, receipt.route_hops / hops)
     return WallDemo(

@@ -2,7 +2,9 @@
 
 All models obey a hard per-step speed cap: every node's displacement is
 strictly below ``max_speed`` length units per time step, independent of the
-node count. Steps are functional in (seed, t) so trajectories replay exactly.
+node count, measured as torus distance: the domain wraps, so a node leaving
+one edge re-enters at the opposite one. Steps are functional in (seed, t) so
+trajectories replay exactly.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import numpy as np
 
 from .errors import DomainError, HorizonError, ParameterError, ProtocolInvariantError
 from .geometry import DomainSpec, Position, positions_as_array
-from .graph import ConnectivityGraph, bfs_distances
+from .graph import ConnectivityGraph, _pair_hops
 
 __all__ = [
     "RandomWalk",
@@ -37,12 +39,6 @@ def _check_speed(max_speed: float) -> None:
         raise ParameterError(f"max speed must be positive, got {max_speed}")
 
 
-def _reflect_into_box(coords: np.ndarray, side: float) -> np.ndarray:
-    out = np.where(coords < 0, -coords, coords)
-    out = np.where(out >= side, 2.0 * side - out, out)
-    return np.clip(out, 0.0, np.nextafter(side, 0.0))
-
-
 @dataclass
 class RandomWalk:
     """Independent per-node jumps: direction uniform on [0, 2pi), length
@@ -53,17 +49,12 @@ class RandomWalk:
     def __post_init__(self) -> None:
         _check_speed(self.max_speed)
 
-    def warmup_steps(self, domain: DomainSpec) -> int:
-        return 0
-
     def advance(self, arr: np.ndarray, domain: DomainSpec, rng: np.random.Generator) -> np.ndarray:
         n = len(arr)
         theta = rng.uniform(0.0, 2.0 * math.pi, n)
         radius = rng.uniform(0.0, self.max_speed, n)
         moved = arr + np.column_stack([radius * np.cos(theta), radius * np.sin(theta)])
-        if domain.boundary_mode == "torus":
-            return np.mod(moved, domain.side)
-        return _reflect_into_box(moved, domain.side)
+        return np.mod(moved, domain.side)
 
 
 @dataclass
@@ -76,14 +67,7 @@ class Lockstep:
     def __post_init__(self) -> None:
         _check_speed(self.max_speed)
 
-    def warmup_steps(self, domain: DomainSpec) -> int:
-        return 0
-
     def advance(self, arr: np.ndarray, domain: DomainSpec, rng: np.random.Generator) -> np.ndarray:
-        if domain.boundary_mode != "torus":
-            raise ParameterError(
-                "lockstep motion requires a torus domain; reflection breaks the shared shift"
-            )
         theta = rng.uniform(0.0, 2.0 * math.pi)
         radius = rng.uniform(0.0, self.max_speed)
         shift = np.array([radius * math.cos(theta), radius * math.sin(theta)])
@@ -96,8 +80,7 @@ class RandomWaypoint:
     target (and a leg speed in [max_speed/2, max_speed)) on arrival.
 
     Stateful across steps; the first step initializes targets from its rng.
-    Leg speeds stay above half the cap so legs terminate; sequences should
-    discard ``warmup_steps`` steps to reach the stationary regime.
+    Leg speeds stay above half the cap so legs terminate.
     """
 
     max_speed: float
@@ -106,9 +89,6 @@ class RandomWaypoint:
 
     def __post_init__(self) -> None:
         _check_speed(self.max_speed)
-
-    def warmup_steps(self, domain: DomainSpec) -> int:
-        return math.ceil(10.0 * domain.side / self.max_speed)
 
     def advance(self, arr: np.ndarray, domain: DomainSpec, rng: np.random.Generator) -> np.ndarray:
         n = len(arr)
@@ -139,8 +119,7 @@ MobilityModel = Union[RandomWalk, RandomWaypoint, Lockstep]
 
 def _displacements(before: np.ndarray, after: np.ndarray, domain: DomainSpec) -> np.ndarray:
     delta = np.abs(after - before)
-    if domain.boundary_mode == "torus":
-        delta = np.minimum(delta, domain.side - delta)
+    delta = np.minimum(delta, domain.side - delta)
     return np.hypot(delta[:, 0], delta[:, 1])
 
 
@@ -227,11 +206,8 @@ def measure_smoothness(
         while clash.any():
             vs[clash] = rng.integers(0, n, int(clash.sum()))
             clash = us == vs
-        dist0 = {int(u): bfs_distances(g0, int(u)) for u in np.unique(us)}
-        dist1 = {int(u): bfs_distances(g1, int(u)) for u in np.unique(us)}
-        for u, v in zip(us, vs):
-            db = dist0[int(u)][v]
-            da = dist1[int(u)][v]
+        pairs = np.column_stack([us, vs])
+        for db, da in zip(_pair_hops(g0, pairs), _pair_hops(g1, pairs)):
             if math.isinf(db) or math.isinf(da):
                 skipped += 1
                 continue

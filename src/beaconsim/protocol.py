@@ -131,18 +131,9 @@ class ProtocolParams:
                 )
 
     @classmethod
-    def for_graph(
-        cls,
-        g: ConnectivityGraph,
-        kappa: float,
-        nu: int = 1,
-        alpha_hat: float = 9.0,
-        levels: Optional[int] = None,
-    ) -> "ProtocolParams":
-        """Level count from the current hop diameter unless overridden."""
-        if levels is None:
-            levels = cls.levels_for_diameter(diameter(g).hops)
-        return cls(kappa=kappa, levels=levels, nu=nu, alpha_hat=alpha_hat)
+    def for_graph(cls, g: ConnectivityGraph, kappa: float) -> "ProtocolParams":
+        """Level count from the current hop diameter."""
+        return cls(kappa=kappa, levels=cls.levels_for_diameter(diameter(g).hops))
 
     @staticmethod
     def levels_for_diameter(hops: int) -> int:
@@ -1108,13 +1099,19 @@ class ProtocolEngine:
         nobody.  Cost is one broadcast per node inside every ring tried
         plus the answer walking back."""
         radius_fn = self._flood_radius
-        max_radius = radius_fn(self.params.levels)
+        levels = self.params.levels
+        stop = radius_fn(levels)
         parent = {start: -1}
         frontier = deque([start])
         ball_at: list[int] = [1]
-        best: Optional[tuple[int, int]] = None
+        answerer: Optional[int] = None  # lowest id among the first answering level
+        hit_depth = ring = 0
         depth = 0
-        while frontier and depth < max_radius and best is None:
+        # The successful ring floods all the way out even though the answer
+        # comes from closer in, so once a level answers the search keeps
+        # expanding, without asking, to that ring's radius: its full ball is
+        # charged, as is each empty ring before it.
+        while frontier and depth < stop:
             depth += 1
             nxt: deque[int] = deque()
             for u in frontier:
@@ -1122,29 +1119,20 @@ class ProtocolEngine:
                     if v not in parent:
                         parent[v] = u
                         nxt.append(v)
-                        if v not in excluded and self._answer(v, dest, self.params.levels)[0]:
-                            best = (v, depth) if best is None else (min(best[0], v), depth)
+                        if (
+                            not hit_depth
+                            and v not in excluded
+                            and self._answer(v, dest, levels)[0]
+                        ):
+                            answerer = v if answerer is None else min(answerer, v)
             frontier = nxt
             ball_at.append(len(parent))
-        if best is None:
+            if answerer is not None and not hit_depth:
+                hit_depth = depth
+                ring = min(i for i in range(levels + 1) if radius_fn(i) >= hit_depth)
+                stop = radius_fn(ring)
+        if answerer is None:
             return None
-        answerer, hit_depth = best
-        ring = min(
-            i for i in range(self.params.levels + 1) if radius_fn(i) >= hit_depth
-        )
-        # The successful ring floods all the way out even though the answer
-        # comes from closer in, so its full ball is charged, as is each empty
-        # ring before it.
-        while frontier and depth < radius_fn(ring):
-            depth += 1
-            nxt = deque()
-            for u in frontier:
-                for v in map(int, g.neighbors(u)):
-                    if v not in parent:
-                        parent[v] = u
-                        nxt.append(v)
-            frontier = nxt
-            ball_at.append(len(parent))
         transmissions = hit_depth + ball_at[min(radius_fn(ring), depth)]
         transmissions += sum(
             ball_at[min(radius_fn(i), depth)] for i in range(ring)
@@ -1153,7 +1141,7 @@ class ProtocolEngine:
         while path[-1] != start:
             path.append(parent[path[-1]])
         path.reverse()
-        found = self._answer(answerer, dest, self.params.levels)[1]
+        found = self._answer(answerer, dest, levels)[1]
         record = ProbeRecord(
             relay=answerer,
             level=max(found, 0),

@@ -78,19 +78,16 @@ class WallTopology:
         through_gap = (x_min >= hole_lo) & (x_max <= hole_hi)
         return crossing & ~through_gap
 
-    def edge_blocked(self, a: Position, b: Position) -> bool:
-        return bool(self.blocked_mask(np.array([a]), np.array([b]))[0])
-
 
 def wall_topology(
     n: int,
     r_n: float,
     seed: int,
     hole_width: float | None = None,
-    c: float = MIN_SUBDIVISION,
 ) -> WallTopology:
-    """Sample n uniform positions, empty the wall strip (width r_n/c at
-    mid-height), and return the layout with its crossing predicate."""
+    """Sample n uniform positions, empty the wall strip (width r_n/sqrt(5),
+    one squarelet side, at mid-height), and return the layout with its
+    crossing predicate."""
     if n < 2:
         raise ParameterError(f"wall layout needs at least two nodes, got {n}")
     if r_n <= math.sqrt(math.log(n)):
@@ -99,7 +96,7 @@ def wall_topology(
         )
     domain = DomainSpec.for_nodes(n)
     side = domain.side
-    width = r_n / c
+    width = r_n / MIN_SUBDIVISION
     strip_lo = side / 2.0 - width / 2.0
     strip_hi = strip_lo + width
     gap = 4.0 * r_n if hole_width is None else hole_width
@@ -195,17 +192,13 @@ def comb_udg(radius: int) -> CombTopology:
 # ---------------------------------------------------------------------------
 
 
-def subcritical_positions(
-    n: int, theta: float, seed: int, log_base: float = math.e
-) -> tuple[list[Position], float]:
+def subcritical_positions(n: int, theta: float, seed: int) -> tuple[list[Position], float]:
     """Uniform positions with radius (log n)^((1-theta)/2): below the
     connectivity threshold for every theta in (0, 1]."""
     if not (0.0 < theta <= 1.0):
         raise ParameterError(f"theta must lie in (0, 1], got {theta}")
     if n < 2:
         raise ParameterError(f"need at least two nodes, got {n}")
-    if log_base <= 1.0:
-        raise ParameterError(f"log base must exceed 1, got {log_base}")
-    r_n = (math.log(n) / math.log(log_base)) ** ((1.0 - theta) / 2.0)
+    r_n = math.log(n) ** ((1.0 - theta) / 2.0)
     positions = sample_uniform_positions(n, DomainSpec.for_nodes(n), seed)
     return positions, r_n

@@ -25,8 +25,8 @@ from beaconsim.geometry import (
 )
 
 
-def make_domain(n: int, boundary_mode: str = "torus") -> DomainSpec:
-    return DomainSpec(side=math.sqrt(n), boundary_mode=boundary_mode, n=n)
+def make_domain(n: int) -> DomainSpec:
+    return DomainSpec(side=math.sqrt(n), n=n)
 
 
 # ---------------------------------------------------------------------------
@@ -36,17 +36,12 @@ def make_domain(n: int, boundary_mode: str = "torus") -> DomainSpec:
 
 def test_domain_requires_positive_side() -> None:
     with pytest.raises(ParameterError):
-        DomainSpec(side=0.0, boundary_mode="torus", n=0)
+        DomainSpec(side=0.0, n=0)
 
 
 def test_domain_requires_side_squared_to_match_node_count() -> None:
     with pytest.raises(ParameterError):
-        DomainSpec(side=10.0, boundary_mode="torus", n=25)
-
-
-def test_domain_rejects_unknown_boundary_mode() -> None:
-    with pytest.raises(ParameterError):
-        DomainSpec(side=4.0, boundary_mode="bounce", n=16)
+        DomainSpec(side=10.0, n=25)
 
 
 def test_grid_cell_side_is_radius_over_subdivision() -> None:
@@ -91,7 +86,7 @@ def test_sample_rejects_nonpositive_count() -> None:
 def test_empirical_mean_matches_uniform_moments() -> None:
     # Uniform on [0, 100): mean 50, sd 100/sqrt(12); the sample mean of 10^4
     # draws stays within 3 standard errors = 3 * (100/sqrt(12)) / 100.
-    domain = DomainSpec(side=100.0, boundary_mode="torus", n=10_000)
+    domain = DomainSpec(side=100.0, n=10_000)
     positions = sample_uniform_positions(10_000, domain, seed=7)
     arr = np.asarray(positions)
     bound = 3.0 * (100.0 / math.sqrt(12.0)) / math.sqrt(10_000)
@@ -190,7 +185,7 @@ def test_counts_conserve_node_total() -> None:
 
 def test_all_nonempty_requires_minimum_count_one() -> None:
     # Hand-built configuration on a 2x2 grid: one point per cell.
-    domain = DomainSpec(side=4.0, boundary_mode="torus", n=16)
+    domain = DomainSpec(side=4.0, n=16)
     grid = SquareletGrid.from_radius(domain, r_n=2.0 * math.sqrt(5.0))  # cell_side = 2
     assert grid.cells_per_side == 2
     full = [Position(1.0, 1.0), Position(3.0, 1.0), Position(1.0, 3.0), Position(3.0, 3.0)]
@@ -232,7 +227,7 @@ def test_all_nonempty_rate_monotone_in_node_count() -> None:
     # Fixed 11x11 grid on a side-64 domain; sampling more nodes into the same
     # cells can only raise the all-cells-occupied rate. Expected rates at 60
     # trials: roughly 0.17, 0.97, 1.0 for 512, 1024, 4096 nodes.
-    domain = DomainSpec(side=64.0, boundary_mode="torus", n=4096)
+    domain = DomainSpec(side=64.0, n=4096)
     grid = SquareletGrid.from_radius(domain, r_n=math.sqrt(5.0) * 64.0 / 11.0)
     assert grid.cells_per_side == 11
     rates = []

@@ -38,7 +38,7 @@ from beaconsim.topology import comb_udg, subcritical_positions
 
 
 def make_domain(n: int) -> DomainSpec:
-    return DomainSpec(side=math.sqrt(n), boundary_mode="torus", n=n)
+    return DomainSpec(side=math.sqrt(n), n=n)
 
 
 def bruteforce_edges(positions: list[Position], r_n: float) -> set[tuple[int, int]]:
@@ -541,13 +541,11 @@ def test_diameter_clique_is_one() -> None:
     g = ConnectivityGraph.from_edges(5, [(u, v) for u in range(5) for v in range(u + 1, 5)])
     result = diameter(g)
     assert result.hops == 1
-    assert result.exact
 
 
 def test_diameter_path_is_length_minus_one() -> None:
     result = diameter(path_graph(17))
     assert result.hops == 16
-    assert result.exact
 
 
 def cycle_graph(m: int) -> ConnectivityGraph:
@@ -595,7 +593,6 @@ def random_connected_graphs(count: int, seed: int) -> list[ConnectivityGraph]:
 )
 def test_diameter_matches_all_pairs_oracle(g: ConnectivityGraph) -> None:
     result = diameter(g)
-    assert result.exact
     assert result.hops == all_pairs_diameter(g)
 
 
@@ -619,20 +616,23 @@ def test_diameter_searches_few_sources(monkeypatch) -> None:
     g = build_geometric_graph(positions, math.sqrt(2.0 * math.log(n)))
     calls = spy_dijkstra(monkeypatch)
     result = diameter(g)
-    assert result.exact
     monkeypatch.undo()
     assert result.hops == all_pairs_diameter(g)
     assert sum(len(sources) for sources, _ in calls) <= 100
 
 
-def test_diameter_estimate_flag_and_lower_bound() -> None:
-    g = path_graph(30)
-    estimate = diameter(g, exact_cutoff=10)
-    assert not estimate.exact
-    assert estimate.hops <= 29
-    assert estimate.hops >= 1
-    # Double sweep is exact on trees, so the value still matches here.
-    assert estimate.hops == 29
+def test_diameter_is_exact_above_five_thousand_nodes(monkeypatch) -> None:
+    # On this layout a double sweep from node 0 reads only 32 hops; the
+    # diameter is 33, so the top level is 6, not 5.
+    n = 8000
+    positions = sample_uniform_positions(n, DomainSpec.for_nodes(n), seed=41)
+    g = build_geometric_graph(positions, math.sqrt(2.0 * math.log(n)))
+    calls = spy_dijkstra(monkeypatch)
+    result = diameter(g)
+    monkeypatch.undo()
+    assert result.hops == 33
+    assert sum(len(sources) for sources, _ in calls) <= 100
+    assert bfs_oracle(g, 1777)[3071] == 33  # a pair the double sweep misses
 
 
 def test_diameter_random_supercritical_within_grid_bounds() -> None:
@@ -644,7 +644,6 @@ def test_diameter_random_supercritical_within_grid_bounds() -> None:
     positions = sample_uniform_positions(n, make_domain(n), seed=4)
     g = build_geometric_graph(positions, r_n)
     result = diameter(g)
-    assert result.exact
     side = math.sqrt(n)
     lower = side / (r_n * math.sqrt(10.0))
     upper = math.sqrt(2.0) * side * math.sqrt(10.0) / r_n

@@ -29,8 +29,8 @@ from beaconsim.mobility import (
 SQRT10 = math.sqrt(10.0)
 
 
-def make_domain(n: int, boundary_mode: str = "torus") -> DomainSpec:
-    return DomainSpec(side=math.sqrt(n), boundary_mode=boundary_mode, n=n)
+def make_domain(n: int) -> DomainSpec:
+    return DomainSpec(side=math.sqrt(n), n=n)
 
 
 def torus_displacements(before: list[Position], after: list[Position], side: float) -> np.ndarray:
@@ -84,19 +84,6 @@ def test_random_walk_stays_inside_torus_domain() -> None:
         assert (arr >= 0).all() and (arr < domain.side).all()
 
 
-def test_random_walk_reflect_stays_inside_box() -> None:
-    domain = make_domain(64, boundary_mode="reflect")
-    positions = uniform_positions(64, domain.side, seed=4)
-    for t in range(50):
-        moved = step(RandomWalk(max_speed=2.0), positions, domain, seed=11, t=t)
-        arr = np.asarray(moved)
-        assert (arr >= 0).all() and (arr < domain.side).all()
-        # straight-line displacement in the box also respects the cap
-        diffs = np.asarray(moved) - np.asarray(positions)
-        assert np.hypot(diffs[:, 0], diffs[:, 1]).max() < 2.0
-        positions = moved
-
-
 def test_step_is_deterministic_in_seed_and_time() -> None:
     domain = make_domain(49)
     positions = uniform_positions(49, domain.side, seed=6)
@@ -128,20 +115,13 @@ def test_lockstep_preserves_pairwise_torus_distances() -> None:
     assert np.abs(after - before).max() < 1e-9
 
 
-def test_lockstep_requires_torus_boundary() -> None:
-    domain = make_domain(16, boundary_mode="reflect")
-    positions = uniform_positions(4, domain.side, seed=0)
-    with pytest.raises(ParameterError):
-        step(Lockstep(max_speed=1.0), positions, domain, seed=0, t=0)
-
-
 # ---------------------------------------------------------------------------
 # random waypoint
 # ---------------------------------------------------------------------------
 
 
 def test_random_waypoint_respects_speed_and_box() -> None:
-    domain = make_domain(100, boundary_mode="reflect")
+    domain = make_domain(100)
     positions = uniform_positions(60, domain.side, seed=10)
     model = RandomWaypoint(max_speed=0.9)
     for t in range(80):
@@ -153,15 +133,8 @@ def test_random_waypoint_respects_speed_and_box() -> None:
         positions = moved
 
 
-def test_random_waypoint_warmup_scales_with_domain_and_speed() -> None:
-    assert RandomWaypoint(max_speed=1.0).warmup_steps(make_domain(100)) == 100
-    assert RandomWaypoint(max_speed=0.5).warmup_steps(make_domain(100)) == 200
-    assert RandomWalk(max_speed=1.0).warmup_steps(make_domain(100)) == 0
-    assert Lockstep(max_speed=1.0).warmup_steps(make_domain(100)) == 0
-
-
 def test_random_waypoint_rejects_node_count_change() -> None:
-    domain = make_domain(16, boundary_mode="reflect")
+    domain = make_domain(16)
     model = RandomWaypoint(max_speed=1.0)
     positions = uniform_positions(8, domain.side, seed=1)
     step(model, positions, domain, seed=0, t=0)

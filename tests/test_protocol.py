@@ -50,7 +50,7 @@ def cycle_graph(k: int) -> ConnectivityGraph:
 
 
 def random_graph(n: int, seed: int) -> ConnectivityGraph:
-    domain = DomainSpec(side=math.sqrt(n), boundary_mode="torus", n=n)
+    domain = DomainSpec(side=math.sqrt(n), n=n)
     positions = sample_uniform_positions(n, domain, seed)
     r_n = math.sqrt(2.0 * math.log(n))
     g = build_geometric_graph(positions, r_n)
@@ -137,7 +137,6 @@ def test_level_count_derives_from_initial_diameter():
     assert ProtocolParams.for_graph(path_graph(5), kappa=1.0).levels == 2
     assert ProtocolParams.for_graph(path_graph(2), kappa=1.0).levels == 0
     assert ProtocolParams.for_graph(ConnectivityGraph.from_edges(1, []), kappa=1.0).levels == 0
-    assert ProtocolParams.for_graph(path_graph(9), kappa=1.0, levels=5).levels == 5
 
 
 def test_parameter_validation_rejects_bad_values():
@@ -591,7 +590,7 @@ def test_forward_stays_bounded_across_a_mobile_run():
     from beaconsim.mobility import RandomWalk, step
 
     n = 150
-    domain = DomainSpec(side=math.sqrt(n), boundary_mode="torus", n=n)
+    domain = DomainSpec(side=math.sqrt(n), n=n)
     positions = sample_uniform_positions(n, domain, seed=14)
     r_n = math.sqrt(2.0 * math.log(n))
     model = RandomWalk(max_speed=1.0)
@@ -878,7 +877,7 @@ def check_resolved_next_hops(
 @pytest.mark.parametrize("mode", ["plain", "load_balanced"])
 def test_resolved_next_hops_match_the_scalar_key_rule(mode: str) -> None:
     n = 150
-    domain = DomainSpec(side=math.sqrt(n), boundary_mode="torus", n=n)
+    domain = DomainSpec(side=math.sqrt(n), n=n)
     positions = sample_uniform_positions(n, domain, 23)
     r_n = math.sqrt(2.0 * math.log(n))
     g = build_geometric_graph(positions, r_n)
@@ -1051,7 +1050,7 @@ def hashed_round(engine: ProtocolEngine, g: ConnectivityGraph, t: int, parts: li
 
 def mobile_run_digest(mode: str, nu: int = 1, first_t: int = 0, rounds: Optional[int] = None) -> str:
     n = 300
-    domain = DomainSpec(side=math.sqrt(n), boundary_mode="torus", n=n)
+    domain = DomainSpec(side=math.sqrt(n), n=n)
     positions = sample_uniform_positions(n, domain, 23)
     r_n = math.sqrt(2.0 * math.log(n))
     g = build_geometric_graph(positions, r_n)

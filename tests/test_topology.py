@@ -62,7 +62,7 @@ def test_same_side_pair_is_not_blocked() -> None:
     lo, _ = wall.strip_y
     a = Position(1.0, lo - 1.0)
     b = Position(2.0, lo - 0.5)
-    assert not wall.edge_blocked(a, b)
+    assert not wall.blocked_mask(a, b).any()
 
 
 def test_straddling_pair_away_from_hole_is_blocked() -> None:
@@ -70,7 +70,7 @@ def test_straddling_pair_away_from_hole_is_blocked() -> None:
     lo, hi = wall.strip_y
     a = Position(1.0, lo - 0.5)
     b = Position(1.0, hi + 0.5)
-    assert wall.edge_blocked(a, b)
+    assert wall.blocked_mask(a, b).all()
 
 
 def test_straddling_pair_through_hole_is_not_blocked() -> None:
@@ -80,16 +80,15 @@ def test_straddling_pair_through_hole_is_not_blocked() -> None:
     mid = (hole_lo + hole_hi) / 2.0
     a = Position(mid, lo - 0.5)
     b = Position(mid, hi + 0.5)
-    assert not wall.edge_blocked(a, b)
+    assert not wall.blocked_mask(a, b).any()
 
 
 def test_blocked_predicate_is_symmetric() -> None:
     wall = make_wall()
     rng = np.random.default_rng(3)
-    for _ in range(200):
-        a = Position(*(rng.random(2) * wall.side))
-        b = Position(*(rng.random(2) * wall.side))
-        assert wall.edge_blocked(a, b) == wall.edge_blocked(b, a)
+    pairs = rng.random((200, 2, 2)) * wall.side  # the same draws as 200 (a, b) pairs
+    a, b = pairs[:, 0], pairs[:, 1]
+    assert np.array_equal(wall.blocked_mask(a, b), wall.blocked_mask(b, a))
 
 
 def test_blocked_predicate_matches_dense_sampling_oracle() -> None:
@@ -115,7 +114,7 @@ def test_blocked_predicate_matches_dense_sampling_oracle() -> None:
         loose = oracle(a, b, pad=-eps)
         if strict != loose:
             continue  # grazing case, below sampling resolution
-        assert wall.edge_blocked(a, b) == strict
+        assert wall.blocked_mask(a, b)[0] == strict
         checked += 1
     assert checked > 300
 
@@ -127,9 +126,11 @@ def test_wall_graph_filters_exactly_the_blocked_edges() -> None:
     kept = {(u, v) for u in range(g.n) for v in g.neighbors(u) if u < v}
     unfiltered = {(u, v) for u in range(plain.n) for v in plain.neighbors(u) if u < v}
     assert kept <= unfiltered
-    for u, v in unfiltered:
-        blocked = wall.edge_blocked(wall.positions[u], wall.positions[v])
-        assert ((u, v) in kept) == (not blocked)
+    pairs = sorted(unfiltered)
+    arr = np.asarray(wall.positions)
+    blocked = wall.blocked_mask(arr[[u for u, _ in pairs]], arr[[v for _, v in pairs]])
+    for (u, v), cut in zip(pairs, blocked):
+        assert ((u, v) in kept) == (not cut)
     assert len(kept) < len(unfiltered)  # something straddles the wall
 
 
