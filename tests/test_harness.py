@@ -11,6 +11,7 @@ values re-measured through the public estimator at the seeds used here.
 from __future__ import annotations
 
 import csv
+import hashlib
 import math
 from collections import deque
 from dataclasses import replace
@@ -41,7 +42,7 @@ from beaconsim.harness import (
     write_metrics_csv,
     write_overhead_csv,
 )
-from beaconsim.mobility import RandomWalk, step
+from beaconsim.mobility import Lockstep, RandomWalk, RandomWaypoint, step
 from beaconsim.protocol import ProtocolEngine, ProtocolParams
 
 
@@ -330,6 +331,53 @@ def test_wall_and_holes_layouts_drop_nodes_and_still_run():
     ).with_seed(21)
     holes_series = run_simulation(holes_cfg)
     assert holes_series.n_nodes < 200
+
+
+# Frozen: sha256 of the float64 coordinate bytes, so a change to how
+# positions are held cannot move a value unnoticed. Trajectories chain 20
+# steps at n=200 from placement seed 5 (mobility seed 6); layouts are the
+# harness's wall, holes and comb placements.
+COORDINATE_DIGESTS = {
+    "random_walk": "d115e7950fcd09e9a77c2497a3a033e765bc16e361d93d233198dbc622af8f2a",
+    "random_waypoint": "e058db00853b750605321c06005aaa2a10f216c9eecc9513f706920a366761d7",
+    "lockstep": "0ef8a8564e555356ad13428075482db319e7e8ae46e9292a47f1eadf516e50e3",
+    "wall": "f90cf97ef9a706e9768db311e24059d93770d4a79b01554d79e1f9d31d771d2f",
+    "holes": "a90c63dcf68deec58bf9e86b847a75d9f3b836067c65519638e190310170cd10",
+    "comb": "0f5b411bf43d567de64ae3d9e35e9ad3d42d2be3944bd2597edbb068d60fb8ec",
+}
+
+TRAJECTORY_MODELS = {
+    "random_walk": lambda: RandomWalk(max_speed=1.0),
+    "random_waypoint": lambda: RandomWaypoint(max_speed=1.0),
+    "lockstep": lambda: Lockstep(max_speed=1.0),
+}
+
+LAYOUT_CONFIGS = {
+    "wall": SimConfig(n=300, topology="wall").with_seed(21),
+    "holes": SimConfig(
+        n=300, topology="holes", holes_cells=((0, 0), (1, 1), (3, 2))
+    ).with_seed(21),
+    "comb": SimConfig(n=2, topology="comb", comb_radius=8),
+}
+
+
+def coordinate_bytes(positions) -> bytes:
+    return np.ascontiguousarray(positions, dtype=np.float64).tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(COORDINATE_DIGESTS))
+def test_coordinates_match_pinned_digests(name):
+    h = hashlib.sha256()
+    if name in TRAJECTORY_MODELS:
+        domain = DomainSpec.for_nodes(200)
+        positions = sample_uniform_positions(200, domain, 5)
+        model = TRAJECTORY_MODELS[name]()
+        for t in range(20):
+            positions = step(model, positions, domain, seed=6, t=t)
+            h.update(coordinate_bytes(positions))
+    else:
+        h.update(coordinate_bytes(harness._build_layout(LAYOUT_CONFIGS[name]).positions))
+    assert h.hexdigest() == COORDINATE_DIGESTS[name]
 
 
 def test_comb_layout_node_count_comes_from_the_branch_radius():
