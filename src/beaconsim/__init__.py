@@ -3,7 +3,8 @@ routing on dynamic wireless connectivity graphs.
 
 The package splits into six layers, re-exported here for convenience:
 
-- :mod:`beaconsim.geometry`: torus domains, seeded placement, squarelet grids
+- :mod:`beaconsim.geometry`: torus domains, seeded placement as one (n, 2)
+  float64 array, squarelet grids
 - :mod:`beaconsim.graph`: connectivity graphs, BFS, covers, growth estimates
 - :mod:`beaconsim.mobility`: movement models and hop-distance smoothness
 - :mod:`beaconsim.topology`: walls, squarelet thinning, combs, and the sparse regime
@@ -26,12 +27,9 @@ from .errors import (
 from .geometry import (
     DomainSpec,
     OccupancyReport,
-    Position,
     SquareletGrid,
     occupancy_report,
-    positions_as_array,
     sample_uniform_positions,
-    squarelet_of,
 )
 from .graph import (
     ConnectivityGraph,
@@ -111,7 +109,6 @@ __all__ = [
     "OccupancyReport",
     "OverheadRow",
     "ParameterError",
-    "Position",
     "ProtocolEngine",
     "ProtocolInvariantError",
     "ProtocolParams",
@@ -142,12 +139,10 @@ __all__ = [
     "log_fit_r2",
     "measure_smoothness",
     "occupancy_report",
-    "positions_as_array",
     "radius_for",
     "remove_squarelets",
     "run_simulation",
     "sample_uniform_positions",
-    "squarelet_of",
     "step",
     "subcritical_positions",
     "theoretical_kappa",

@@ -1,18 +1,19 @@
 """Node placement, network domain, and the squarelet grid.
 
-Coordinates live in the half-open square [0, side) x [0, side); motion wraps
-around it as a torus. The squarelet grid divides the domain into cells of
-side r_n / c; with c >= sqrt(5) any two points in horizontally or vertically
-adjacent cells are within r_n of each other, which is what the occupancy
-check relies on. When side is not an integer multiple of the cell side the
-grid overhangs the boundary and the edge cells are clipped.
+Node positions are one float64 array of shape (n, 2), row i holding node i's
+(x, y), at every layer of the package. Coordinates live in the half-open
+square [0, side) x [0, side); motion wraps around it as a torus. The
+squarelet grid divides the domain into cells of side r_n / c; with
+c >= sqrt(5) any two points in horizontally or vertically adjacent cells are
+within r_n of each other, which is what the occupancy check relies on. When
+side is not an integer multiple of the cell side the grid overhangs the
+boundary and the edge cells are clipped.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -20,13 +21,6 @@ from .errors import DomainError, ParameterError
 
 #: Minimum grid subdivision factor: guarantees r_n reaches across adjacent cells.
 MIN_SUBDIVISION = math.sqrt(5.0)
-
-
-class Position(NamedTuple):
-    """A point in the domain; both coordinates in [0, side)."""
-
-    x: float
-    y: float
 
 
 @dataclass(frozen=True)
@@ -95,28 +89,38 @@ class SquareletGrid:
         return self.cell_side * self.c
 
 
-def sample_uniform_positions(n: int, domain: DomainSpec, seed: int) -> list[Position]:
-    """Draw ``n`` i.i.d. uniform positions over the domain, deterministic in ``seed``."""
-    if n < 1:
-        raise ParameterError(f"node count must be >= 1, got {n}")
-    rng = np.random.default_rng(seed)
-    arr = rng.random((n, 2)) * domain.side
-    return [Position(float(x), float(y)) for x, y in arr]
+def _positions(positions: np.ndarray, side: float | None = None) -> np.ndarray:
+    """``positions`` as an (n, 2) float64 array, without a copy when it is one.
+
+    Raises ``ParameterError`` on any other shape and, when ``side`` is given,
+    ``DomainError`` if a coordinate falls outside [0, side).
+    """
+    arr = np.asarray(positions, dtype=np.float64)
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise ParameterError(f"expected (n, 2) positions, got shape {arr.shape}")
+    if side is not None and arr.size and (arr.min() < 0.0 or arr.max() >= side):
+        raise DomainError(f"positions outside [0, {side}) x [0, {side})")
+    return arr
 
 
-def squarelet_of(p: Position, grid: SquareletGrid) -> tuple[int, int]:
-    """Cell index (i, j) = (floor(x / cell_side), floor(y / cell_side)).
+def _cells(positions: np.ndarray, grid: SquareletGrid) -> np.ndarray:
+    """Cell index (i, j) = (floor(x / cell_side), floor(y / cell_side)) of
+    each row, as an (n, 2) integer array.
 
     Indices are clamped to the last cell so that a floating-point sliver left
     by a tolerantly-exact fit (see ``from_radius``) cannot escape the grid.
     """
-    if not (0.0 <= p.x < grid.side and 0.0 <= p.y < grid.side):
-        raise DomainError(f"position {p} outside [0, {grid.side}) x [0, {grid.side})")
+    arr = _positions(positions, grid.side)
     last = grid.cells_per_side - 1
-    return (
-        min(math.floor(p.x / grid.cell_side), last),
-        min(math.floor(p.y / grid.cell_side), last),
-    )
+    return np.minimum(np.floor(arr / grid.cell_side).astype(np.intp), last)
+
+
+def sample_uniform_positions(n: int, domain: DomainSpec, seed: int) -> np.ndarray:
+    """Draw ``n`` i.i.d. uniform positions over the domain, deterministic in ``seed``."""
+    if n < 1:
+        raise ParameterError(f"node count must be >= 1, got {n}")
+    rng = np.random.default_rng(seed)
+    return rng.random((n, 2)) * domain.side
 
 
 @dataclass(frozen=True)
@@ -128,26 +132,12 @@ class OccupancyReport:
     grid: SquareletGrid = field(repr=False)
 
 
-def positions_as_array(positions: Sequence[Position] | np.ndarray) -> np.ndarray:
-    """View positions as an (n, 2) float array without copying when possible."""
-    arr = np.asarray(positions, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise ParameterError(f"expected (n, 2) positions, got shape {arr.shape}")
-    return arr
-
-
-def occupancy_report(
-    positions: Sequence[Position] | np.ndarray, grid: SquareletGrid
-) -> OccupancyReport:
+def occupancy_report(positions: np.ndarray, grid: SquareletGrid) -> OccupancyReport:
     """Count nodes per cell; ``all_nonempty`` is true iff every cell has one."""
-    arr = positions_as_array(positions)
-    if arr.size and (arr.min() < 0.0 or arr.max() >= grid.side):
-        raise DomainError("positions outside the grid's domain")
+    cells = _cells(positions, grid)
     m = grid.cells_per_side
-    ix = np.minimum(np.floor(arr[:, 0] / grid.cell_side).astype(np.intp), m - 1)
-    iy = np.minimum(np.floor(arr[:, 1] / grid.cell_side).astype(np.intp), m - 1)
     counts = np.zeros((m, m), dtype=np.int64)
-    np.add.at(counts, (ix, iy), 1)
+    np.add.at(counts, (cells[:, 0], cells[:, 1]), 1)
     return OccupancyReport(
         counts=counts, all_nonempty=bool(counts.min() >= 1), grid=grid
     )

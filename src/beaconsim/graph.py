@@ -23,7 +23,7 @@ from scipy.sparse.csgraph import dijkstra
 from scipy.spatial import cKDTree
 
 from .errors import ConnectivityError, ParameterError, ProtocolInvariantError
-from .geometry import Position, positions_as_array
+from .geometry import _positions
 
 __all__ = [
     "ConnectivityGraph",
@@ -86,11 +86,11 @@ class ConnectivityGraph:
         return f"ConnectivityGraph(n={self.n}, edges={self.num_edges})"
 
 
-def build_geometric_graph(positions: Sequence[Position], r_n: float) -> ConnectivityGraph:
+def build_geometric_graph(positions: np.ndarray, r_n: float) -> ConnectivityGraph:
     """Link every pair at Euclidean distance strictly below ``r_n``."""
     if r_n <= 0:
         raise ParameterError(f"communication radius must be positive, got {r_n}")
-    arr = positions_as_array(positions)
+    arr = _positions(positions)
     n = len(arr)
     tree = cKDTree(arr)
     pairs = tree.query_pairs(r_n, output_type="ndarray")

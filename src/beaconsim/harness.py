@@ -24,7 +24,7 @@ import numpy as np
 from scipy.sparse.csgraph import connected_components
 
 from .errors import ParameterError, ProtocolInvariantError
-from .geometry import DomainSpec, Position, SquareletGrid, sample_uniform_positions
+from .geometry import DomainSpec, SquareletGrid, _positions, sample_uniform_positions
 from .graph import (
     ConnectivityGraph,
     _pair_hops,
@@ -364,7 +364,7 @@ def _trim(value: float) -> str:
 
 @dataclass(frozen=True)
 class _Layout:
-    positions: list[Position]
+    positions: np.ndarray
     r_n: float
     domain: Optional[DomainSpec]
     static_graph: Optional[ConnectivityGraph]
@@ -386,7 +386,7 @@ def _build_layout(config: SimConfig) -> _Layout:
         )
         wall = wall_topology(config.n, r_n, seed=config.placement_seed, hole_width=gap)
         return _Layout(
-            positions=list(wall.positions),
+            positions=wall.positions,
             r_n=r_n,
             domain=None,
             static_graph=wall_graph(wall),
@@ -404,7 +404,7 @@ def _build_layout(config: SimConfig) -> _Layout:
         )
     comb = comb_udg(config.comb_radius)
     return _Layout(
-        positions=list(comb.positions),
+        positions=comb.positions,
         r_n=1.2,
         domain=None,
         static_graph=comb.graph,
@@ -721,18 +721,16 @@ class BaselineResult(NamedTuple):
 
 def greedy_georoute_baseline(
     g: ConnectivityGraph,
-    positions: Sequence[Position],
+    positions: np.ndarray,
     source: int,
     dest: int,
 ) -> BaselineResult:
     """Forward to the neighbor Euclidean-closest to the target, stopping on
     delivery or at a local minimum (no neighbor strictly closer than the
     current holder). Distance ties go to the lower node id."""
-    if len(positions) != g.n:
-        raise ParameterError(
-            f"{len(positions)} positions for a graph on {g.n} nodes"
-        )
-    coords = np.asarray([(p.x, p.y) for p in positions])
+    coords = _positions(positions)
+    if len(coords) != g.n:
+        raise ParameterError(f"{len(coords)} positions for a graph on {g.n} nodes")
     target = coords[dest]
     current = source
     route = [source]
@@ -779,13 +777,13 @@ def wall_demonstration(
     g = wall_graph(wall)
     m = len(wall.positions)
     strip_lo, strip_hi = wall.strip_y
-    below = [i for i, p in enumerate(wall.positions) if p.y < strip_lo]
-    above = [i for i, p in enumerate(wall.positions) if p.y > strip_hi]
-    if not below or not above:
+    below = np.flatnonzero(wall.positions[:, 1] < strip_lo)
+    above = np.flatnonzero(wall.positions[:, 1] > strip_hi)
+    if not len(below) or not len(above):
         raise ParameterError("wall layout left one side empty; raise n")
     rng = np.random.default_rng(seed + 3)
     pairs = [
-        (below[int(rng.integers(len(below)))], above[int(rng.integers(len(above)))])
+        (int(below[rng.integers(len(below))]), int(above[rng.integers(len(above))]))
         for _ in range(pair_count)
     ]
     levels = max(1, ProtocolParams.levels_for_diameter(diameter(g).hops))

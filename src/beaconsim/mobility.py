@@ -15,8 +15,8 @@ from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .errors import DomainError, HorizonError, ParameterError, ProtocolInvariantError
-from .geometry import DomainSpec, Position, positions_as_array
+from .errors import HorizonError, ParameterError, ProtocolInvariantError
+from .geometry import DomainSpec, _positions
 from .graph import ConnectivityGraph, _pair_hops
 
 __all__ = [
@@ -125,22 +125,23 @@ def _displacements(before: np.ndarray, after: np.ndarray, domain: DomainSpec) ->
 
 def step(
     model: MobilityModel,
-    positions: Sequence[Position],
+    positions: np.ndarray,
     domain: DomainSpec,
     seed: int,
     t: int,
-) -> list[Position]:
-    """Advance one time step; replays exactly for the same (seed, t)."""
+) -> np.ndarray:
+    """Advance one time step; replays exactly for the same (seed, t).
+
+    Returns the moved positions as a new array; ``positions`` is not changed.
+    """
     if seed < 0 or t < 0:
         raise ParameterError(f"seed and t must be non-negative, got seed={seed}, t={t}")
-    arr = positions_as_array(positions)
-    if np.any(arr < 0) or np.any(arr >= domain.side):
-        raise DomainError("positions must lie inside [0, side) x [0, side)")
+    arr = _positions(positions, domain.side)
     rng = np.random.default_rng((seed, t))
     moved = model.advance(arr, domain, rng)
     if _displacements(arr, moved, domain).max(initial=0.0) >= model.max_speed:
         raise ProtocolInvariantError("a node moved at least max_speed in one step")
-    return [Position(float(x), float(y)) for x, y in moved]
+    return moved
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -17,11 +17,10 @@ from .errors import ParameterError, ProtocolInvariantError
 from .geometry import (
     MIN_SUBDIVISION,
     DomainSpec,
-    Position,
     SquareletGrid,
-    positions_as_array,
+    _cells,
+    _positions,
     sample_uniform_positions,
-    squarelet_of,
 )
 from .graph import ConnectivityGraph, build_geometric_graph, greedy_cover
 
@@ -46,7 +45,7 @@ class WallTopology:
     """Uniform layout with a node-free horizontal strip; edges may cross the
     strip only through the central gap."""
 
-    positions: list[Position]
+    positions: np.ndarray
     side: float
     r_n: float
     strip_y: tuple[float, float]
@@ -105,9 +104,9 @@ def wall_topology(
     hole_lo = side / 2.0 - gap / 2.0
     hole_hi = side / 2.0 + gap / 2.0
     sampled = sample_uniform_positions(n, domain, seed)
-    kept = [p for p in sampled if not (strip_lo <= p.y <= strip_hi)]
+    y = sampled[:, 1]
     return WallTopology(
-        positions=kept,
+        positions=sampled[(y < strip_lo) | (y > strip_hi)],
         side=side,
         r_n=r_n,
         strip_y=(strip_lo, strip_hi),
@@ -122,8 +121,7 @@ def wall_graph(wall: WallTopology) -> ConnectivityGraph:
     upper = coo.row < coo.col
     rows = coo.row[upper]
     cols = coo.col[upper]
-    arr = positions_as_array(wall.positions)
-    blocked = wall.blocked_mask(arr[rows], arr[cols])
+    blocked = wall.blocked_mask(wall.positions[rows], wall.positions[cols])
     pairs = np.column_stack([rows[~blocked], cols[~blocked]]).astype(np.int64)
     return ConnectivityGraph._from_pair_array(g.n, pairs)
 
@@ -134,19 +132,21 @@ def wall_graph(wall: WallTopology) -> ConnectivityGraph:
 
 
 def remove_squarelets(
-    positions: Sequence[Position],
+    positions: np.ndarray,
     cells_to_empty: Iterable[tuple[int, int]],
     grid: SquareletGrid,
-) -> list[Position]:
-    """Drop every node whose cell is listed; leave the rest untouched."""
-    doomed = set(cells_to_empty)
+) -> np.ndarray:
+    """Drop every node whose cell is listed; the kept rows come back, in
+    order, as a new array."""
     m = grid.cells_per_side
-    for i, j in doomed:
+    doomed = np.zeros((m, m), dtype=bool)
+    for i, j in cells_to_empty:
         if not (0 <= i < m and 0 <= j < m):
             raise ParameterError(f"cell ({i}, {j}) outside the {m}x{m} grid")
-    if not doomed:
-        return list(positions)
-    return [p for p in positions if squarelet_of(p, grid) not in doomed]
+        doomed[i, j] = True
+    arr = _positions(positions)
+    cells = _cells(arr, grid)
+    return arr[~doomed[cells[:, 0], cells[:, 1]]]
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +157,7 @@ def remove_squarelets(
 @dataclass(frozen=True)
 class CombTopology:
     graph: ConnectivityGraph
-    positions: list[Position]
+    positions: np.ndarray
     center_id: int
     radius: int
 
@@ -172,9 +172,9 @@ def comb_udg(radius: int) -> CombTopology:
     re-checked on every call."""
     if radius < 4 or radius % 2 != 0:
         raise ParameterError(f"branch radius must be even and at least 4, got {radius}")
-    positions = [Position(float(x), 0.0) for x in range(4 * radius + 1)]
-    for x in range(0, 4 * radius + 1, 2):
-        positions.extend(Position(float(x), float(h)) for h in range(1, 2 * radius + 1))
+    spine = [(x, 0) for x in range(4 * radius + 1)]
+    branches = [(x, h) for x in range(0, 4 * radius + 1, 2) for h in range(1, 2 * radius + 1)]
+    positions = np.array(spine + branches, dtype=np.float64)
     graph = build_geometric_graph(positions, 1.2)
     center_id = 2 * radius
     cover = greedy_cover(graph, center_id, radius)
@@ -192,7 +192,7 @@ def comb_udg(radius: int) -> CombTopology:
 # ---------------------------------------------------------------------------
 
 
-def subcritical_positions(n: int, theta: float, seed: int) -> tuple[list[Position], float]:
+def subcritical_positions(n: int, theta: float, seed: int) -> tuple[np.ndarray, float]:
     """Uniform positions with radius (log n)^((1-theta)/2): below the
     connectivity threshold for every theta in (0, 1]."""
     if not (0.0 < theta <= 1.0):

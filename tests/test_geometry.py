@@ -2,7 +2,8 @@
 
 Expected values come from independent oracles computed inline: closed-form
 uniform-distribution moments, a pure-Python floor-division rescan, and
-Monte-Carlo occupancy rates measured with the seeds frozen below.
+Monte-Carlo occupancy rates measured with the seeds frozen below. Positions
+are (n, 2) float64 arrays throughout.
 """
 
 from __future__ import annotations
@@ -17,12 +18,15 @@ from hypothesis import strategies as st
 from beaconsim.errors import DomainError, ParameterError
 from beaconsim.geometry import (
     DomainSpec,
-    Position,
     SquareletGrid,
+    _cells,
     occupancy_report,
     sample_uniform_positions,
-    squarelet_of,
 )
+from beaconsim.graph import ConnectivityGraph, build_geometric_graph
+from beaconsim.harness import greedy_georoute_baseline
+from beaconsim.mobility import RandomWalk, step
+from beaconsim.topology import remove_squarelets
 
 
 def make_domain(n: int) -> DomainSpec:
@@ -72,9 +76,11 @@ def test_grid_accepts_subdivision_above_sqrt5() -> None:
 def test_single_node_unit_domain_lands_inside() -> None:
     domain = make_domain(1)
     for seed in (0, 1, 12345):
-        (pos,) = sample_uniform_positions(1, domain, seed=seed)
-        assert 0.0 <= pos.x < 1.0
-        assert 0.0 <= pos.y < 1.0
+        positions = sample_uniform_positions(1, domain, seed=seed)
+        assert positions.shape == (1, 2) and positions.dtype == np.float64
+        ((x, y),) = positions
+        assert 0.0 <= x < 1.0
+        assert 0.0 <= y < 1.0
 
 
 def test_sample_rejects_nonpositive_count() -> None:
@@ -98,14 +104,14 @@ def test_identical_seed_gives_bitwise_identical_positions() -> None:
     domain = make_domain(256)
     first = sample_uniform_positions(256, domain, seed=99)
     second = sample_uniform_positions(256, domain, seed=99)
-    assert first == second
+    assert first.tobytes() == second.tobytes()
 
 
 def test_distinct_seeds_differ() -> None:
     domain = make_domain(256)
     first = sample_uniform_positions(256, domain, seed=1)
     second = sample_uniform_positions(256, domain, seed=2)
-    assert first != second
+    assert not np.array_equal(first, second)
 
 
 @settings(deadline=None, max_examples=30)
@@ -115,48 +121,78 @@ def test_distinct_seeds_differ() -> None:
 )
 def test_positions_always_inside_domain(n: int, seed: int) -> None:
     domain = make_domain(n)
-    for pos in sample_uniform_positions(n, domain, seed=seed):
-        assert 0.0 <= pos.x < domain.side
-        assert 0.0 <= pos.y < domain.side
+    for x, y in sample_uniform_positions(n, domain, seed=seed):
+        assert 0.0 <= x < domain.side
+        assert 0.0 <= y < domain.side
 
 
 # ---------------------------------------------------------------------------
-# squarelet_of
+# The squarelet cell rule shared by occupancy_report and remove_squarelets
 # ---------------------------------------------------------------------------
 
 
 def test_origin_maps_to_cell_zero_zero() -> None:
     domain = make_domain(100)
     grid = SquareletGrid.from_radius(domain, r_n=math.sqrt(5.0))  # cell_side = 1
-    assert squarelet_of(Position(0.0, 0.0), grid) == (0, 0)
+    assert _cells(np.array([[0.0, 0.0]]), grid).tolist() == [[0, 0]]
 
 
 def test_cell_index_follows_floor_rule() -> None:
     domain = make_domain(100)
     grid = SquareletGrid.from_radius(domain, r_n=math.sqrt(5.0) * 2.0)  # cell_side = 2
     s = grid.cell_side
-    assert squarelet_of(Position(s * 1.5, s * 2.5), grid) == (1, 2)
+    assert _cells(np.array([[s * 1.5, s * 2.5]]), grid).tolist() == [[1, 2]]
 
 
 def test_cell_indices_agree_with_rescan_oracle() -> None:
     domain = make_domain(400)
     grid = SquareletGrid.from_radius(domain, r_n=3.1)
     positions = sample_uniform_positions(400, domain, seed=11)
-    for pos in positions:
-        expected = (
-            math.floor(pos.x / grid.cell_side),
-            math.floor(pos.y / grid.cell_side),
-        )
-        assert squarelet_of(pos, grid) == expected
+    expected = [
+        [math.floor(x / grid.cell_side), math.floor(y / grid.cell_side)]
+        for x, y in positions.tolist()
+    ]
+    assert _cells(positions, grid).tolist() == expected
 
 
 def test_position_outside_domain_is_rejected() -> None:
     domain = make_domain(100)
     grid = SquareletGrid.from_radius(domain, r_n=2.0)
     with pytest.raises(DomainError):
-        squarelet_of(Position(10.0, 5.0), grid)  # x == side is outside [0, side)
+        _cells(np.array([[10.0, 5.0]]), grid)  # x == side is outside [0, side)
     with pytest.raises(DomainError):
-        squarelet_of(Position(-0.1, 5.0), grid)
+        _cells(np.array([[-0.1, 5.0]]), grid)
+
+
+# ---------------------------------------------------------------------------
+# Position checks at every public entry point
+# ---------------------------------------------------------------------------
+
+SIDE4 = DomainSpec(side=4.0, n=16)
+GRID4 = SquareletGrid.from_radius(SIDE4, r_n=2.0 * math.sqrt(5.0))  # 2x2 cells
+PAIR = ConnectivityGraph.from_edges(2, [(0, 1)])
+
+# name -> (call on a positions array, whether the call has a domain to check)
+ENTRY_POINTS = {
+    "step": (lambda p: step(RandomWalk(max_speed=1.0), p, SIDE4, seed=0, t=0), True),
+    "occupancy_report": (lambda p: occupancy_report(p, GRID4), True),
+    "remove_squarelets": (lambda p: remove_squarelets(p, {(0, 0)}, GRID4), True),
+    "build_geometric_graph": (lambda p: build_geometric_graph(p, 1.5), False),
+    "greedy_georoute_baseline": (lambda p: greedy_georoute_baseline(PAIR, p, 0, 1), False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+def test_entry_points_reject_wrong_shape_and_out_of_domain_points(name: str) -> None:
+    call, has_domain = ENTRY_POINTS[name]
+    call(np.array([[1.0, 1.0], [3.0, 1.0]]))
+    for bad in (np.zeros((2, 3)), np.zeros(4), np.zeros((2, 2, 1))):
+        with pytest.raises(ParameterError):
+            call(bad)
+    if has_domain:
+        for outside in ([[1.0, 1.0], [4.0, 1.0]], [[1.0, -0.1], [3.0, 1.0]]):
+            with pytest.raises(DomainError):
+                call(np.array(outside))
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +224,7 @@ def test_all_nonempty_requires_minimum_count_one() -> None:
     domain = DomainSpec(side=4.0, n=16)
     grid = SquareletGrid.from_radius(domain, r_n=2.0 * math.sqrt(5.0))  # cell_side = 2
     assert grid.cells_per_side == 2
-    full = [Position(1.0, 1.0), Position(3.0, 1.0), Position(1.0, 3.0), Position(3.0, 3.0)]
+    full = np.array([[1.0, 1.0], [3.0, 1.0], [1.0, 3.0], [3.0, 3.0]])
     assert occupancy_report(full, grid).all_nonempty
     assert not occupancy_report(full[:3], grid).all_nonempty
 

@@ -19,7 +19,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, dijkstra
 
 from beaconsim.errors import ConnectivityError, ParameterError
-from beaconsim.geometry import DomainSpec, Position, sample_uniform_positions
+from beaconsim.geometry import DomainSpec, sample_uniform_positions
 from beaconsim.graph import (
     ConnectivityGraph,
     ball,
@@ -41,7 +41,7 @@ def make_domain(n: int) -> DomainSpec:
     return DomainSpec(side=math.sqrt(n), n=n)
 
 
-def bruteforce_edges(positions: list[Position], r_n: float) -> set[tuple[int, int]]:
+def bruteforce_edges(positions: np.ndarray, r_n: float) -> set[tuple[int, int]]:
     edges = set()
     for u in range(len(positions)):
         for v in range(u + 1, len(positions)):
@@ -71,10 +71,10 @@ def path_graph(m: int) -> ConnectivityGraph:
     return ConnectivityGraph.from_edges(m, [(i, i + 1) for i in range(m - 1)])
 
 
-def lattice_graph(side: int) -> tuple[ConnectivityGraph, list[Position]]:
+def lattice_graph(side: int) -> tuple[ConnectivityGraph, np.ndarray]:
     # Unit-spaced rows/columns; radius 1.2 links exactly the distance-1 pairs
     # under the strict-inequality edge rule (sqrt(2) diagonals stay out).
-    positions = [Position(float(i), float(j)) for i in range(side) for j in range(side)]
+    positions = np.array([(i, j) for i in range(side) for j in range(side)], dtype=np.float64)
     return build_geometric_graph(positions, 1.2), positions
 
 
@@ -89,12 +89,12 @@ def star_graph(n_leaves: int, hub: int) -> ConnectivityGraph:
 
 
 def test_edge_present_at_half_radius() -> None:
-    g = build_geometric_graph([Position(0.0, 0.0), Position(1.0, 0.0)], r_n=2.0)
+    g = build_geometric_graph(np.array([[0.0, 0.0], [1.0, 0.0]]), r_n=2.0)
     assert edge_set(g) == {(0, 1)}
 
 
 def test_edge_absent_at_exact_radius() -> None:
-    g = build_geometric_graph([Position(0.0, 0.0), Position(2.0, 0.0)], r_n=2.0)
+    g = build_geometric_graph(np.array([[0.0, 0.0], [2.0, 0.0]]), r_n=2.0)
     assert edge_set(g) == set()
 
 
@@ -109,7 +109,7 @@ def test_adjacency_matches_bruteforce_oracle() -> None:
 
 def test_geometric_graph_rejects_nonpositive_radius() -> None:
     with pytest.raises(ParameterError):
-        build_geometric_graph([Position(0.0, 0.0)], r_n=0.0)
+        build_geometric_graph(np.array([[0.0, 0.0]]), r_n=0.0)
 
 
 @settings(deadline=None, max_examples=25)
@@ -373,8 +373,8 @@ def two_cluster_graph(seed: int) -> ConnectivityGraph:
     has at least two components."""
     big = sample_uniform_positions(150, make_domain(150), seed=seed)
     small = sample_uniform_positions(30, make_domain(30), seed=seed + 1)
-    far = [Position(p.x + 100.0, p.y) for p in small]
-    return build_geometric_graph(big + far, math.sqrt(2.0 * math.log(150)))
+    far = small + np.array([100.0, 0.0])
+    return build_geometric_graph(np.vstack([big, far]), math.sqrt(2.0 * math.log(150)))
 
 
 def test_doubling_estimate_matches_uncached_greedy_covers() -> None:

@@ -21,7 +21,7 @@ import pytest
 
 from beaconsim import harness
 from beaconsim.errors import ParameterError, ProtocolInvariantError
-from beaconsim.geometry import DomainSpec, Position, sample_uniform_positions
+from beaconsim.geometry import DomainSpec, sample_uniform_positions
 from beaconsim.graph import ConnectivityGraph, build_geometric_graph, diameter
 from beaconsim.harness import (
     BaselineResult,
@@ -380,6 +380,24 @@ def test_coordinates_match_pinned_digests(name):
     assert h.hexdigest() == COORDINATE_DIGESTS[name]
 
 
+def test_mobile_run_leaves_the_initial_placement_unchanged(monkeypatch):
+    # run_simulation steps a private copy: the layout it built still holds
+    # the initial placement, byte for byte, once the mobile run is over.
+    cfg = SimConfig(n=80, max_speed=1.0, steps=14, pair_samples=3).with_seed(12)
+    built = []
+    build = harness._build_layout
+
+    def keep(config):
+        built.append(build(config))
+        return built[-1]
+
+    monkeypatch.setattr(harness, "_build_layout", keep)
+    run_simulation(cfg)
+    (layout,) = built
+    placement = sample_uniform_positions(80, DomainSpec.for_nodes(80), cfg.placement_seed)
+    assert layout.positions.tobytes() == placement.tobytes()
+
+
 def test_comb_layout_node_count_comes_from_the_branch_radius():
     cfg = SimConfig(n=2, topology="comb", comb_radius=8, steps=1, pair_samples=5)
     series = run_simulation(cfg)
@@ -544,7 +562,7 @@ def test_doubling_regimes_zero_trials_is_empty():
 
 
 def test_baseline_hand_traced_local_minimum():
-    positions = [Position(3.0, 0.0), Position(4.0, 0.0), Position(10.0, 0.0)]
+    positions = np.array([[3.0, 0.0], [4.0, 0.0], [10.0, 0.0]])
     g = build_geometric_graph(positions, 1.5)
     # From node 0 the only neighbor (node 1) is strictly closer to node 2,
     # so one hop is taken; node 1 has no closer neighbor and gets stuck.
@@ -553,7 +571,7 @@ def test_baseline_hand_traced_local_minimum():
 
 
 def test_baseline_delivers_to_adjacent_target_in_one_hop():
-    positions = [Position(1.0, 1.0), Position(1.5, 1.0), Position(1.0, 1.6)]
+    positions = np.array([[1.0, 1.0], [1.5, 1.0], [1.0, 1.6]])
     g = build_geometric_graph(positions, 5.0)
     for dest in (1, 2):
         result = greedy_georoute_baseline(g, positions, 0, dest)
@@ -563,12 +581,7 @@ def test_baseline_delivers_to_adjacent_target_in_one_hop():
 def test_baseline_breaks_distance_ties_toward_the_lower_id():
     # Nodes 1 and 2 sit symmetrically about the axis to the target, exactly
     # equidistant from it; the walk must pick the lower id.
-    positions = [
-        Position(1.0, 2.0),
-        Position(2.0, 3.0),
-        Position(2.0, 1.0),
-        Position(3.0, 2.0),
-    ]
+    positions = np.array([[1.0, 2.0], [2.0, 3.0], [2.0, 1.0], [3.0, 2.0]])
     g = build_geometric_graph(positions, 1.6)
     result = greedy_georoute_baseline(g, positions, 0, 3)
     assert result.delivered
@@ -576,11 +589,18 @@ def test_baseline_breaks_distance_ties_toward_the_lower_id():
 
 
 def test_baseline_source_equals_dest():
-    positions = [Position(1.0, 1.0), Position(2.0, 1.0)]
+    positions = np.array([[1.0, 1.0], [2.0, 1.0]])
     g = build_geometric_graph(positions, 2.0)
     assert greedy_georoute_baseline(g, positions, 0, 0) == BaselineResult(
         delivered=True, hops=0, route=(0,)
     )
+
+
+def test_baseline_rejects_a_position_count_that_is_not_the_node_count():
+    positions = np.array([[1.0, 1.0], [2.0, 1.0], [3.0, 1.0]])
+    g = build_geometric_graph(positions, 2.0)
+    with pytest.raises(ParameterError):
+        greedy_georoute_baseline(g, positions[:2], 0, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
-from beaconsim.errors import HorizonError, ParameterError
-from beaconsim.geometry import DomainSpec, Position
+from beaconsim.errors import DomainError, HorizonError, ParameterError
+from beaconsim.geometry import DomainSpec
 from beaconsim.graph import ConnectivityGraph, build_geometric_graph
 from beaconsim.mobility import (
     Lockstep,
@@ -33,24 +33,20 @@ def make_domain(n: int) -> DomainSpec:
     return DomainSpec(side=math.sqrt(n), n=n)
 
 
-def torus_displacements(before: list[Position], after: list[Position], side: float) -> np.ndarray:
-    b = np.asarray(before, dtype=float)
-    a = np.asarray(after, dtype=float)
-    delta = np.abs(a - b)
+def torus_displacements(before: np.ndarray, after: np.ndarray, side: float) -> np.ndarray:
+    delta = np.abs(after - before)
     delta = np.minimum(delta, side - delta)
     return np.hypot(delta[:, 0], delta[:, 1])
 
 
-def torus_pairwise(positions: list[Position], side: float) -> np.ndarray:
-    arr = np.asarray(positions, dtype=float)
-    delta = np.abs(arr[:, None, :] - arr[None, :, :])
+def torus_pairwise(positions: np.ndarray, side: float) -> np.ndarray:
+    delta = np.abs(positions[:, None, :] - positions[None, :, :])
     delta = np.minimum(delta, side - delta)
     return np.hypot(delta[..., 0], delta[..., 1])
 
 
-def uniform_positions(n: int, side: float, seed: int) -> list[Position]:
-    pts = np.random.default_rng(seed).random((n, 2)) * side
-    return [Position(float(x), float(y)) for x, y in pts]
+def uniform_positions(n: int, side: float, seed: int) -> np.ndarray:
+    return np.random.default_rng(seed).random((n, 2)) * side
 
 
 # ---------------------------------------------------------------------------
@@ -80,8 +76,7 @@ def test_random_walk_stays_inside_torus_domain() -> None:
     positions = uniform_positions(64, domain.side, seed=3)
     for t in range(50):
         positions = step(RandomWalk(max_speed=2.0), positions, domain, seed=9, t=t)
-        arr = np.asarray(positions)
-        assert (arr >= 0).all() and (arr < domain.side).all()
+        assert (positions >= 0).all() and (positions < domain.side).all()
 
 
 def test_step_is_deterministic_in_seed_and_time() -> None:
@@ -90,14 +85,32 @@ def test_step_is_deterministic_in_seed_and_time() -> None:
     once = step(RandomWalk(max_speed=1.0), positions, domain, seed=3, t=7)
     again = step(RandomWalk(max_speed=1.0), positions, domain, seed=3, t=7)
     other_t = step(RandomWalk(max_speed=1.0), positions, domain, seed=3, t=8)
-    assert np.array_equal(np.asarray(once), np.asarray(again))
-    assert not np.array_equal(np.asarray(once), np.asarray(other_t))
+    assert once.tobytes() == again.tobytes()
+    assert not np.array_equal(once, other_t)
 
 
 def test_step_rejects_positions_outside_domain() -> None:
     domain = make_domain(16)
-    with pytest.raises(Exception):
-        step(RandomWalk(max_speed=1.0), [Position(-1.0, 0.0)], domain, seed=0, t=0)
+    with pytest.raises(DomainError):
+        step(RandomWalk(max_speed=1.0), np.array([[-1.0, 0.0]]), domain, seed=0, t=0)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [RandomWalk(max_speed=1.0), RandomWaypoint(max_speed=1.0), Lockstep(max_speed=1.0)],
+    ids=lambda m: type(m).__name__,
+)
+def test_step_returns_a_new_array_and_leaves_its_input_unchanged(model) -> None:
+    domain = make_domain(100)
+    positions = uniform_positions(100, domain.side, seed=4)
+    before = positions.copy()
+    for t in range(3):
+        moved = step(model, positions, domain, seed=2, t=t)
+        assert moved.shape == (100, 2) and moved.dtype == np.float64
+        assert not np.shares_memory(moved, positions)
+        assert positions.tobytes() == before.tobytes()
+        moved[:] = 0.0  # writing to the result cannot reach the input
+        assert positions.tobytes() == before.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -126,10 +139,9 @@ def test_random_waypoint_respects_speed_and_box() -> None:
     model = RandomWaypoint(max_speed=0.9)
     for t in range(80):
         moved = step(model, positions, domain, seed=13, t=t)
-        diffs = np.asarray(moved) - np.asarray(positions)
+        diffs = moved - positions
         assert np.hypot(diffs[:, 0], diffs[:, 1]).max() < 0.9
-        arr = np.asarray(moved)
-        assert (arr >= 0).all() and (arr < domain.side).all()
+        assert (moved >= 0).all() and (moved < domain.side).all()
         positions = moved
 
 
@@ -158,9 +170,8 @@ def test_random_walk_on_torus_keeps_uniform_occupancy() -> None:
     model = RandomWalk(max_speed=1.0)
     for t in range(10_000):
         positions = step(model, positions, domain, seed=29, t=t)
-    arr = np.asarray(positions)
     bins = np.linspace(0.0, domain.side, 6)
-    counts, _, _ = np.histogram2d(arr[:, 0], arr[:, 1], bins=[bins, bins])
+    counts, _, _ = np.histogram2d(positions[:, 0], positions[:, 1], bins=[bins, bins])
     expected = n / 25.0
     stat = float(((counts - expected) ** 2 / expected).sum())
     assert stat < chi2.ppf(0.999, df=24)

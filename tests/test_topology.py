@@ -16,7 +16,6 @@ import pytest
 from beaconsim.errors import ParameterError
 from beaconsim.geometry import (
     DomainSpec,
-    Position,
     SquareletGrid,
     sample_uniform_positions,
 )
@@ -48,8 +47,8 @@ def test_wall_strip_is_node_free() -> None:
     wall = make_wall()
     lo, hi = wall.strip_y
     assert lo < hi
-    for p in wall.positions:
-        assert not (lo <= p.y <= hi)
+    for _, y in wall.positions:
+        assert not (lo <= y <= hi)
 
 
 def test_wall_requires_radius_above_connectivity_threshold() -> None:
@@ -60,16 +59,16 @@ def test_wall_requires_radius_above_connectivity_threshold() -> None:
 def test_same_side_pair_is_not_blocked() -> None:
     wall = make_wall()
     lo, _ = wall.strip_y
-    a = Position(1.0, lo - 1.0)
-    b = Position(2.0, lo - 0.5)
+    a = np.array([1.0, lo - 1.0])
+    b = np.array([2.0, lo - 0.5])
     assert not wall.blocked_mask(a, b).any()
 
 
 def test_straddling_pair_away_from_hole_is_blocked() -> None:
     wall = make_wall()
     lo, hi = wall.strip_y
-    a = Position(1.0, lo - 0.5)
-    b = Position(1.0, hi + 0.5)
+    a = np.array([1.0, lo - 0.5])
+    b = np.array([1.0, hi + 0.5])
     assert wall.blocked_mask(a, b).all()
 
 
@@ -78,8 +77,8 @@ def test_straddling_pair_through_hole_is_not_blocked() -> None:
     lo, hi = wall.strip_y
     hole_lo, hole_hi = wall.hole_x
     mid = (hole_lo + hole_hi) / 2.0
-    a = Position(mid, lo - 0.5)
-    b = Position(mid, hi + 0.5)
+    a = np.array([mid, lo - 0.5])
+    b = np.array([mid, hi + 0.5])
     assert not wall.blocked_mask(a, b).any()
 
 
@@ -96,10 +95,10 @@ def test_blocked_predicate_matches_dense_sampling_oracle() -> None:
     lo, hi = wall.strip_y
     hole_lo, hole_hi = wall.hole_x
 
-    def oracle(a: Position, b: Position, pad: float) -> bool:
+    def oracle(a: np.ndarray, b: np.ndarray, pad: float) -> bool:
         ts = np.linspace(0.0, 1.0, 4001)
-        xs = a.x + ts * (b.x - a.x)
-        ys = a.y + ts * (b.y - a.y)
+        xs = a[0] + ts * (b[0] - a[0])
+        ys = a[1] + ts * (b[1] - a[1])
         in_band = (ys >= lo + pad) & (ys <= hi - pad)
         in_hole = (xs >= hole_lo - pad) & (xs <= hole_hi + pad)
         return bool((in_band & ~in_hole).any())
@@ -107,8 +106,8 @@ def test_blocked_predicate_matches_dense_sampling_oracle() -> None:
     rng = np.random.default_rng(7)
     checked = 0
     for _ in range(400):
-        a = Position(*(rng.random(2) * wall.side))
-        b = Position(*(rng.random(2) * wall.side))
+        a = rng.random(2) * wall.side
+        b = rng.random(2) * wall.side
         eps = 1e-6
         strict = oracle(a, b, pad=eps)
         loose = oracle(a, b, pad=-eps)
@@ -163,21 +162,23 @@ def unit_grid(cells: int) -> SquareletGrid:
 
 def test_remove_no_cells_is_identity() -> None:
     grid = unit_grid(4)
-    positions = [Position(0.5, 0.5), Position(3.5, 3.5)]
-    assert remove_squarelets(positions, set(), grid) == positions
+    positions = np.array([[0.5, 0.5], [3.5, 3.5]])
+    kept = remove_squarelets(positions, set(), grid)
+    assert kept.tobytes() == positions.tobytes()
+    assert not np.shares_memory(kept, positions)
 
 
 def test_remove_all_cells_empties_layout() -> None:
     grid = unit_grid(4)
-    positions = [Position(0.5, 0.5), Position(3.5, 3.5)]
+    positions = np.array([[0.5, 0.5], [3.5, 3.5]])
     every_cell = {(i, j) for i in range(4) for j in range(4)}
-    assert remove_squarelets(positions, every_cell, grid) == []
+    assert remove_squarelets(positions, every_cell, grid).shape == (0, 2)
 
 
 def test_remove_rejects_out_of_range_cells() -> None:
     grid = unit_grid(4)
     with pytest.raises(ParameterError):
-        remove_squarelets([Position(0.5, 0.5)], {(4, 0)}, grid)
+        remove_squarelets(np.array([[0.5, 0.5]]), {(4, 0)}, grid)
 
 
 def test_checker_pattern_count_matches_recount_oracle() -> None:
@@ -194,13 +195,13 @@ def test_checker_pattern_count_matches_recount_oracle() -> None:
     }
     thinned = remove_squarelets(positions, checker, grid)
 
-    survivors = 0
-    for p in positions:
-        i = min(math.floor(p.x / grid.cell_side), grid.cells_per_side - 1)
-        j = min(math.floor(p.y / grid.cell_side), grid.cells_per_side - 1)
+    survivors = []
+    for x, y in positions.tolist():
+        i = min(math.floor(x / grid.cell_side), grid.cells_per_side - 1)
+        j = min(math.floor(y / grid.cell_side), grid.cells_per_side - 1)
         if (i, j) not in checker:
-            survivors += 1
-    assert len(thinned) == survivors
+            survivors.append((x, y))
+    assert thinned.tolist() == [list(p) for p in survivors]
     assert 0 < len(thinned) < n
 
 
@@ -254,7 +255,7 @@ def test_comb_branch_separation_argument() -> None:
     # 2R apart, so each one needs its own cover center: at least R+1 of them.
     r = 8
     comb = comb_udg(r)
-    index = {p: i for i, p in enumerate(comb.positions)}
+    index = {(x, y): i for i, (x, y) in enumerate(comb.positions.tolist())}
     from_center = bfs_distances(comb.graph, comb.center_id)
     marks = []
     for x in range(0, 4 * r + 1, 2):
@@ -289,7 +290,7 @@ def test_subcritical_positions_are_in_domain_and_deterministic() -> None:
     assert len(positions) == 500
     assert (arr >= 0).all() and (arr < side).all()
     again, _ = subcritical_positions(500, theta=0.8, seed=3)
-    assert positions == again
+    assert positions.tobytes() == again.tobytes()
 
 
 def test_subcritical_rejects_bad_theta() -> None:
