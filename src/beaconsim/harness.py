@@ -362,7 +362,7 @@ def _trim(value: float) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # compared by identity: positions is an array
 class _Layout:
     positions: np.ndarray
     r_n: float

@@ -15,15 +15,25 @@ member list is read from its column, which a load-balanced round groups by
 beacon once for its chain descent. Flood entries live in one pool of
 origin-major arrays: one row per live (origin, level) flood, n columns wide,
 holding each node's hop distance to the origin, its next hop toward it, and
-the step that wrote the cell; a round merges each flood into its row with
-one masked vector update, and clearing a level drops that level's rows.
-Forward state left by membership registrations is one node -> member ->
-level store, indexed back by (member, level) for the floods that contest
-it. Flood rows and registrations never hold the same (origin, level) key at
-the same node, so a node's table is their union. In load-balanced mode an
-(n, L+1) array names the node that stores each (member, level) identifier,
-and one dict keyed the same way holds the beacon chain that led there.
-Rounds are expected at non-decreasing steps.
+the step that wrote the cell, with an (n, L+1) array naming each flood's
+row; clearing a level drops that level's rows. Forward state left by
+membership registrations is one set of flat arrays, an entry per (node,
+member, level), sorted by that key. Flood rows and registrations never hold
+the same (origin, level) key at the same node, so a node's table is their
+union. In load-balanced mode an (n, L+1) array names the node that stores
+each (member, level) identifier, and one dict keyed the same way holds the
+beacon chain that led there. Rounds are expected at non-decreasing steps.
+
+A beaconing round has the outcome of its nodes acting one at a time in a
+seeded random order pi (each floods, then its joiners register), but is
+computed in closed form: the levels are decided top-down from the
+lexicographically-first greedy rule of each level, every origin is then
+searched once at its own flood radius, at most ``_CHUNK`` origins per scipy
+call, and the joins, registrations and flood cells are written as block
+array updates from reached-only (origin, node, distance, predecessor)
+arrays. When two writes meet at one (origin, level) key and node, the
+earlier in pi stays unless the later is strictly shorter, and an entry
+written at an earlier step yields to either.
 
 Probes walk the tables hop by hop. The entry a node follows toward an
 origin (freshest stamp, then shortest, then lowest level, among the
@@ -71,7 +81,7 @@ __all__ = [
 ]
 
 _MODES = ("plain", "load_balanced")
-_CHUNK = 256  # beaconing processes the permutation in blocks of this many floods
+_CHUNK = 256  # flood origins per scipy search in a beaconing round
 
 
 def ring_distance(a: int, b: int, n: int) -> int:
@@ -246,11 +256,14 @@ class _FloodRows:
     where the flood left no entry; the type holds every hop distance, since
     ``flood`` takes any radius. ``next_hop`` and ``stamp`` (the step that
     wrote the cell) are meaningful only where ``dist`` is set. A row's
-    ``parent`` is the origin's beacon one level up: it cannot change while
-    the level stays uncleared. Free rows carry level -1.
+    ``parent`` is the origin's beacon one level up, -1 for none: it cannot
+    change while the level stays uncleared. ``row_of`` names the row of each
+    (origin, level), -1 where there is none, and ``levels[origin]`` lists
+    the origin's (level, row) pairs, lowest level first, computed on the
+    first look-up after a change. Free rows carry level -1.
     """
 
-    def __init__(self, n: int) -> None:
+    def __init__(self, n: int, levels: int) -> None:
         self.n = n
         dist_type = np.min_scalar_type(n)
         self.unreached = int(np.iinfo(dist_type).max)
@@ -259,36 +272,49 @@ class _FloodRows:
         self.stamp = np.empty((0, n), dtype=np.int32)
         self.level = np.empty(0, dtype=np.int16)
         self.origin = np.empty(0, dtype=np.int64)
-        self.parent: list[Optional[int]] = []
-        self.of_origin: dict[int, dict[int, int]] = {}  # origin -> {level: row}
+        self.parent = np.empty(0, dtype=np.int64)
+        self.row_of = np.full((n, levels + 1), -1, dtype=np.int64)
+        self.levels = _Lazy(self._levels_of)
         self._free: list[int] = []
 
-    def row(self, origin: int, level: int) -> Optional[int]:
-        rows = self.of_origin.get(origin)
-        return rows.get(level) if rows else None
+    def _levels_of(self, origin: int) -> list[tuple[int, int]]:
+        return [(level, row) for level, row in enumerate(self.row_of[origin].tolist()) if row >= 0]
 
-    def add(self, origin: int, level: int, parent: Optional[int]) -> int:
-        if not self._free:
+    def rows_for(self, origins: np.ndarray, levels: np.ndarray, parents: np.ndarray) -> np.ndarray:
+        """The row of each (origin, level) flood, with an empty row added
+        where there is none yet. Raises ParameterError, before adding any,
+        at the first origin whose row carries another parent."""
+        rows = self.row_of[origins, levels]
+        old = np.flatnonzero(rows >= 0)
+        clash = old[self.parent[rows[old]] != parents[old]]
+        if clash.size:
+            i = clash.item(0)
+            held = self.parent.item(rows.item(i))
+            raise ParameterError(
+                f"node {origins.item(i)}'s level-{levels.item(i)} flood carries parent "
+                f"{None if held < 0 else held}, which stays until the level is cleared"
+            )
+        new = np.flatnonzero(rows < 0)
+        while len(self._free) < new.size:
             self._grow()
-        row = self._free.pop()
-        self.dist[row] = self.unreached
-        self.level[row] = level
-        self.origin[row] = origin
-        self.parent[row] = parent
-        self.of_origin.setdefault(origin, {})[level] = row
-        return row
+        added = self._free[len(self._free) - new.size :][::-1]
+        del self._free[len(self._free) - new.size :]
+        rows[new] = added
+        self.dist[added] = self.unreached
+        self.level[added] = levels[new]
+        self.origin[added] = origins[new]
+        self.parent[added] = parents[new]
+        self.row_of[origins[new], levels[new]] = added
+        self.levels.clear()
+        return rows
 
     def drop_levels(self, top: int) -> None:
         """Free every row at a level <= ``top``."""
-        for row in np.flatnonzero((self.level >= 0) & (self.level <= top)).tolist():
-            origin = int(self.origin[row])
-            rows = self.of_origin[origin]
-            del rows[int(self.level[row])]
-            if not rows:
-                del self.of_origin[origin]
-            self.level[row] = -1
-            self.parent[row] = None
-            self._free.append(row)
+        rows = np.flatnonzero((self.level >= 0) & (self.level <= top))
+        self.row_of[self.origin[rows], self.level[rows]] = -1
+        self.levels.clear()
+        self.level[rows] = -1
+        self._free.extend(rows.tolist())
 
     def live(self) -> np.ndarray:
         return np.flatnonzero(self.level >= 0)
@@ -296,19 +322,78 @@ class _FloodRows:
     def _grow(self) -> None:
         cap = len(self.level)
         extra = cap or self.n  # one row per node is what a round keeps
-        n = self.n
-        self.dist = np.concatenate([self.dist, np.empty((extra, n), self.dist.dtype)])
-        self.next_hop = np.concatenate([self.next_hop, np.empty((extra, n), self.next_hop.dtype)])
-        self.stamp = np.concatenate([self.stamp, np.empty((extra, n), self.stamp.dtype)])
-        self.level = np.concatenate([self.level, np.full(extra, -1, self.level.dtype)])
-        self.origin = np.concatenate([self.origin, np.zeros(extra, self.origin.dtype)])
-        self.parent.extend([None] * extra)
+
+        def grown(old: np.ndarray, fill: Optional[int] = None) -> np.ndarray:
+            # np.empty leaves the new rows' pages untouched until written
+            new = np.empty((cap + extra,) + old.shape[1:], old.dtype)
+            new[:cap] = old
+            if fill is not None:
+                new[cap:] = fill
+            return new
+
+        self.dist = grown(self.dist)
+        self.next_hop = grown(self.next_hop)
+        self.stamp = grown(self.stamp)
+        self.level = grown(self.level, -1)
+        self.origin = grown(self.origin, 0)
+        self.parent = grown(self.parent, -1)
         self._free.extend(range(cap + extra - 1, cap - 1, -1))  # low rows first
 
 
-class _Entries(dict):
-    """node -> (level, next_hop) of its entry toward one origin, or None where
-    it has none; a node's entry is resolved on its first look-up."""
+class _Registrations:
+    """Forward state that membership registrations installed: one entry per
+    (node, member, level), as flat arrays sorted by that key.
+
+    At ``node`` an entry holds the hop distance toward ``member``, the next
+    hop, and the step that wrote it. Node u's entries are
+    ``start[u]:start[u + 1]``, and ``at[u]`` maps each member to its
+    (level, dist, hop, stamp) entries there, lowest level first, computed on
+    the first look-up after a change. An entry shadows the flood row of the
+    same (member, level), whose cell at that node stays empty.
+    """
+
+    def __init__(self, n: int) -> None:
+        self.n = n
+        self._set(*(np.empty(0, dtype=np.int64) for _ in range(6)))
+
+    def _set(self, node, member, level, dist, hop, stamp) -> None:
+        self.node, self.member, self.level = node, member, level
+        self.dist, self.hop, self.stamp = dist, hop, stamp
+        self.start = np.searchsorted(node, np.arange(self.n + 1))
+        self.at = _Lazy(self._entries_at)
+
+    def _fields(self) -> tuple[np.ndarray, ...]:
+        return (self.node, self.member, self.level, self.dist, self.hop, self.stamp)
+
+    def keep(self, mask: np.ndarray) -> None:
+        """Drop every entry where ``mask`` is False."""
+        self._set(*(field[mask] for field in self._fields()))
+
+    def add(self, *entries: np.ndarray) -> None:
+        """Add (node, member, level, dist, hop, stamp) entries, none of
+        whose keys is held yet."""
+        merged = [np.concatenate([old, new]) for old, new in zip(self._fields(), entries)]
+        order = np.lexsort(merged[2::-1])
+        self._set(*(field[order] for field in merged))
+
+    def _entries_at(self, node: int) -> dict[int, list[tuple[int, int, int, int]]]:
+        held = slice(self.start.item(node), self.start.item(node + 1))
+        entries: dict[int, list[tuple[int, int, int, int]]] = {}
+        for member, *entry in zip(
+            self.member[held].tolist(),
+            self.level[held].tolist(),
+            self.dist[held].tolist(),
+            self.hop[held].tolist(),
+            self.stamp[held].tolist(),
+        ):
+            entries.setdefault(member, []).append(tuple(entry))
+        return entries
+
+
+class _Lazy(dict):
+    """A dict whose value for a missing key is computed by ``resolve`` on
+    the key's first look-up and kept, e.g. node -> (level, next_hop) of its
+    entry toward one origin, or None where it has none."""
 
     __slots__ = ("resolve",)
 
@@ -316,9 +401,9 @@ class _Entries(dict):
         super().__init__()
         self.resolve = resolve
 
-    def __missing__(self, node: int) -> Optional[tuple[int, int]]:
-        entry = self[node] = self.resolve(node)
-        return entry
+    def __missing__(self, key: int):
+        value = self[key] = self.resolve(key)
+        return value
 
 
 # ---------------------------------------------------------------------------
@@ -329,8 +414,10 @@ class _Entries(dict):
 class ProtocolEngine:
     """Protocol state for every node, advanced one beaconing round at a time.
 
-    A round mutates global state in permutation order; forwarding reads the
-    state built by the most recent round against the same graph.
+    A round leaves the state that its nodes, acting one at a time in its
+    seeded permutation, would leave, computed in closed form and written as
+    block array updates; forwarding reads the state built by the most recent
+    round against the same graph.
     """
 
     def __init__(self, n: int, params: ProtocolParams, mode: str = "plain"):
@@ -352,16 +439,8 @@ class ProtocolEngine:
         self._beacon = np.full((n, params.levels + 1), -1, dtype=np.int64)
         self._member_dist = np.zeros((n, params.levels + 1), dtype=np.int64)
         self._member_step = np.zeros((n, params.levels + 1), dtype=np.int64)
-        self._floods = _FloodRows(n)
-        # Indexed by node: member -> {level: (distance, next_hop, step)}, the
-        # forward state that membership registrations installed there. It
-        # shadows the flood row of the same (member, level), whose cell at
-        # that node stays empty.
-        self._registrations: list[dict[int, dict[int, tuple[int, int, int]]]] = [
-            {} for _ in range(n)
-        ]
-        # (member, level) -> nodes whose registrations hold that key
-        self._registered_at: dict[tuple[int, int], set[int]] = {}
+        self._floods = _FloodRows(n, params.levels)
+        self._registrations = _Registrations(n)
         # origin -> {node: next hop toward the origin}: reverse state that
         # probe walks from the origin left behind; a round clears it
         self._reverse: dict[int, dict[int, int]] = {}
@@ -375,7 +454,7 @@ class ProtocolEngine:
         self._sub_beacons: dict[int, tuple[list[int], list[int]]] = {}
         # origin -> the entries that look-ups toward it have resolved; every
         # change of the tables clears it
-        self._next_hops: dict[int, _Entries] = {}
+        self._next_hops: dict[int, _Lazy] = {}
         # the last graph walked on, with its edges as sorted u * n + v keys
         self._edges: Optional[tuple[ConnectivityGraph, np.ndarray]] = None
 
@@ -409,20 +488,30 @@ class ProtocolEngine:
         rows = rows[reached].tolist()
         entries = [
             RoutingEntry(
-                node_id=origin, distance=distance, level=level, next_hop=hop, parent=pool.parent[row]
+                node_id=origin,
+                distance=distance,
+                level=level,
+                next_hop=hop,
+                parent=None if parent < 0 else parent,
             )
-            for row, origin, distance, level, hop in zip(
-                rows,
+            for origin, distance, level, hop, parent in zip(
                 pool.origin[rows].tolist(),
                 dist[reached].tolist(),
                 pool.level[rows].tolist(),
                 pool.next_hop[rows, u].tolist(),
+                pool.parent[rows].tolist(),
             )
         ]
+        regs = self._registrations
+        held = slice(regs.start.item(u), regs.start.item(u + 1))
         entries.extend(
-            RoutingEntry(node_id=member, distance=e[0], level=level, next_hop=e[1])
-            for member, by_level in self._registrations[u].items()
-            for level, e in by_level.items()
+            RoutingEntry(node_id=member, distance=distance, level=level, next_hop=hop)
+            for member, distance, level, hop in zip(
+                regs.member[held].tolist(),
+                regs.dist[held].tolist(),
+                regs.level[held].tolist(),
+                regs.hop[held].tolist(),
+            )
         )
         entries.sort(key=lambda entry: (entry.node_id, entry.level))
         return entries
@@ -462,107 +551,109 @@ class ProtocolEngine:
         pool = self._floods
         flooded = np.count_nonzero(pool.dist[pool.live()] != pool.unreached, axis=0).tolist()
         joined = np.count_nonzero(self._beacon >= 0, axis=1).tolist()
-        for u, (by_member, beta) in enumerate(zip(self._registrations, self._beacon_level.tolist())):
-            live = flooded[u] + sum(len(by_level) for by_level in by_member.values())
-            fh.write(f"{u},{beta},{joined[u]},{live}\n")
+        registered = np.diff(self._registrations.start).tolist()
+        for u, beta in enumerate(self._beacon_level.tolist()):
+            fh.write(f"{u},{beta},{joined[u]},{flooded[u] + registered[u]}\n")
 
     # -- beaconing ---------------------------------------------------------
 
     def beaconing_round(self, g: ConnectivityGraph, t: int, seed: int = 0) -> RoundReport:
         """Run one beaconing round at time ``t`` on graph ``g``.
 
-        Levels up to gamma are cleared and re-elected in a seeded random node
-        order; every node floods at its own level, receivers register for the
-        uncovered levels their distance permits, and hard invariants (full
-        cover, separation of same-level electees) are re-checked before
-        returning.
+        Levels up to gamma are cleared and re-elected against a seeded random
+        node order pi; every node floods at its own level, receivers join
+        the beacons whose cover radius reaches them at their empty levels
+        and register along the path back, and hard invariants (full cover,
+        separation of same-level electees) are re-checked before returning.
+
+        The outcome is that of the nodes acting one at a time in pi order,
+        computed in closed form. A node's level-l membership takes the
+        pi-first node of level >= l within 2**l hops, so the levels are
+        decided top-down (``_elect``), then every origin is searched once at
+        its own flood radius, and the joins, registrations and flood cells
+        are written as block array updates. Where a flood cell and a
+        registration hold the same (origin, level) key at a node, the entry
+        written first in pi order stays unless a later one is strictly
+        shorter; an entry from an earlier step yields to either.
         """
         self._check_graph(g)
         if t < 0:
             raise ParameterError(f"time step must be >= 0, got {t}")
         params = self.params
         levels = params.levels
+        n = self.n
         lb = self.mode == "load_balanced"
-        flood_bits = params.flood_packet_bits(self.n, lb=lb)
-        member_bits = params.membership_packet_bits(self.n)
 
         qualifying = [j for j in range(levels + 1) if t % (params.nu << j) == 0]
         gamma = max(qualifying) if qualifying else -1
 
         self._next_hops.clear()
         self._floods.drop_levels(gamma)
-        self._drop_registrations(gamma)
+        regs = self._registrations
+        regs.keep(regs.level > gamma)
         self._reverse.clear()
         self._beacon[:, : gamma + 1] = -1
 
-        rng = np.random.default_rng((seed, t))
-        pi = [int(u) for u in rng.permutation(self.n)]
-        elected: dict[int, list[int]] = {level: [] for level in range(levels + 1)}
-        cover = np.array([params.cover_radius(level) for level in range(levels + 1)])
+        pi = np.random.default_rng((seed, t)).permutation(n)
+        rank = np.empty(n, dtype=np.int64)
+        rank[pi] = np.arange(n)
+        nearest = _closed_min(g, rank)
+        beta, elected = self._elect(g, gamma, rank, nearest)
+
+        # Origins above level 0 are few; their floods are kept, since their
+        # cover balls decide every join above level 0.
         flood_tx = 0
-        membership_packets = 0
-        membership_hops = 0
-        control_bits = 0
+        high = []
+        for level in range(levels, 0, -1):
+            radius = self._flood_radius(level)
+            for sources in _blocks(np.flatnonzero(beta == level)):
+                at, node, dist, pred = _reach(g, sources, radius)
+                flood_tx += int(np.count_nonzero(dist < radius))
+                high.append((sources, at, node, dist, pred))
+        (joiner, join_level, beacon, join_dist), registrations = self._joins(
+            beta, pi, rank, nearest, high
+        )
 
-        for start in range(0, self.n, _CHUNK):
-            chunk = pi[start : start + _CHUNK]
-            rows = self._flood_rows(g, chunk, gamma)
-            for u in chunk:
-                beta = self._beacon_level.item(u)
-                if beta <= gamma:
-                    beta = self._highest_empty(u)
-                    if beta >= 0:
-                        elected[beta].append(u)
-                    else:
-                        beta = 0  # already a member at every level
-                    self._beacon_level[u] = beta
-                parent: Optional[int] = None
-                if lb and beta < levels and self._beacon.item(u, beta + 1) >= 0:
-                    parent = self._beacon.item(u, beta + 1)
+        parents = np.full(n, -1, dtype=np.int64)
+        if lb:
+            # A flood carries the origin's level-(beta+1) beacon as it stood
+            # at the origin's turn: held before the round, or joined to a
+            # pi-earlier beacon.
+            joined = self._beacon.copy()
+            joined[joiner, join_level] = beacon
+            up = np.flatnonzero(beta < levels)
+            above = joined[up, beta[up] + 1]
+            known = (self._beacon[up, beta[up] + 1] >= 0) | (
+                (above >= 0) & (rank[above] < rank[up])
+            )
+            parents[up[known]] = above[known]
+        rows = np.empty(n, dtype=np.int64)
+        rows[pi] = self._floods.rows_for(pi, beta[pi], parents[pi])
 
-                dist_row, pred_row = rows[u]
-                reached, reached_dist, flood_tx_u = self._post_flood(
-                    u, beta, self._flood_radius(beta), dist_row, pred_row, t, parent
-                )
-                flood_tx += flood_tx_u
-                control_bits += flood_tx_u * flood_bits
+        self._beacon_level[:] = beta
+        self._beacon[joiner, join_level] = beacon
+        self._member_dist[joiner, join_level] = join_dist
+        self._member_step[joiner, join_level] = t
+        self._register(*registrations, t)
+        for sources, at, node, dist, pred in high:
+            self._write_floods(rows[sources], at, node, dist, pred, t)
+        radius = self._flood_radius(0)
+        for sources in _blocks(np.flatnonzero(beta == 0)):
+            at, node, dist, pred = _reach(g, sources, radius)
+            flood_tx += int(np.count_nonzero(dist < radius))
+            self._write_floods(rows[sources], at, node, dist, pred, t)
 
-                # Joins come from within the cover radius: a node at distance
-                # d fills each empty level in [ceil(log2 d), beta], the origin
-                # itself at d = 0, which sends no packet. No two covered nodes
-                # share a row, so one masked update sets them all.
-                covered = np.searchsorted(reached_dist, params.cover_radius(beta), side="right")
-                cells = reached[:covered]
-                d = reached_dist[:covered].astype(np.int64)
-                join_at, join_level = np.nonzero(
-                    (self._beacon[cells, : beta + 1] < 0) & (d[:, None] <= cover[: beta + 1])
-                )
-                joiners = cells[join_at]
-                join_dist = d[join_at]
-                self._beacon[joiners, join_level] = u
-                self._member_dist[joiners, join_level] = join_dist
-                self._member_step[joiners, join_level] = t
-                sent = int(join_dist.sum())
-                membership_packets += int(np.count_nonzero(join_dist))
-                membership_hops += sent
-                control_bits += sent * member_bits
-                # Each registration installs forward state hop by hop along
-                # the joiner's shortest path back to the beacon, node by node,
-                # then level by level; the origin's own path is empty.
-                joins = zip(joiners.tolist(), join_level.tolist(), join_dist.tolist())
-                for v, level, distance in joins:
-                    toward = v
-                    for hops in range(1, distance + 1):
-                        w = pred_row.item(toward)
-                        self._post_registration(w, v, level, hops, toward, t)
-                        toward = w
-
+        membership_hops = int(join_dist.sum())
+        control_bits = (
+            flood_tx * params.flood_packet_bits(n, lb=lb)
+            + membership_hops * params.membership_packet_bits(n)
+        )
         self._assert_cover_complete()
         self._assert_separation(g, elected)
         registration_hops = 0
         if lb:
             registration_hops = self._rebuild_lb_store(levels)
-            control_bits += registration_hops * member_bits
+            control_bits += registration_hops * params.membership_packet_bits(n)
 
         return RoundReport(
             gamma=gamma,
@@ -571,153 +662,209 @@ class ProtocolEngine:
             control_packets=flood_tx + membership_hops + registration_hops,
             control_bits=control_bits,
             flood_transmissions=flood_tx,
-            membership_packets=membership_packets,
+            membership_packets=int(np.count_nonzero(join_dist)),
             membership_hops=membership_hops,
             registration_hops=registration_hops,
         )
 
-    def _flood_rows(
-        self, g: ConnectivityGraph, chunk: list[int], gamma: int
-    ) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-        """Limited-horizon distances and predecessors for each flood origin.
+    def _elect(
+        self, g: ConnectivityGraph, gamma: int, rank: np.ndarray, nearest: np.ndarray
+    ) -> tuple[np.ndarray, dict[int, list[int]]]:
+        """Every node's beacon level after the round, and the nodes elected
+        at each level.
 
-        A re-electing node (beacon level <= gamma) ends at the highest level
-        still empty in its membership row, or at level 0 when none is. Rows
-        only fill as the round runs, so the highest level empty now bounds
-        its new level before that is known, and its search stops at that
-        level's flood radius. Once the chunks before it have filled the top
-        levels, a chunk searches below the top radius.
+        A node whose level is above gamma keeps it. A re-electing node takes
+        the highest level still empty in its membership row at its turn, or
+        level 0 without being elected when none is. Its level-k cell is
+        empty at its turn when it was empty as the round started and no
+        pi-earlier node of level >= k lies within 2**k hops. So, top-down
+        from level L, the re-electing nodes with an empty level-k cell that
+        no higher level took are decided in pi order: one batched search
+        from the nodes already at level >= k, then one search per node that
+        enters. Every node is of level >= 0, so a node's level-0 cell is
+        empty at its turn when it comes first in pi among its neighbours.
         """
-        by_limit: dict[int, list[int]] = {}
-        for u in chunk:
-            beta = self._beacon_level.item(u)
-            if beta <= gamma:
-                beta = max(0, self._highest_empty(u))
-            limit = self._flood_radius(beta)
-            by_limit.setdefault(limit, []).append(u)
-        rows: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        for limit, sources in by_limit.items():
-            dist, pred = dijkstra(
-                g.csr,
-                unweighted=True,
-                indices=np.asarray(sources, dtype=np.int64),
-                limit=float(limit),
-                return_predecessors=True,
-            )
-            for row, u in enumerate(sources):
-                rows[u] = (dist[row], pred[row])
-        return rows
+        levels = self.params.levels
+        beta = self._beacon_level.copy()
+        elected: dict[int, list[int]] = {level: [] for level in range(levels + 1)}
+        again = np.flatnonzero(beta <= gamma)
+        beta[again] = -1
+        for k in range(levels, 0, -1):
+            waiting = again[(beta[again] < 0) & (self._beacon[again, k] < 0)]
+            if not waiting.size:
+                continue
+            radius = self.params.cover_radius(k)
+            first = np.full(self.n, self.n, dtype=np.int64)  # pi-first level >= k node in reach
+            for sources in _blocks(np.flatnonzero(beta >= k)):
+                dist = dijkstra(g.csr, unweighted=True, indices=sources, limit=float(radius))
+                reach = np.where(dist <= radius, rank[sources, None], self.n)
+                first = np.minimum(first, reach.min(axis=0))
+            waiting = waiting[np.argsort(rank[waiting])]
+            waiting = waiting[first[waiting] > rank[waiting]]
+            while waiting.size:
+                u = waiting.item(0)
+                beta[u] = k
+                elected[k].append(u)
+                dist = dijkstra(g.csr, unweighted=True, indices=u, limit=float(radius))
+                waiting = waiting[1:][dist[waiting[1:]] > radius]
+        rest = again[beta[again] < 0]
+        beta[rest] = 0
+        elected[0] = rest[(self._beacon[rest, 0] < 0) & (nearest[rest] == rank[rest])].tolist()
+        return beta, elected
 
-    def _post_flood(
+    def _joins(
+        self, beta: np.ndarray, pi: np.ndarray, rank: np.ndarray, nearest: np.ndarray, high: list
+    ) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+        """The round's joins and registrations, computed before any write.
+
+        Every membership cell empty when the round started joins the
+        pi-first origin of level >= l within 2**l hops: at level 0 the
+        pi-first node of its closed neighbourhood, above it the pi-first
+        covering origin among the ``high`` floods. Returns the joins as
+        (member, level, beacon, distance) and the registrations they send
+        as (node, member, level, distance, next hop): a joiner at distance
+        d registers at each node of its beacon's shortest-path tree on the
+        way back, one vector step per hop.
+        """
+        n = self.n
+        empty = self._beacon < 0
+        member = np.flatnonzero(empty[:, 0])
+        beacon = pi[nearest[member]]
+        distance = (beacon != member).astype(np.int64)
+        hop1 = np.flatnonzero(distance)
+        joins = [(member, np.zeros_like(member), beacon, distance)]
+        registrations = [
+            (beacon[hop1], member[hop1], np.zeros_like(hop1), np.ones_like(hop1), member[hop1])
+        ]
+        if high:
+            origin = np.concatenate([sources[at] for sources, at, *_ in high])
+            node = np.concatenate([cells[2] for cells in high])
+            dist = np.concatenate([cells[3] for cells in high])
+            pred = np.concatenate([cells[4] for cells in high])
+            keys = origin * n + node
+            by_key = np.argsort(keys)
+            keys = keys[by_key]
+            for level in range(1, self.params.levels + 1):
+                near = np.flatnonzero(
+                    (beta[origin] >= level)
+                    & (dist <= self.params.cover_radius(level))
+                    & empty[node, level]
+                )
+                if not near.size:
+                    continue
+                near = near[np.lexsort((rank[origin[near]], node[near]))]
+                v = node[near]
+                near = near[np.r_[True, v[1:] != v[:-1]]]  # each node's pi-first beacon
+                member, beacon, distance = node[near], origin[near], dist[near]
+                joins.append((member, np.full_like(member, level), beacon, distance))
+                toward = member.copy()
+                for hops in range(1, int(distance.max(initial=0)) + 1):
+                    walking = np.flatnonzero(distance >= hops)
+                    here = toward[walking]
+                    step = pred[by_key[np.searchsorted(keys, beacon[walking] * n + here)]]
+                    registrations.append(
+                        (
+                            step,
+                            member[walking],
+                            np.full_like(walking, level),
+                            np.full_like(walking, hops),
+                            here,
+                        )
+                    )
+                    toward[walking] = step
+        return (
+            tuple(np.concatenate(part) for part in zip(*joins)),
+            tuple(np.concatenate(part) for part in zip(*registrations)),
+        )
+
+    def _register(
         self,
-        origin: int,
-        level: int,
-        radius: int,
-        dist_row: np.ndarray,
-        pred_row: np.ndarray,
+        node: np.ndarray,
+        member: np.ndarray,
+        level: np.ndarray,
+        distance: np.ndarray,
+        next_hop: np.ndarray,
         t: int,
-        parent: Optional[int],
-    ) -> tuple[np.ndarray, np.ndarray, int]:
-        """Merge ``origin``'s flood into its row at every node within ``radius``.
+    ) -> None:
+        """Install the round's registrations. Each (member, level) key comes
+        from one join and meets each node once, and no registration older
+        than the round holds it (the member's cell was empty), so the only
+        entry it can meet is a flood cell of the same key: a cell written at
+        step ``t`` or later at an equal or shorter distance stays, any other
+        is emptied so the registration alone holds the key at that node."""
+        pool = self._floods
+        rows = pool.row_of[member, level]
+        cell = np.flatnonzero(rows >= 0)
+        row, at = rows[cell], node[cell]
+        held = pool.dist[row, at]
+        kept = (held != pool.unreached) & (pool.stamp[row, at] >= t) & (held <= distance[cell])
+        pool.dist[row[~kept], at[~kept]] = pool.unreached
+        write = np.ones(len(node), dtype=bool)
+        write[cell[kept]] = False
+        self._registrations.add(
+            node[write],
+            member[write],
+            level[write],
+            distance[write],
+            next_hop[write],
+            np.full(np.count_nonzero(write), t, dtype=np.int64),
+        )
+
+    def _write_floods(
+        self,
+        rows: np.ndarray,
+        at: np.ndarray,
+        node: np.ndarray,
+        dist: np.ndarray,
+        pred: np.ndarray,
+        t: int,
+    ) -> None:
+        """Merge reached-only flood cells into the pool: the cells of
+        ``_reach``, cell k in row ``rows[at[k]]``, each origin's own cell
+        left out.
 
         A cell takes the flood when it was written before step ``t`` or holds
-        a longer distance; so same-step repeats only displace strictly worse
-        hop counts. Returns the reached nodes sorted by (distance, id), the
-        origin first, their distances, and the transmission count: every
-        node within radius-1 rebroadcasts once, the origin included.
+        a longer distance, so same-step repeats only displace strictly worse
+        hop counts. The registrations that hold a row's key are contested by
+        the same rule: one written at step ``t`` or later at an equal or
+        shorter distance stays and keeps the cell empty, any other reached
+        one is dropped.
         """
-        reached = np.flatnonzero(dist_row <= radius)
-        reached_dist = dist_row[reached]
-        order = np.argsort(reached_dist, kind="stable")  # ids ascend within a distance
-        reached, reached_dist = reached[order], reached_dist[order]
         pool = self._floods
-        row = pool.row(origin, level)
-        cells = reached[1:]  # the origin (distance 0) holds no entry for itself
-        distance = reached_dist[1:].astype(pool.dist.dtype)
-        if row is None:
-            row = pool.add(origin, level, parent)
-        elif pool.parent[row] != parent:
-            raise ParameterError(
-                f"node {origin}'s level-{level} flood carries parent {pool.parent[row]}, "
-                "which stays until the level is cleared"
-            )
-        take = (pool.stamp[row, cells] < t) | (distance < pool.dist[row, cells])
-        holders = self._registered_at.get((origin, level))
-        if holders:
-            for node in self._settle_registrations(origin, level, holders, dist_row, radius, t):
-                take &= cells != node
-        cells = cells[take]
-        pool.dist[row, cells] = distance[take]
-        pool.next_hop[row, cells] = pred_row[cells]
-        pool.stamp[row, cells] = t
-        transmissions = int(np.searchsorted(reached_dist, radius - 1, side="right"))
-        return reached, reached_dist, transmissions
-
-    def _settle_registrations(
-        self,
-        origin: int,
-        level: int,
-        holders: set[int],
-        dist_row: np.ndarray,
-        radius: int,
-        t: int,
-    ) -> list[int]:
-        """Let the flood of (origin, level) contest the registration entries
-        for the same key: a registration written at step ``t`` survives at
-        an equal or shorter distance, any other reached one is dropped so
-        the flood row takes its cell. Returns the surviving holders."""
-        kept = []
-        for node in list(holders):
-            d = dist_row[node]
-            if d > radius:
-                continue
-            distance, _, stamp = self._registrations[node][origin][level]
-            if stamp >= t and distance <= d:
-                kept.append(node)
-                continue
-            self._unregister(node, origin, level)
-            holders.discard(node)
-        if not holders:
-            del self._registered_at[(origin, level)]
-        return kept
-
-    def _post_registration(
-        self, node: int, member: int, level: int, distance: int, next_hop: int, t: int
-    ) -> None:
-        """Install forward state for ``member`` at ``node``, by the same rule
-        as a flood cell: it replaces an entry for (member, level) written
-        before step ``t`` or holding a longer distance. The row cell is
-        emptied so the registration alone holds the key at this node."""
-        by_member = self._registrations[node]
-        pool = self._floods
-        by_level = by_member.get(member)
-        cur = by_level.get(level) if by_level else None
-        row = pool.row(member, level)
-        if cur is None and row is not None and pool.dist.item(row, node) != pool.unreached:
-            cur = (pool.dist.item(row, node), -1, pool.stamp.item(row, node))
-        if cur is not None and cur[2] >= t and cur[0] <= distance:
+        n = self.n
+        cells = np.flatnonzero(dist > 0)
+        if not cells.size:
             return
-        if row is not None:
-            pool.dist[row, node] = pool.unreached
-        by_member.setdefault(member, {})[level] = (distance, next_hop, t)
-        self._registered_at.setdefault((member, level), set()).add(node)
-
-    def _drop_registrations(self, top: int) -> None:
-        """Forget every registration entry at a level <= ``top``."""
-        for key in [key for key in self._registered_at if key[1] <= top]:
-            for node in self._registered_at.pop(key):
-                self._unregister(node, *key)
-
-    def _unregister(self, node: int, member: int, level: int) -> None:
-        registrations = self._registrations[node]
-        del registrations[member][level]
-        if not registrations[member]:
-            del registrations[member]
-
-    def _highest_empty(self, u: int) -> int:
-        """The highest level at which ``u`` holds no membership, or -1."""
-        empty = np.flatnonzero(self._beacon[u] < 0)
-        return empty.item(-1) if empty.size else -1
+        keys = at[cells] * n + node[cells]
+        # flat indices into raveled views of the pool arrays (C-contiguous,
+        # so writes through the views land in the pool)
+        flat = rows[at[cells]] * n + node[cells]
+        pool_dist, pool_stamp = pool.dist.reshape(-1), pool.stamp.reshape(-1)
+        take = (pool_stamp[flat] < t) | (dist[cells] < pool_dist[flat])
+        regs = self._registrations
+        slot = np.full(n, -1, dtype=np.int64)
+        slot[pool.origin[rows]] = np.arange(len(rows))
+        # registrations of the same (origin, level) keys
+        i = slot[regs.member]
+        contest = np.flatnonzero(i >= 0)
+        i = i[contest]
+        same = regs.level[contest] == pool.level[rows[i]]
+        contest, i = contest[same], i[same]
+        if contest.size:
+            probe = i * n + regs.node[contest]
+            pos = np.minimum(np.searchsorted(keys, probe), len(keys) - 1)
+            reached = keys[pos] == probe
+            kept = reached & (regs.stamp[contest] >= t) & (regs.dist[contest] <= dist[cells[pos]])
+            take[pos[kept]] = False
+            dropped = contest[reached & ~kept]
+            if dropped.size:
+                survive = np.ones(len(regs.node), dtype=bool)
+                survive[dropped] = False
+                regs.keep(survive)
+        cells, flat = cells[take], flat[take]
+        pool_dist[flat] = dist[cells]
+        pool.next_hop.reshape(-1)[flat] = pred[cells]
+        pool_stamp[flat] = t
 
     def _beacon_sets(self, levels: int) -> dict[int, tuple[int, ...]]:
         return {
@@ -800,11 +947,11 @@ class ProtocolEngine:
         state, at level -1, is the last resort."""
         return self._next_hops_to(g, origin)[node] or self._reverse_entry(node, origin)
 
-    def _next_hops_to(self, g: ConnectivityGraph, origin: int) -> _Entries:
+    def _next_hops_to(self, g: ConnectivityGraph, origin: int) -> _Lazy:
         self._edge_keys(g)
         toward = self._next_hops.get(origin)
         if toward is None:
-            toward = self._next_hops[origin] = _Entries(lambda node: self._resolve(node, origin))
+            toward = self._next_hops[origin] = _Lazy(lambda node: self._resolve(node, origin))
         return toward
 
     def _edge_keys(self, g: ConnectivityGraph) -> np.ndarray:
@@ -832,15 +979,13 @@ class ProtocolEngine:
         next hop is no edge gets next hop -1."""
         pool = self._floods
         best_key, best = None, None
-        for level, row in pool.of_origin.get(origin, {}).items():
+        for level, row in pool.levels[origin]:
             distance = pool.dist.item(row, node)
             if distance != pool.unreached:
                 key = (-pool.stamp.item(row, node), distance, level)
                 if best_key is None or key < best_key:
                     best_key, best = key, (level, pool.next_hop.item(row, node))
-        for level, (distance, hop, stamp) in (
-            self._registrations[node].get(origin, {}).items()
-        ):
+        for level, distance, hop, stamp in self._registrations.at[node].get(origin, ()):
             key = (-stamp, distance, level)
             if best_key is None or key < best_key:
                 best_key, best = key, (level, hop)
@@ -891,11 +1036,12 @@ class ProtocolEngine:
         # membership registrations both qualify.
         pool = self._floods
         found = max_level + 1
-        for lvl, row in pool.of_origin.get(dest, {}).items():
+        for lvl, row in pool.levels[dest]:
             if lvl < found and pool.dist.item(row, relay) != pool.unreached:
                 found = lvl
-        for lvl in self._registrations[relay].get(dest, ()):
-            found = min(found, lvl)
+        held = self._registrations.at[relay].get(dest)
+        if held:
+            found = min(found, held[0][0])
         if found <= max_level:
             return True, found
         return False, -1
@@ -1074,15 +1220,12 @@ class ProtocolEngine:
         near = dist <= min(max_distance, pool.unreached - 1)
         origins = pool.origin[rows[near]]
         dist = dist[near]
-        extra = [
-            (member, e[0])
-            for member, by_level in self._registrations[node].items()
-            for level, e in by_level.items()
-            if level >= min_level and e[0] <= max_distance
-        ]
-        if extra:
-            origins = np.concatenate([origins, [member for member, _ in extra]])
-            dist = np.concatenate([dist, [d for _, d in extra]])
+        regs = self._registrations
+        held = slice(regs.start.item(node), regs.start.item(node + 1))
+        near = (regs.level[held] >= min_level) & (regs.dist[held] <= max_distance)
+        if near.any():
+            origins = np.concatenate([origins, regs.member[held][near]])
+            dist = np.concatenate([dist, regs.dist[held][near]])
         origins = origins[np.lexsort((origins, dist))]
         first = np.unique(origins, return_index=True)[1]  # each origin at its shortest
         return [origin for origin in origins[np.sort(first)].tolist() if origin not in skip]
@@ -1201,6 +1344,37 @@ class ProtocolEngine:
             )
 
 
+def _blocks(sources: np.ndarray):
+    """``sources`` in consecutive blocks of at most ``_CHUNK``."""
+    for start in range(0, len(sources), _CHUNK):
+        yield sources[start : start + _CHUNK]
+
+
+def _reach(
+    g: ConnectivityGraph, sources: np.ndarray, radius: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Every node within ``radius`` hops of each source, in one scipy
+    search: the source's position in ``sources``, the node, its hop distance
+    and its BFS predecessor, the source itself included at distance 0, in
+    (position, node) order."""
+    dist, pred = dijkstra(
+        g.csr, unweighted=True, indices=sources, limit=float(radius), return_predecessors=True
+    )
+    cells = np.flatnonzero(dist <= radius)
+    at, node = np.divmod(cells, g.n)
+    return at, node, dist.reshape(-1)[cells].astype(np.int64), pred.reshape(-1)[cells]
+
+
+def _closed_min(g: ConnectivityGraph, rank: np.ndarray) -> np.ndarray:
+    """The lowest ``rank`` in each node's closed neighbourhood."""
+    indptr = g.csr.indptr
+    low = rank.copy()
+    rows = np.flatnonzero(np.diff(indptr))
+    if rows.size:
+        low[rows] = np.minimum(low[rows], np.minimum.reduceat(rank[g.csr.indices], indptr[rows]))
+    return low
+
+
 def _not_edges(keys: np.ndarray, n: int, tails: np.ndarray, heads: np.ndarray) -> np.ndarray:
     """Positions i at which (tails[i], heads[i]) is no edge in ``keys``, a
     graph's sorted ``u * n + v`` keys closed by the key ``n * n``."""
@@ -1244,15 +1418,13 @@ def flood(
     engine._check_graph(g)
     if radius < 1:
         raise ParameterError(f"flood radius must be >= 1, got {radius}")
-    dist, pred = dijkstra(
-        g.csr,
-        unweighted=True,
-        indices=np.asarray([origin], dtype=np.int64),
-        limit=float(radius),
-        return_predecessors=True,
-    )
+    at, node, dist, pred = _reach(g, np.array([origin]), radius)
     engine._next_hops.clear()
-    return engine._post_flood(origin, level, radius, dist[0], pred[0], t, parent)[2]
+    rows = engine._floods.rows_for(
+        np.array([origin]), np.array([level]), np.array([-1 if parent is None else parent])
+    )
+    engine._write_floods(rows, at, node, dist, pred, t)
+    return int(np.count_nonzero(dist < radius))
 
 
 def probe(

@@ -40,10 +40,11 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WallTopology:
     """Uniform layout with a node-free horizontal strip; edges may cross the
-    strip only through the central gap."""
+    strip only through the central gap. Layouts compare by identity: the
+    generated field-by-field ``==`` cannot compare the position array."""
 
     positions: np.ndarray
     side: float
@@ -154,8 +155,11 @@ def remove_squarelets(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CombTopology:
+    """The comb's graph and integer layout; compared by identity, as
+    ``WallTopology`` is."""
+
     graph: ConnectivityGraph
     positions: np.ndarray
     center_id: int

@@ -380,6 +380,13 @@ def test_coordinates_match_pinned_digests(name):
     assert h.hexdigest() == COORDINATE_DIGESTS[name]
 
 
+@pytest.mark.parametrize("name", sorted(LAYOUT_CONFIGS))
+def test_built_layouts_compare_by_identity(name):
+    layout = harness._build_layout(LAYOUT_CONFIGS[name])
+    assert (layout == harness._build_layout(LAYOUT_CONFIGS[name])) is False
+    assert (layout == layout) is True
+
+
 def test_mobile_run_leaves_the_initial_placement_unchanged(monkeypatch):
     # run_simulation steps a private copy: the layout it built still holds
     # the initial placement, byte for byte, once the mobile run is over.

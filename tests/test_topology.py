@@ -38,6 +38,15 @@ from beaconsim.topology import (
 # ---------------------------------------------------------------------------
 
 
+def test_layouts_compare_by_identity_and_equality_returns_a_bool():
+    # The generated dataclass == would compare the position arrays and raise.
+    wall, again = wall_topology(300, 4.0, seed=1), wall_topology(300, 4.0, seed=1)
+    comb = comb_udg(4)
+    assert (wall == again) is False and (wall == wall) is True and (wall != again) is True
+    assert (comb == comb_udg(4)) is False and (comb == comb) is True
+    assert len({wall, again, comb}) == 3
+
+
 def make_wall(n: int = 2000, seed: int = 0, **kwargs):
     r_n = math.sqrt(2.0 * math.log(n))
     return wall_topology(n, r_n, seed=seed, **kwargs)

@@ -1,0 +1,68 @@
+"""Time one beaconing round at several network sizes.
+
+For each size n the script lays out n uniform nodes on the square of side
+sqrt(n), links them within sqrt(2 ln n) (the static-routing layout of
+perfbench), takes the level count from the exact hop diameter with kappa 1,
+and times ``ProtocolEngine.beaconing_round`` on a fresh engine at t=0 (the
+first round, every level re-elected) and then at t=1 (gamma 0: only level 0
+re-elected). Each size is run ``--runs`` times; times are process CPU
+seconds. The result is printed as JSON.
+
+    python3 tools/round_timing.py                      # n = 500, 1000, 2000, 4000, seed 41
+    python3 tools/round_timing.py --sizes 1000 --runs 5
+
+The library is imported from the ``src`` directory next to this one.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import math
+import os
+import sys
+import time
+from pathlib import Path
+
+for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(var, "1")
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+import beaconsim as bs  # noqa: E402
+
+
+def time_rounds(n: int, seed: int, runs: int) -> dict:
+    domain = bs.DomainSpec.for_nodes(n)
+    positions = bs.sample_uniform_positions(n, domain, seed)
+    g = bs.build_geometric_graph(positions, math.sqrt(2.0 * math.log(n)))
+    levels = bs.ProtocolParams.levels_for_diameter(bs.diameter(g).hops)
+    params = bs.ProtocolParams(kappa=1.0, levels=levels)
+    first, second = [], []
+    for _ in range(runs):
+        engine = bs.ProtocolEngine(n, params)
+        for t, times in ((0, first), (1, second)):
+            start = time.process_time()
+            engine.beaconing_round(g, t, seed=seed + 2)
+            times.append(round(time.process_time() - start, 4))
+    return {"levels": levels, "edges": g.num_edges, "t0_s": first, "t1_s": second}
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--sizes", default="500,1000,2000,4000")
+    parser.add_argument("--seed", type=int, default=41)
+    parser.add_argument("--runs", type=int, default=3)
+    args = parser.parse_args(argv)
+    sizes = [int(size) for size in args.sizes.split(",")]
+    result = {
+        "seed": args.seed,
+        "runs": args.runs,
+        "clock": "process_time",
+        "sizes": {str(n): time_rounds(n, args.seed, args.runs) for n in sizes},
+    }
+    print(json.dumps(result, indent=1))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
