@@ -12,15 +12,12 @@ Each piece of protocol state is held once, by the engine. Cluster
 memberships are (n, L+1) arrays holding each node's beacon id, join distance
 and join step per level, next to a vector of beacon levels; a beacon's
 member list is read from its column, which a load-balanced round groups by
-beacon once for its chain descent. Flood entries live in one pool of
-origin-major arrays: one row per live (origin, level) flood, n columns wide,
-holding each node's hop distance to the origin, its next hop toward it, and
-the step that wrote the cell, with an (n, L+1) array naming each flood's
-row; clearing a level drops that level's rows. Forward state left by
-membership registrations is one set of flat arrays, an entry per (node,
-member, level), sorted by that key. Flood rows and registrations never hold
-the same (origin, level) key at the same node, so a node's table is their
-union. In load-balanced mode an (n, L+1) array names the node that stores
+beacon once for its chain descent. Every node's routing table is one
+store (``_Table``): flat columns of entries sorted by (origin, node, level),
+each the hop distance, next hop and writing step that the origin's scoped
+flood or a membership registration left at the node, with an (n, L+1) array
+of the parent each (origin, level) flood carries; clearing a level drops its
+entries. In load-balanced mode an (n, L+1) array names the node that stores
 each (member, level) identifier, and one dict keyed the same way holds the
 beacon chain that led there. Rounds are expected at non-decreasing steps.
 
@@ -29,22 +26,27 @@ seeded random order pi (each floods, then its joiners register), but is
 computed in closed form: the levels are decided top-down from the
 lexicographically-first greedy rule of each level, every origin is then
 searched once at its own flood radius, at most ``_CHUNK`` origins per scipy
-call, and the joins, registrations and flood cells are written as block
-array updates from reached-only (origin, node, distance, predecessor)
-arrays. When two writes meet at one (origin, level) key and node, the
-earlier in pi stays unless the later is strictly shorter, and an entry
-written at an earlier step yields to either.
+call, and the joins and registrations are computed in block array steps
+from reached-only (origin, node, distance, predecessor) arrays. The round
+and the stand-alone ``flood`` write the table through one merge of presorted
+runs with one tie rule: per (origin, node, level) key the candidate lowest
+in (stale, distance, writer order) stays. An entry is stale when written at
+an earlier step; in writer order the entries already held come first, then
+the round's writes in pi order.
 
 Probes walk the tables hop by hop. The entry a node follows toward an
-origin (freshest stamp, then shortest, then lowest level, among the
-origin's flood rows and the node's registrations, its next hop checked
-against the graph's sorted edge keys) is resolved the first time a look-up
-reaches that node and kept in a per-origin dict, so a later hop through the
-node is one dict lookup. Resolved entries hold for one table state and one
-graph: a beaconing round, a stand-alone ``flood`` and a look-up on another
-graph each clear them. Walks still leave reverse entries at the nodes they
-cross, one origin -> {node: next hop} dict that each round clears, which a
-later walk follows only where a node has no table entry.
+origin (freshest stamp, then shortest, then lowest level, among the table's
+(origin, node) slice, its next hop checked against the graph's sorted edge
+keys) is resolved the first time a look-up reaches that node and kept in a
+per-origin dict, so a later hop through the node is one dict lookup.
+Resolved entries hold for one table state and one graph: a beaconing round,
+a stand-alone ``flood`` and a look-up on another graph each clear them. The
+reads that want all of one node's entries (a probe stage's candidates, the
+routing entries, the state dump) use a node-major permutation of the table,
+built on the first such read after a change. Walks still leave reverse
+entries at the nodes they cross, one origin -> {node: next hop} dict that
+each round clears, which a later walk follows only where a node has no
+table entry.
 
 Cost accounting is explicit: flood cost is transmissions times the flood
 packet width, probe and membership cost is path hops times the respective
@@ -249,145 +251,160 @@ class ForwardReceipt:
     probes: tuple[ProbeRecord, ...]
 
 
-class _FloodRows:
-    """Flood entries as origin-major arrays, one row per (origin, level).
+_NO_FLOOD = -2  # table parent of an (origin, level) that holds no flood
 
-    ``dist`` holds each node's hop distance to the origin, or ``unreached``
-    where the flood left no entry; the type holds every hop distance, since
-    ``flood`` takes any radius. ``next_hop`` and ``stamp`` (the step that
-    wrote the cell) are meaningful only where ``dist`` is set. A row's
-    ``parent`` is the origin's beacon one level up, -1 for none: it cannot
-    change while the level stays uncleared. ``row_of`` names the row of each
-    (origin, level), -1 where there is none, and ``levels[origin]`` lists
-    the origin's (level, row) pairs, lowest level first, computed on the
-    first look-up after a change. Free rows carry level -1.
+
+class _Table:
+    """Every node's routing table, as one store of entries.
+
+    An entry is what one node holds toward one origin at one level: the hop
+    distance, the next hop toward the origin, the step that wrote it, and
+    whether a membership registration wrote it rather than the origin's
+    flood. The entries are flat columns sorted by ``key``, which packs
+    (origin, node, level) as ``(origin * n + node) * (L + 1) + level``. No
+    key appears twice, so the entries one node holds toward one origin are
+    one contiguous slice, lowest level first (``entries``); the entries one
+    node holds are read through a node-major permutation (``held_by``).
+
+    ``parent[origin, level]`` is the parent that the origin's flood at that
+    level carries: -1 for none, ``_NO_FLOOD`` where no such flood is held.
+    It cannot change while the level stays uncleared. The node-major
+    permutation is built on the first read after a change.
     """
 
     def __init__(self, n: int, levels: int) -> None:
         self.n = n
-        dist_type = np.min_scalar_type(n)
-        self.unreached = int(np.iinfo(dist_type).max)
-        self.dist = np.empty((0, n), dtype=dist_type)
-        self.next_hop = np.empty((0, n), dtype=np.int16 if n < 2**15 else np.int32)
-        self.stamp = np.empty((0, n), dtype=np.int32)
-        self.level = np.empty(0, dtype=np.int16)
-        self.origin = np.empty(0, dtype=np.int64)
-        self.parent = np.empty(0, dtype=np.int64)
-        self.row_of = np.full((n, levels + 1), -1, dtype=np.int64)
-        self.levels = _Lazy(self._levels_of)
-        self._free: list[int] = []
+        self.width = levels + 1
+        if 2 * self.width * n**3 >= 2**63:
+            raise ParameterError(f"{n} nodes overflow the table's 64-bit merge ranks")
+        self.parent = np.full((n, self.width), _NO_FLOOD, dtype=np.int64)
+        self._small = np.min_scalar_type(n)  # holds every node id and hop distance
+        empty = np.empty(0, dtype=np.int64)
+        self._set(empty, empty, empty, empty, np.empty(0, dtype=bool))
 
-    def _levels_of(self, origin: int) -> list[tuple[int, int]]:
-        return [(level, row) for level, row in enumerate(self.row_of[origin].tolist()) if row >= 0]
+    def _set(self, key, dist, hop, stamp, reg) -> None:
+        self.key = key
+        self.dist = dist.astype(self._small, copy=False)
+        self.hop = hop.astype(self._small, copy=False)
+        self.stamp = stamp.astype(np.int32, copy=False)
+        self.reg = reg
+        self._by_node: Optional[tuple[np.ndarray, np.ndarray]] = None
+        self._origin: Optional[tuple[int, list[int]]] = None  # for ``lowest_level``
 
-    def rows_for(self, origins: np.ndarray, levels: np.ndarray, parents: np.ndarray) -> np.ndarray:
-        """The row of each (origin, level) flood, with an empty row added
-        where there is none yet. Raises ParameterError, before adding any,
-        at the first origin whose row carries another parent."""
-        rows = self.row_of[origins, levels]
-        old = np.flatnonzero(rows >= 0)
-        clash = old[self.parent[rows[old]] != parents[old]]
+    def _columns(self) -> tuple[np.ndarray, ...]:
+        return (self.key, self.dist, self.hop, self.stamp, self.reg)
+
+    def entries(self, origin: int, node: int) -> tuple[int, int]:
+        """Bounds of the slice of entries that ``node`` holds toward ``origin``."""
+        key, width = self.key, self.width
+        start = (origin * self.n + node) * width
+        lo = hi = int(key.searchsorted(start))
+        end = min(lo + width, key.size)  # at most L + 1 entries
+        while hi < end and key.item(hi) - start < width:
+            hi += 1
+        return lo, hi
+
+    def lowest_level(self, origin: int, node: int) -> int:
+        """The level of the first entry in ``entries(origin, node)``, L + 1
+        where the slice is empty. Look-ups come in runs toward one origin (a
+        forward asks about one destination), so the last origin's keys are
+        kept as a list."""
+        if self._origin is None or self._origin[0] != origin:
+            block = origin * self.n * self.width
+            lo, hi = self.key.searchsorted([block, block + self.n * self.width]).tolist()
+            self._origin = (origin, self.key[lo:hi].tolist())
+        keys, width = self._origin[1], self.width
+        start = (origin * self.n + node) * width
+        i = bisect_left(keys, start)
+        return min(keys[i] - start, width) if i < len(keys) else width
+
+    def held_by(self, node: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The positions of the entries that ``node`` holds, in (origin,
+        level) order, with their origins and levels."""
+        order, start = self.by_node()
+        held = order[start.item(node) : start.item(node + 1)]
+        cell, level = np.divmod(self.key[held], self.width)
+        return held, cell // self.n, level
+
+    def by_node(self) -> tuple[np.ndarray, np.ndarray]:
+        """Entry positions in (node, origin, level) order, and each node's
+        start offset among them."""
+        if self._by_node is None:
+            node = (self.key // self.width % self.n).astype(self._small)
+            start = np.zeros(self.n + 1, dtype=np.int64)
+            np.cumsum(np.bincount(node, minlength=self.n), out=start[1:])
+            self._by_node = (np.argsort(node, kind="stable"), start)
+        return self._by_node
+
+    def write(
+        self,
+        t: int,
+        origins: np.ndarray,
+        levels: np.ndarray,
+        parents: np.ndarray,
+        runs: list[tuple[np.ndarray, np.ndarray, np.ndarray, bool]],
+        cleared: int = -1,
+    ) -> None:
+        """Drop the levels up to ``cleared``, record that ``origins`` flood
+        at ``levels`` carrying ``parents`` (-1 for none), then ``merge`` the
+        entries in ``runs`` at step ``t``. Raises ParameterError, before any
+        change, at the first origin whose flood at that level is held through
+        the clear with another parent."""
+        held = self.parent[origins, levels]
+        clash = np.flatnonzero((levels > cleared) & (held != _NO_FLOOD) & (held != parents))
         if clash.size:
             i = clash.item(0)
-            held = self.parent.item(rows.item(i))
+            parent = held.item(i)
             raise ParameterError(
                 f"node {origins.item(i)}'s level-{levels.item(i)} flood carries parent "
-                f"{None if held < 0 else held}, which stays until the level is cleared"
+                f"{None if parent < 0 else parent}, which stays until the level is cleared"
             )
-        new = np.flatnonzero(rows < 0)
-        while len(self._free) < new.size:
-            self._grow()
-        added = self._free[len(self._free) - new.size :][::-1]
-        del self._free[len(self._free) - new.size :]
-        rows[new] = added
-        self.dist[added] = self.unreached
-        self.level[added] = levels[new]
-        self.origin[added] = origins[new]
-        self.parent[added] = parents[new]
-        self.row_of[origins[new], levels[new]] = added
-        self.levels.clear()
-        return rows
+        if cleared >= 0:
+            kept = self.key % self.width > cleared
+            self._set(*(column[kept] for column in self._columns()))
+            self.parent[:, : cleared + 1] = _NO_FLOOD
+        self.parent[origins, levels] = parents
+        self.merge(t, runs)
 
-    def drop_levels(self, top: int) -> None:
-        """Free every row at a level <= ``top``."""
-        rows = np.flatnonzero((self.level >= 0) & (self.level <= top))
-        self.row_of[self.origin[rows], self.level[rows]] = -1
-        self.levels.clear()
-        self.level[rows] = -1
-        self._free.extend(rows.tolist())
+    def run(
+        self,
+        origin: np.ndarray,
+        node: np.ndarray,
+        level: int | np.ndarray,
+        dist: np.ndarray,
+        hop: np.ndarray,
+        registered: bool,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
+        """Entries of one writer as a ``merge`` run, in the order given; an
+        origin's own cell (distance 0) is no entry and is left out."""
+        key = (origin * self.n + node) * self.width + level
+        out = np.flatnonzero(dist)
+        return key[out], dist[out].astype(self._small), hop[out].astype(self._small), registered
 
-    def live(self) -> np.ndarray:
-        return np.flatnonzero(self.level >= 0)
-
-    def _grow(self) -> None:
-        cap = len(self.level)
-        extra = cap or self.n  # one row per node is what a round keeps
-
-        def grown(old: np.ndarray, fill: Optional[int] = None) -> np.ndarray:
-            # np.empty leaves the new rows' pages untouched until written
-            new = np.empty((cap + extra,) + old.shape[1:], old.dtype)
-            new[:cap] = old
-            if fill is not None:
-                new[cap:] = fill
-            return new
-
-        self.dist = grown(self.dist)
-        self.next_hop = grown(self.next_hop)
-        self.stamp = grown(self.stamp)
-        self.level = grown(self.level, -1)
-        self.origin = grown(self.origin, 0)
-        self.parent = grown(self.parent, -1)
-        self._free.extend(range(cap + extra - 1, cap - 1, -1))  # low rows first
-
-
-class _Registrations:
-    """Forward state that membership registrations installed: one entry per
-    (node, member, level), as flat arrays sorted by that key.
-
-    At ``node`` an entry holds the hop distance toward ``member``, the next
-    hop, and the step that wrote it. Node u's entries are
-    ``start[u]:start[u + 1]``, and ``at[u]`` maps each member to its
-    (level, dist, hop, stamp) entries there, lowest level first, computed on
-    the first look-up after a change. An entry shadows the flood row of the
-    same (member, level), whose cell at that node stays empty.
-    """
-
-    def __init__(self, n: int) -> None:
-        self.n = n
-        self._set(*(np.empty(0, dtype=np.int64) for _ in range(6)))
-
-    def _set(self, node, member, level, dist, hop, stamp) -> None:
-        self.node, self.member, self.level = node, member, level
-        self.dist, self.hop, self.stamp = dist, hop, stamp
-        self.start = np.searchsorted(node, np.arange(self.n + 1))
-        self.at = _Lazy(self._entries_at)
-
-    def _fields(self) -> tuple[np.ndarray, ...]:
-        return (self.node, self.member, self.level, self.dist, self.hop, self.stamp)
-
-    def keep(self, mask: np.ndarray) -> None:
-        """Drop every entry where ``mask`` is False."""
-        self._set(*(field[mask] for field in self._fields()))
-
-    def add(self, *entries: np.ndarray) -> None:
-        """Add (node, member, level, dist, hop, stamp) entries, none of
-        whose keys is held yet."""
-        merged = [np.concatenate([old, new]) for old, new in zip(self._fields(), entries)]
-        order = np.lexsort(merged[2::-1])
-        self._set(*(field[order] for field in merged))
-
-    def _entries_at(self, node: int) -> dict[int, list[tuple[int, int, int, int]]]:
-        held = slice(self.start.item(node), self.start.item(node + 1))
-        entries: dict[int, list[tuple[int, int, int, int]]] = {}
-        for member, *entry in zip(
-            self.member[held].tolist(),
-            self.level[held].tolist(),
-            self.dist[held].tolist(),
-            self.hop[held].tolist(),
-            self.stamp[held].tolist(),
-        ):
-            entries.setdefault(member, []).append(tuple(entry))
-        return entries
+    def merge(self, t: int, runs: list[tuple[np.ndarray, np.ndarray, np.ndarray, bool]]) -> None:
+        """Write entries at step ``t``. The runs come in writer order, each
+        sorted by key with no key twice. Per key, the candidate lowest in
+        (stale, distance, writer order) stays: a held entry comes before
+        every write and is stale when written before ``t``. So a write
+        replaces what is held when that is stale or strictly longer."""
+        columns = [self._columns()]
+        for key, dist, hop, registered in runs:
+            stamp = np.full(len(key), t, dtype=np.int32)
+            columns.append((key, dist, hop, stamp, np.full(len(key), registered)))
+        rank, dist, hop, stamp, reg = (np.concatenate(column) for column in zip(*columns))
+        # (key, stale, distance) as one rank, built in place; the stable
+        # sort merges the presorted runs and keeps writer order among equals
+        rank *= 2 * self.n
+        rank[np.flatnonzero(stamp < t)] += self.n
+        rank += dist
+        order = np.argsort(rank, kind="stable")
+        rank = rank[order]
+        rank //= 2 * self.n  # now the sorted keys
+        first = np.empty(rank.size, dtype=bool)
+        first[:1] = True
+        np.not_equal(rank[1:], rank[:-1], out=first[1:])
+        win = order[first]
+        self._set(rank[first], dist[win], hop[win], stamp[win], reg[win])
 
 
 class _Lazy(dict):
@@ -415,9 +432,10 @@ class ProtocolEngine:
     """Protocol state for every node, advanced one beaconing round at a time.
 
     A round leaves the state that its nodes, acting one at a time in its
-    seeded permutation, would leave, computed in closed form and written as
-    block array updates; forwarding reads the state built by the most recent
-    round against the same graph.
+    seeded permutation, would leave, computed in closed form; memberships
+    are written as block array updates and routing entries through one merge
+    into the routing table. Forwarding reads the state built by the most
+    recent round against the same graph.
     """
 
     def __init__(self, n: int, params: ProtocolParams, mode: str = "plain"):
@@ -439,8 +457,8 @@ class ProtocolEngine:
         self._beacon = np.full((n, params.levels + 1), -1, dtype=np.int64)
         self._member_dist = np.zeros((n, params.levels + 1), dtype=np.int64)
         self._member_step = np.zeros((n, params.levels + 1), dtype=np.int64)
-        self._floods = _FloodRows(n, params.levels)
-        self._registrations = _Registrations(n)
+        # every node's routing entries, from floods and registrations alike
+        self._table = _Table(n, params.levels)
         # origin -> {node: next hop toward the origin}: reverse state that
         # probe walks from the origin left behind; a round clears it
         self._reverse: dict[int, dict[int, int]] = {}
@@ -481,40 +499,25 @@ class ProtocolEngine:
 
     def routing_entries(self, u: int) -> list[RoutingEntry]:
         self._check_node(u)
-        pool = self._floods
-        rows = pool.live()
-        dist = pool.dist[rows, u]
-        reached = dist != pool.unreached
-        rows = rows[reached].tolist()
-        entries = [
+        table = self._table
+        held, origin, level = table.held_by(u)
+        parent = np.where(table.reg[held], -1, table.parent[origin, level])
+        return [
             RoutingEntry(
-                node_id=origin,
+                node_id=node_id,
                 distance=distance,
-                level=level,
+                level=lvl,
                 next_hop=hop,
-                parent=None if parent < 0 else parent,
+                parent=None if up < 0 else up,
             )
-            for origin, distance, level, hop, parent in zip(
-                pool.origin[rows].tolist(),
-                dist[reached].tolist(),
-                pool.level[rows].tolist(),
-                pool.next_hop[rows, u].tolist(),
-                pool.parent[rows].tolist(),
+            for node_id, distance, lvl, hop, up in zip(
+                origin.tolist(),
+                table.dist[held].tolist(),
+                level.tolist(),
+                table.hop[held].tolist(),
+                parent.tolist(),
             )
         ]
-        regs = self._registrations
-        held = slice(regs.start.item(u), regs.start.item(u + 1))
-        entries.extend(
-            RoutingEntry(node_id=member, distance=distance, level=level, next_hop=hop)
-            for member, distance, level, hop in zip(
-                regs.member[held].tolist(),
-                regs.dist[held].tolist(),
-                regs.level[held].tolist(),
-                regs.hop[held].tolist(),
-            )
-        )
-        entries.sort(key=lambda entry: (entry.node_id, entry.level))
-        return entries
 
     def lb_store(self, u: int) -> dict[tuple[int, int], tuple[int, ...]]:
         self._check_node(u)
@@ -548,12 +551,10 @@ class ProtocolEngine:
 
     def _write_state(self, fh: IO[str]) -> None:
         fh.write("node_id,beacon_level,membership_count,table_entries\n")
-        pool = self._floods
-        flooded = np.count_nonzero(pool.dist[pool.live()] != pool.unreached, axis=0).tolist()
+        entries = np.diff(self._table.by_node()[1]).tolist()
         joined = np.count_nonzero(self._beacon >= 0, axis=1).tolist()
-        registered = np.diff(self._registrations.start).tolist()
         for u, beta in enumerate(self._beacon_level.tolist()):
-            fh.write(f"{u},{beta},{joined[u]},{flooded[u] + registered[u]}\n")
+            fh.write(f"{u},{beta},{joined[u]},{entries[u]}\n")
 
     # -- beaconing ---------------------------------------------------------
 
@@ -570,11 +571,14 @@ class ProtocolEngine:
         computed in closed form. A node's level-l membership takes the
         pi-first node of level >= l within 2**l hops, so the levels are
         decided top-down (``_elect``), then every origin is searched once at
-        its own flood radius, and the joins, registrations and flood cells
-        are written as block array updates. Where a flood cell and a
-        registration hold the same (origin, level) key at a node, the entry
+        its own flood radius, and the joins and registrations are computed
+        as arrays. The registrations and flood cells are merged into the
+        routing table in one step: per (origin, node, level) key the entry
         written first in pi order stays unless a later one is strictly
-        shorter; an entry from an earlier step yields to either.
+        shorter, and an entry from an earlier step yields to either.
+
+        Raises ParameterError, before it changes any state, when an origin's
+        flood at its level is held through the clear with another parent.
         """
         self._check_graph(g)
         if t < 0:
@@ -586,62 +590,65 @@ class ProtocolEngine:
 
         qualifying = [j for j in range(levels + 1) if t % (params.nu << j) == 0]
         gamma = max(qualifying) if qualifying else -1
-
-        self._next_hops.clear()
-        self._floods.drop_levels(gamma)
-        regs = self._registrations
-        regs.keep(regs.level > gamma)
-        self._reverse.clear()
-        self._beacon[:, : gamma + 1] = -1
+        held = self._beacon.copy()  # memberships as the round starts
+        held[:, : gamma + 1] = -1
 
         pi = np.random.default_rng((seed, t)).permutation(n)
         rank = np.empty(n, dtype=np.int64)
         rank[pi] = np.arange(n)
         nearest = _closed_min(g, rank)
-        beta, elected = self._elect(g, gamma, rank, nearest)
+        beta, elected = self._elect(g, gamma, held, rank, nearest)
 
-        # Origins above level 0 are few; their floods are kept, since their
-        # cover balls decide every join above level 0.
+        # Every origin floods at its own level, one search per block of
+        # origins; the cover balls of the origins above level 0 are kept, as
+        # they decide every join above level 0.
+        table = self._table
         flood_tx = 0
-        high = []
-        for level in range(levels, 0, -1):
+        floods = []
+        covers = [(np.empty(0, dtype=np.int64),) * 4]
+        for level in range(levels, -1, -1):
             radius = self._flood_radius(level)
             for sources in _blocks(np.flatnonzero(beta == level)):
-                at, node, dist, pred = _reach(g, sources, radius)
+                origin, node, dist, pred = _reach(g, sources, radius)
                 flood_tx += int(np.count_nonzero(dist < radius))
-                high.append((sources, at, node, dist, pred))
+                floods.append(table.run(origin, node, level, dist, pred, False))
+                if level:
+                    near = np.flatnonzero(dist <= params.cover_radius(level))
+                    covers.append((origin[near], node[near], dist[near], pred[near]))
+        origin, node, dist, pred = (np.concatenate(column) for column in zip(*covers))
+        order = np.argsort(origin * n + node, kind="stable")  # merges the level runs
+        covers = tuple(column[order] for column in (origin, node, dist, pred))
         (joiner, join_level, beacon, join_dist), registrations = self._joins(
-            beta, pi, rank, nearest, high
+            held, beta, pi, rank, nearest, covers
         )
+        joined = held.copy()
+        joined[joiner, join_level] = beacon
 
         parents = np.full(n, -1, dtype=np.int64)
         if lb:
             # A flood carries the origin's level-(beta+1) beacon as it stood
             # at the origin's turn: held before the round, or joined to a
             # pi-earlier beacon.
-            joined = self._beacon.copy()
-            joined[joiner, join_level] = beacon
             up = np.flatnonzero(beta < levels)
             above = joined[up, beta[up] + 1]
-            known = (self._beacon[up, beta[up] + 1] >= 0) | (
-                (above >= 0) & (rank[above] < rank[up])
-            )
+            known = (held[up, beta[up] + 1] >= 0) | ((above >= 0) & (rank[above] < rank[up]))
             parents[up[known]] = above[known]
-        rows = np.empty(n, dtype=np.int64)
-        rows[pi] = self._floods.rows_for(pi, beta[pi], parents[pi])
+        # A registration comes before the flood of the same key: its beacon
+        # is pi-earlier than the member, or the member would have joined
+        # itself.
+        node, member, level, distance, next_hop = registrations
+        order = np.lexsort((level, node, member))
+        registered = table.run(
+            member[order], node[order], level[order], distance[order], next_hop[order], True
+        )
+        table.write(t, pi, beta[pi], parents[pi], [registered, *floods], cleared=gamma)
 
+        self._next_hops.clear()
+        self._reverse.clear()
         self._beacon_level[:] = beta
-        self._beacon[joiner, join_level] = beacon
+        self._beacon = joined
         self._member_dist[joiner, join_level] = join_dist
         self._member_step[joiner, join_level] = t
-        self._register(*registrations, t)
-        for sources, at, node, dist, pred in high:
-            self._write_floods(rows[sources], at, node, dist, pred, t)
-        radius = self._flood_radius(0)
-        for sources in _blocks(np.flatnonzero(beta == 0)):
-            at, node, dist, pred = _reach(g, sources, radius)
-            flood_tx += int(np.count_nonzero(dist < radius))
-            self._write_floods(rows[sources], at, node, dist, pred, t)
 
         membership_hops = int(join_dist.sum())
         control_bits = (
@@ -668,7 +675,12 @@ class ProtocolEngine:
         )
 
     def _elect(
-        self, g: ConnectivityGraph, gamma: int, rank: np.ndarray, nearest: np.ndarray
+        self,
+        g: ConnectivityGraph,
+        gamma: int,
+        held: np.ndarray,
+        rank: np.ndarray,
+        nearest: np.ndarray,
     ) -> tuple[np.ndarray, dict[int, list[int]]]:
         """Every node's beacon level after the round, and the nodes elected
         at each level.
@@ -676,9 +688,10 @@ class ProtocolEngine:
         A node whose level is above gamma keeps it. A re-electing node takes
         the highest level still empty in its membership row at its turn, or
         level 0 without being elected when none is. Its level-k cell is
-        empty at its turn when it was empty as the round started and no
-        pi-earlier node of level >= k lies within 2**k hops. So, top-down
-        from level L, the re-electing nodes with an empty level-k cell that
+        empty at its turn when it was empty in ``held`` (the memberships as
+        the round starts) and no pi-earlier node of level >= k lies within
+        2**k hops. So, top-down from level L, the re-electing nodes with an
+        empty level-k cell that
         no higher level took are decided in pi order: one batched search
         from the nodes already at level >= k, then one search per node that
         enters. Every node is of level >= 0, so a node's level-0 cell is
@@ -690,7 +703,7 @@ class ProtocolEngine:
         again = np.flatnonzero(beta <= gamma)
         beta[again] = -1
         for k in range(levels, 0, -1):
-            waiting = again[(beta[again] < 0) & (self._beacon[again, k] < 0)]
+            waiting = again[(beta[again] < 0) & (held[again, k] < 0)]
             if not waiting.size:
                 continue
             radius = self.params.cover_radius(k)
@@ -709,25 +722,33 @@ class ProtocolEngine:
                 waiting = waiting[1:][dist[waiting[1:]] > radius]
         rest = again[beta[again] < 0]
         beta[rest] = 0
-        elected[0] = rest[(self._beacon[rest, 0] < 0) & (nearest[rest] == rank[rest])].tolist()
+        elected[0] = rest[(held[rest, 0] < 0) & (nearest[rest] == rank[rest])].tolist()
         return beta, elected
 
     def _joins(
-        self, beta: np.ndarray, pi: np.ndarray, rank: np.ndarray, nearest: np.ndarray, high: list
+        self,
+        held: np.ndarray,
+        beta: np.ndarray,
+        pi: np.ndarray,
+        rank: np.ndarray,
+        nearest: np.ndarray,
+        covers: tuple[np.ndarray, ...],
     ) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
         """The round's joins and registrations, computed before any write.
 
-        Every membership cell empty when the round started joins the
-        pi-first origin of level >= l within 2**l hops: at level 0 the
-        pi-first node of its closed neighbourhood, above it the pi-first
-        covering origin among the ``high`` floods. Returns the joins as
-        (member, level, beacon, distance) and the registrations they send
-        as (node, member, level, distance, next hop): a joiner at distance
-        d registers at each node of its beacon's shortest-path tree on the
-        way back, one vector step per hop.
+        Every membership cell empty in ``held`` (the memberships as the
+        round starts) joins the pi-first origin of level >= l within 2**l
+        hops: at level 0 the pi-first node of its closed neighbourhood,
+        above it the pi-first covering origin among the ``covers``: the
+        cells (origin, node, distance, predecessor) of each origin above
+        level 0 within its cover radius, sorted by (origin, node).
+        Returns the joins as (member, level, beacon, distance) and the
+        registrations they send as (node, member, level, distance, next
+        hop): a joiner at distance d registers at each node of its beacon's
+        shortest-path tree on the way back, one vector step per hop.
         """
         n = self.n
-        empty = self._beacon < 0
+        empty = held < 0
         member = np.flatnonzero(empty[:, 0])
         beacon = pi[nearest[member]]
         distance = (beacon != member).astype(np.int64)
@@ -736,135 +757,40 @@ class ProtocolEngine:
         registrations = [
             (beacon[hop1], member[hop1], np.zeros_like(hop1), np.ones_like(hop1), member[hop1])
         ]
-        if high:
-            origin = np.concatenate([sources[at] for sources, at, *_ in high])
-            node = np.concatenate([cells[2] for cells in high])
-            dist = np.concatenate([cells[3] for cells in high])
-            pred = np.concatenate([cells[4] for cells in high])
-            keys = origin * n + node
-            by_key = np.argsort(keys)
-            keys = keys[by_key]
-            for level in range(1, self.params.levels + 1):
-                near = np.flatnonzero(
-                    (beta[origin] >= level)
-                    & (dist <= self.params.cover_radius(level))
-                    & empty[node, level]
-                )
-                if not near.size:
-                    continue
-                near = near[np.lexsort((rank[origin[near]], node[near]))]
-                v = node[near]
-                near = near[np.r_[True, v[1:] != v[:-1]]]  # each node's pi-first beacon
-                member, beacon, distance = node[near], origin[near], dist[near]
-                joins.append((member, np.full_like(member, level), beacon, distance))
-                toward = member.copy()
-                for hops in range(1, int(distance.max(initial=0)) + 1):
-                    walking = np.flatnonzero(distance >= hops)
-                    here = toward[walking]
-                    step = pred[by_key[np.searchsorted(keys, beacon[walking] * n + here)]]
-                    registrations.append(
-                        (
-                            step,
-                            member[walking],
-                            np.full_like(walking, level),
-                            np.full_like(walking, hops),
-                            here,
-                        )
+        origin, node, dist, pred = covers
+        keys = origin * n + node
+        for level in range(1, self.params.levels + 1):
+            near = np.flatnonzero(
+                (beta[origin] >= level)
+                & (dist <= self.params.cover_radius(level))
+                & empty[node, level]
+            )
+            if not near.size:
+                continue
+            near = near[np.lexsort((rank[origin[near]], node[near]))]
+            v = node[near]
+            near = near[np.r_[True, v[1:] != v[:-1]]]  # each node's pi-first beacon
+            member, beacon, distance = node[near], origin[near], dist[near]
+            joins.append((member, np.full_like(member, level), beacon, distance))
+            toward = member.copy()
+            for hops in range(1, int(distance.max(initial=0)) + 1):
+                walking = np.flatnonzero(distance >= hops)
+                here = toward[walking]
+                step = pred[np.searchsorted(keys, beacon[walking] * n + here)]
+                registrations.append(
+                    (
+                        step,
+                        member[walking],
+                        np.full_like(walking, level),
+                        np.full_like(walking, hops),
+                        here,
                     )
-                    toward[walking] = step
+                )
+                toward[walking] = step
         return (
             tuple(np.concatenate(part) for part in zip(*joins)),
             tuple(np.concatenate(part) for part in zip(*registrations)),
         )
-
-    def _register(
-        self,
-        node: np.ndarray,
-        member: np.ndarray,
-        level: np.ndarray,
-        distance: np.ndarray,
-        next_hop: np.ndarray,
-        t: int,
-    ) -> None:
-        """Install the round's registrations. Each (member, level) key comes
-        from one join and meets each node once, and no registration older
-        than the round holds it (the member's cell was empty), so the only
-        entry it can meet is a flood cell of the same key: a cell written at
-        step ``t`` or later at an equal or shorter distance stays, any other
-        is emptied so the registration alone holds the key at that node."""
-        pool = self._floods
-        rows = pool.row_of[member, level]
-        cell = np.flatnonzero(rows >= 0)
-        row, at = rows[cell], node[cell]
-        held = pool.dist[row, at]
-        kept = (held != pool.unreached) & (pool.stamp[row, at] >= t) & (held <= distance[cell])
-        pool.dist[row[~kept], at[~kept]] = pool.unreached
-        write = np.ones(len(node), dtype=bool)
-        write[cell[kept]] = False
-        self._registrations.add(
-            node[write],
-            member[write],
-            level[write],
-            distance[write],
-            next_hop[write],
-            np.full(np.count_nonzero(write), t, dtype=np.int64),
-        )
-
-    def _write_floods(
-        self,
-        rows: np.ndarray,
-        at: np.ndarray,
-        node: np.ndarray,
-        dist: np.ndarray,
-        pred: np.ndarray,
-        t: int,
-    ) -> None:
-        """Merge reached-only flood cells into the pool: the cells of
-        ``_reach``, cell k in row ``rows[at[k]]``, each origin's own cell
-        left out.
-
-        A cell takes the flood when it was written before step ``t`` or holds
-        a longer distance, so same-step repeats only displace strictly worse
-        hop counts. The registrations that hold a row's key are contested by
-        the same rule: one written at step ``t`` or later at an equal or
-        shorter distance stays and keeps the cell empty, any other reached
-        one is dropped.
-        """
-        pool = self._floods
-        n = self.n
-        cells = np.flatnonzero(dist > 0)
-        if not cells.size:
-            return
-        keys = at[cells] * n + node[cells]
-        # flat indices into raveled views of the pool arrays (C-contiguous,
-        # so writes through the views land in the pool)
-        flat = rows[at[cells]] * n + node[cells]
-        pool_dist, pool_stamp = pool.dist.reshape(-1), pool.stamp.reshape(-1)
-        take = (pool_stamp[flat] < t) | (dist[cells] < pool_dist[flat])
-        regs = self._registrations
-        slot = np.full(n, -1, dtype=np.int64)
-        slot[pool.origin[rows]] = np.arange(len(rows))
-        # registrations of the same (origin, level) keys
-        i = slot[regs.member]
-        contest = np.flatnonzero(i >= 0)
-        i = i[contest]
-        same = regs.level[contest] == pool.level[rows[i]]
-        contest, i = contest[same], i[same]
-        if contest.size:
-            probe = i * n + regs.node[contest]
-            pos = np.minimum(np.searchsorted(keys, probe), len(keys) - 1)
-            reached = keys[pos] == probe
-            kept = reached & (regs.stamp[contest] >= t) & (regs.dist[contest] <= dist[cells[pos]])
-            take[pos[kept]] = False
-            dropped = contest[reached & ~kept]
-            if dropped.size:
-                survive = np.ones(len(regs.node), dtype=bool)
-                survive[dropped] = False
-                regs.keep(survive)
-        cells, flat = cells[take], flat[take]
-        pool_dist[flat] = dist[cells]
-        pool.next_hop.reshape(-1)[flat] = pred[cells]
-        pool_stamp[flat] = t
 
     def _beacon_sets(self, levels: int) -> dict[int, tuple[int, ...]]:
         return {
@@ -972,26 +898,21 @@ class ProtocolEngine:
         return keys.item(keys.searchsorted(key)) == key
 
     def _resolve(self, node: int, origin: int) -> Optional[tuple[int, int]]:
-        """Pick the entry for ``origin`` that probes follow at ``node`` among
-        the origin's flood rows and the node's registrations. Fresher entries
-        win outright (they describe the current graph; older ones may point
-        at vanished edges), then shorter, then lower level. A winner whose
-        next hop is no edge gets next hop -1."""
-        pool = self._floods
-        best_key, best = None, None
-        for level, row in pool.levels[origin]:
-            distance = pool.dist.item(row, node)
-            if distance != pool.unreached:
-                key = (-pool.stamp.item(row, node), distance, level)
-                if best_key is None or key < best_key:
-                    best_key, best = key, (level, pool.next_hop.item(row, node))
-        for level, distance, hop, stamp in self._registrations.at[node].get(origin, ()):
-            key = (-stamp, distance, level)
-            if best_key is None or key < best_key:
-                best_key, best = key, (level, hop)
-        if best is not None and not self._is_edge(node, best[1]):
-            best = (best[0], -1)
-        return best
+        """Pick the entry for ``origin`` that probes follow at ``node``.
+        Fresher entries win outright (they describe the current graph; older
+        ones may point at vanished edges), then shorter, then lower level. A
+        winner whose next hop is no edge gets next hop -1."""
+        table = self._table
+        lo, hi = table.entries(origin, node)
+        if lo == hi:
+            return None
+        stamp, dist = table.stamp, table.dist
+        best = lo  # the slice runs from the lowest level up
+        for i in range(lo + 1, hi):
+            if (-stamp.item(i), dist.item(i)) < (-stamp.item(best), dist.item(best)):
+                best = i
+        hop = table.hop.item(best)
+        return table.key.item(best) % table.width, hop if self._is_edge(node, hop) else -1
 
     def _reverse_entry(self, node: int, origin: int) -> Optional[tuple[int, int]]:
         """The last resort: reverse state that a probe from ``origin`` left at
@@ -1034,15 +955,8 @@ class ProtocolEngine:
         # Any table entry for the destination answers: flood entries from the
         # destination's own beaconing and forward state installed by its
         # membership registrations both qualify.
-        pool = self._floods
-        found = max_level + 1
-        for lvl, row in pool.levels[dest]:
-            if lvl < found and pool.dist.item(row, relay) != pool.unreached:
-                found = lvl
-        held = self._registrations.at[relay].get(dest)
-        if held:
-            found = min(found, held[0][0])
-        if found <= max_level:
+        found = self._table.lowest_level(dest, relay)
+        if found <= min(max_level, self.params.levels):
             return True, found
         return False, -1
 
@@ -1214,18 +1128,11 @@ class ProtocolEngine:
     ) -> list[int]:
         """Origins with an entry at ``node`` at level >= ``min_level`` within
         ``max_distance`` hops, nearest first (ties to the lower id)."""
-        pool = self._floods
-        rows = np.flatnonzero(pool.level >= min_level)
-        dist = pool.dist[rows, node]
-        near = dist <= min(max_distance, pool.unreached - 1)
-        origins = pool.origin[rows[near]]
-        dist = dist[near]
-        regs = self._registrations
-        held = slice(regs.start.item(node), regs.start.item(node + 1))
-        near = (regs.level[held] >= min_level) & (regs.dist[held] <= max_distance)
-        if near.any():
-            origins = np.concatenate([origins, regs.member[held][near]])
-            dist = np.concatenate([dist, regs.dist[held][near]])
+        table = self._table
+        held, origins, level = table.held_by(node)
+        dist = table.dist[held]
+        near = (level >= min_level) & (dist <= max_distance)
+        origins, dist = origins[near], dist[near]
         origins = origins[np.lexsort((origins, dist))]
         first = np.unique(origins, return_index=True)[1]  # each origin at its shortest
         return [origin for origin in origins[np.sort(first)].tolist() if origin not in skip]
@@ -1354,15 +1261,15 @@ def _reach(
     g: ConnectivityGraph, sources: np.ndarray, radius: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Every node within ``radius`` hops of each source, in one scipy
-    search: the source's position in ``sources``, the node, its hop distance
-    and its BFS predecessor, the source itself included at distance 0, in
-    (position, node) order."""
+    search: the source, the node, its hop distance and its BFS predecessor,
+    the source itself included at distance 0, in (position in ``sources``,
+    node) order."""
     dist, pred = dijkstra(
         g.csr, unweighted=True, indices=sources, limit=float(radius), return_predecessors=True
     )
     cells = np.flatnonzero(dist <= radius)
     at, node = np.divmod(cells, g.n)
-    return at, node, dist.reshape(-1)[cells].astype(np.int64), pred.reshape(-1)[cells]
+    return sources[at], node, dist.reshape(-1)[cells].astype(np.int64), pred.reshape(-1)[cells]
 
 
 def _closed_min(g: ConnectivityGraph, rank: np.ndarray) -> np.ndarray:
@@ -1418,12 +1325,12 @@ def flood(
     engine._check_graph(g)
     if radius < 1:
         raise ParameterError(f"flood radius must be >= 1, got {radius}")
-    at, node, dist, pred = _reach(g, np.array([origin]), radius)
+    origins, node, dist, pred = _reach(g, np.array([origin]), radius)
+    table = engine._table
+    written = table.run(origins, node, level, dist, pred, False)
+    carried = np.array([-1 if parent is None else parent])
+    table.write(t, np.array([origin]), np.array([level]), carried, [written])
     engine._next_hops.clear()
-    rows = engine._floods.rows_for(
-        np.array([origin]), np.array([level]), np.array([-1 if parent is None else parent])
-    )
-    engine._write_floods(rows, at, node, dist, pred, t)
     return int(np.count_nonzero(dist < radius))
 
 

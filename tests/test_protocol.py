@@ -31,7 +31,9 @@ from beaconsim.protocol import (
     ProtocolParams,
     RoundReport,
     RoutingEntry,
-    _Registrations,
+    _NO_FLOOD,
+    _Table,
+    _reach,
     _ring_closest,
     flood,
     probe,
@@ -478,20 +480,23 @@ def test_every_entry_stays_within_its_flood_radius():
                 assert member is not None and member.distance <= 2**level
 
 
-def test_flood_store_keeps_one_row_per_node_across_clears():
+def test_table_keys_stay_sorted_and_unique_with_floods_at_beacon_levels():
     g = random_graph(150, seed=21)
     levels = math.ceil(math.log2(diameter(g).hops))
     engine = ProtocolEngine(g.n, make_params(levels))
-    pool = engine._floods
     for t in range(2**levels + 1):  # full clears at t=0 and t=2**levels
-        engine.beaconing_round(g, t=t, seed=4)
-        live = pool.live()
-        # One row per origin, at its beacon level: never an n x n block per level.
-        assert sorted(pool.origin[live].tolist()) == list(range(g.n))
-        assert all(
-            pool.level[row] == engine.beacon_level(int(pool.origin[row])) for row in live
-        )
-        assert pool.dist.shape == (g.n, g.n)
+        report = engine.beaconing_round(g, t=t, seed=4)
+        table = engine._table
+        assert (np.diff(table.key) > 0).all()  # sorted, and no key twice
+        cell, level = np.divmod(table.key, table.width)
+        origin = cell // g.n
+        flooded = ~table.reg
+        # Every flood entry sits at its origin's beacon level, whose flood
+        # the parent array records.
+        assert (level[flooded] == engine._beacon_level[origin[flooded]]).all()
+        assert (table.parent[np.arange(g.n), engine._beacon_level] != _NO_FLOOD).all()
+        # Levels up to gamma were cleared, so nothing there is older than t.
+        assert (table.stamp[level <= report.gamma] >= t).all()
 
 
 def test_flood_parent_stays_fixed_until_the_level_is_cleared():
@@ -502,6 +507,23 @@ def test_flood_parent_stays_fixed_until_the_level_is_cleared():
     assert {e.parent for e in engine.routing_entries(2)} == {4}
     with pytest.raises(ParameterError):
         flood(engine, g, origin=0, radius=3, level=1, t=2, parent=3)
+
+
+def test_a_round_that_raises_on_a_parent_clash_leaves_the_engine_as_it_was():
+    """Same-step level-1 floods without a parent, then a gamma-0 first round
+    in load-balanced mode, where a node elected at level 1 carries one. The
+    round raises before it changes any state, the reverse entries that an
+    earlier probe left included."""
+    g = random_graph(90, seed=7)
+    engine = ProtocolEngine(g.n, make_params(3), mode="load_balanced")
+    for u in range(g.n):
+        flood(engine, g, origin=u, radius=3, level=1, t=1)
+    relay = max(engine.routing_entries(0), key=lambda e: e.distance).node_id
+    assert len(probe(engine, g, 0, relay, relay, 3).path) >= 3
+    before = engine_observables(engine), repr(engine._reverse)
+    with pytest.raises(ParameterError, match="flood carries parent None"):
+        engine.beaconing_round(g, t=1, seed=59)
+    assert (engine_observables(engine), repr(engine._reverse)) == before
 
 
 def test_round_rejects_mismatched_graph_and_bad_arguments():
@@ -654,10 +676,9 @@ def test_forward_survives_erased_membership_state_via_search():
     # path on the current graph.
     engine._beacon[dest] = -1
     assert all(dest not in engine.member_list(b, level) for b in range(g.n) for level in range(levels + 1))
-    engine._registrations.keep(engine._registrations.member != dest)
-    for row in engine._floods.row_of[dest]:
-        if row >= 0:
-            engine._floods.dist[row] = engine._floods.unreached
+    table = engine._table
+    kept = table.key // table.width // g.n != dest
+    table._set(*(column[kept] for column in table._columns()))
     assert all(e.node_id != dest for u in range(g.n) for e in engine.routing_entries(u))
     receipt = engine.forward(g, source=source, dest=dest)
     assert_route_valid(g, receipt, source, dest)
@@ -828,35 +849,29 @@ def test_lb_spreads_membership_load_off_the_beacons():
 # ---------------------------------------------------------------------------
 
 
-def origin_state(engine: ProtocolEngine, origin: int) -> tuple[list[int], np.ndarray]:
-    """The live flood rows of ``origin`` and the positions of the
-    registrations for it, found by scanning the whole stores."""
-    pool = engine._floods
-    rows = pool.live()
-    return rows[pool.origin[rows] == origin].tolist(), np.flatnonzero(engine._registrations.member == origin)
+def origin_state(engine: ProtocolEngine, origin: int) -> tuple[np.ndarray, np.ndarray]:
+    """The positions of the table entries toward ``origin`` and the nodes
+    that hold them, found by scanning the whole table."""
+    table = engine._table
+    origins, nodes = np.divmod(table.key // table.width, engine.n)
+    held = np.flatnonzero(origins == origin)
+    return held, nodes[held]
 
 
 def best_entry_oracle(
-    engine: ProtocolEngine, g: ConnectivityGraph, node: int, state: tuple[list[int], np.ndarray]
+    engine: ProtocolEngine, g: ConnectivityGraph, node: int, state: tuple[np.ndarray, np.ndarray]
 ) -> Optional[tuple[int, int, int, bool, int]]:
-    """The entry ``node`` follows toward an origin, scanned cell by cell over
-    the origin's flood rows and registrations (its ``origin_state``):
-    fresher stamp, then shorter, then lower level. Returns (level, next hop,
-    stamp, is a registration, number of candidates), with next hop -1 where
-    it is no neighbour on ``g``."""
-    pool = engine._floods
+    """The entry ``node`` follows toward an origin, scanned entry by entry
+    over the origin's entries (its ``origin_state``): fresher stamp, then
+    shorter, then lower level. Returns (level, next hop, stamp, is a
+    registration, number of candidates), with next hop -1 where it is no
+    neighbour on ``g``."""
+    table = engine._table
+    held, nodes = state
     candidates = []
-    rows, held = state
-    for row in rows:
-        distance = int(pool.dist[row, node])
-        if distance != pool.unreached:
-            stamp = int(pool.stamp[row, node])
-            level = int(pool.level[row])
-            candidates.append(((-stamp, distance, level), int(pool.next_hop[row, node]), False))
-    regs = engine._registrations
-    for i in held[regs.node[held] == node].tolist():
-        key = (-int(regs.stamp[i]), int(regs.dist[i]), int(regs.level[i]))
-        candidates.append((key, int(regs.hop[i]), True))
+    for i in held[nodes == node].tolist():
+        key = (-int(table.stamp[i]), int(table.dist[i]), int(table.key[i] % table.width))
+        candidates.append((key, int(table.hop[i]), bool(table.reg[i])))
     if not candidates:
         return None
     (neg_stamp, _, level), hop, registered = min(candidates)
@@ -1006,6 +1021,93 @@ def test_each_origin_is_searched_once_at_its_own_flood_radius(monkeypatch, mode:
             searched.extend(sources)
         assert sorted(searched) == list(range(g.n))
     assert len({level for level in map(engine.beacon_level, range(g.n))}) > 2
+
+
+# ---------------------------------------------------------------------------
+# The table merge rule and the BFS tie rule
+# ---------------------------------------------------------------------------
+
+
+def test_table_merge_matches_the_pairwise_fold() -> None:
+    """Random held entries (stamps below, at and above t) and several
+    writers over a small key space, so that keys meet often and at equal
+    distances. The merge must leave what writing one entry at a time leaves:
+    a later write replaces the held entry iff that is older than t or the
+    write is strictly shorter."""
+    rng = np.random.default_rng(61)
+    n, levels, t = 5, 2, 4
+    keys = np.arange(n * n * (levels + 1))
+    seen = dict.fromkeys(("stale_replaced_by_longer", "fresh_kept_on_a_tie", "later_writer_shorter"), 0)
+    for _ in range(300):
+        table = _Table(n, levels)
+        held = np.sort(rng.choice(keys, size=int(rng.integers(0, 40)), replace=False))
+        columns = (
+            rng.integers(1, 4, held.size),
+            rng.integers(0, n, held.size),
+            t + rng.integers(-1, 2, held.size),
+            rng.random(held.size) < 0.5,
+        )
+        table._set(held, *columns)
+        expected = {key: entry for key, *entry in zip(held.tolist(), *(c.tolist() for c in columns))}
+        runs = []
+        for _ in range(int(rng.integers(1, 5))):
+            written = np.sort(rng.choice(keys, size=int(rng.integers(0, 40)), replace=False))
+            dist, hop = rng.integers(1, 4, written.size), rng.integers(0, n, written.size)
+            registered = bool(rng.integers(2))
+            runs.append((written, dist, hop, registered))
+            for key, d, h in zip(written.tolist(), dist.tolist(), hop.tolist()):
+                cur = expected.get(key)
+                if cur is None or cur[2] < t or d < cur[0]:
+                    if cur is not None:
+                        seen["stale_replaced_by_longer"] += cur[2] < t and d > cur[0]
+                        seen["later_writer_shorter"] += cur[2] == t and d < cur[0]
+                    expected[key] = [d, h, t, registered]
+                else:
+                    seen["fresh_kept_on_a_tie"] += d == cur[0]
+        table.merge(t, runs)
+        got = {
+            key: list(entry)
+            for key, *entry in zip(*(column.tolist() for column in table._columns()))
+        }
+        assert table.key.tolist() == sorted(expected)
+        assert got == expected
+    assert all(seen.values()), seen
+
+
+def test_table_rejects_node_counts_whose_merge_ranks_overflow() -> None:
+    with pytest.raises(ParameterError, match="overflow"):
+        _Table(700_000, 19)  # 2 * 20 * n**3 passes 2**63; raised before any allocation
+
+
+@pytest.mark.parametrize("limit", [3, 6])
+def test_reach_predecessor_is_the_highest_id_neighbour_one_hop_closer(limit: int) -> None:
+    """The tie rule every pinned digest relies on: each node that ``_reach``
+    finds within ``limit`` hops has the brute-force BFS distance, and its
+    predecessor is its highest-id neighbour one hop closer to the source."""
+    g = random_graph(1000, seed=11)
+    adjacency = [g.neighbors(u).tolist() for u in range(g.n)]
+    sources = np.arange(7, g.n, 37)
+    expected = {}
+    for source in sources.tolist():
+        depth = {source: 0}
+        frontier = [source]
+        for d in range(1, limit + 1):
+            reached = []
+            for u in frontier:
+                for v in adjacency[u]:
+                    if v not in depth:
+                        depth[v] = d
+                        reached.append(v)
+            frontier = reached
+        for v, d in depth.items():
+            closer = [w for w in adjacency[v] if depth.get(w) == d - 1]
+            expected[source, v] = (d, max(closer) if closer else None)
+    origin, node, dist, pred = _reach(g, sources, limit)
+    got = {
+        (o, v): (d, p if d else None)
+        for o, v, d, p in zip(origin.tolist(), node.tolist(), dist.tolist(), pred.tolist())
+    }
+    assert got == expected
 
 
 # ---------------------------------------------------------------------------
@@ -1162,32 +1264,44 @@ class SequentialRound:
     cover radius reaches join at their empty levels, and walks each join's
     registration back hop by hop. Searches run 256 origins per scipy call,
     each to the flood radius of the highest level still empty in its row
-    when its block starts. Registrations are held in per-node dicts while a
-    call runs and written back to the engine's store when it ends.
+    when its block starts. While a call runs, each node's flood cells and
+    registrations are held in one dict keyed (origin, level), written one
+    entry at a time, and the dicts are written into the engine's table when
+    the call ends.
     """
 
     CHUNK = 256
 
     def __init__(self, engine: ProtocolEngine) -> None:
         self.engine = engine
-        self.regs: list[dict[int, dict[int, tuple[int, int, int]]]] = [{} for _ in range(engine.n)]
-        self.registered_at: dict[tuple[int, int], set[int]] = {}
-        store = engine._registrations
-        for node, member, level, distance, hop, stamp in zip(*(f.tolist() for f in store._fields())):
-            self.regs[node].setdefault(member, {})[level] = (distance, hop, stamp)
-            self.registered_at.setdefault((member, level), set()).add(node)
+        table = engine._table
+        # node -> {(origin, level): (distance, next hop, stamp, is a registration)}
+        self.tables: list[dict[tuple[int, int], tuple[int, int, int, bool]]] = [{} for _ in range(engine.n)]
+        cell, level = np.divmod(table.key, table.width)
+        origin, node = np.divmod(cell, engine.n)
+        columns = (origin, node, level, table.dist, table.hop, table.stamp, table.reg)
+        for o, v, lvl, *entry in zip(*(column.tolist() for column in columns)):
+            self.tables[v][o, lvl] = tuple(entry)
 
     def commit(self) -> None:
-        store = _Registrations(self.engine.n)
-        entries = [
-            (node, member, level, *entry)
-            for node, by_member in enumerate(self.regs)
-            for member, by_level in by_member.items()
-            for level, entry in by_level.items()
-        ]
-        if entries:
-            store.add(*(np.array(column, dtype=np.int64) for column in zip(*entries)))
-        self.engine._registrations = store
+        n, table = self.engine.n, self.engine._table
+        entries = np.array(
+            [
+                ((origin * n + node) * table.width + level, *entry)
+                for node, held in enumerate(self.tables)
+                for (origin, level), entry in held.items()
+            ],
+            dtype=np.int64,
+        ).reshape(-1, 5)
+        key, dist, hop, stamp, reg = entries[np.argsort(entries[:, 0])].T.copy()
+        table._set(key, dist, hop, stamp, reg.astype(bool))
+
+    def post(self, node: int, origin: int, level: int, distance: int, hop: int, t: int, registered: bool) -> None:
+        """One write: it replaces the entry that ``node`` holds for (origin,
+        level) when that was written before ``t`` or is strictly longer."""
+        held = self.tables[node].get((origin, level))
+        if held is None or held[2] < t or distance < held[0]:
+            self.tables[node][origin, level] = (distance, hop, t, registered)
 
     # -- the round -------------------------------------------------------
 
@@ -1205,10 +1319,10 @@ class SequentialRound:
         gamma = max(qualifying) if qualifying else -1
 
         engine._next_hops.clear()
-        engine._floods.drop_levels(gamma)
-        for key in [key for key in self.registered_at if key[1] <= gamma]:
-            for node in self.registered_at.pop(key):
-                self.unregister(node, *key)
+        for held in self.tables:
+            for key in [key for key in held if key[1] <= gamma]:
+                del held[key]
+        engine._table.parent[:, : gamma + 1] = _NO_FLOOD
         engine._reverse.clear()
         engine._beacon[:, : gamma + 1] = -1
 
@@ -1258,7 +1372,7 @@ class SequentialRound:
                         toward = v
                         for hop_count in range(1, distance + 1):
                             w = pred_row.item(toward)
-                            self.post_registration(w, v, level, hop_count, toward, t)
+                            self.post(w, v, level, hop_count, toward, t, True)
                             toward = w
         finally:
             self.commit()
@@ -1321,58 +1435,24 @@ class SequentialRound:
         return rows
 
     def post_flood(self, origin, level, radius, dist_row, pred_row, t, parent):
-        """Merge one flood into its row; returns the reached nodes sorted by
+        """Write one flood cell by cell; returns the reached nodes sorted by
         (distance, id), their distances and the transmission count."""
         reached = np.flatnonzero(dist_row <= radius)
         reached_dist = dist_row[reached]
         order = np.argsort(reached_dist, kind="stable")
         reached, reached_dist = reached[order], reached_dist[order]
-        pool = self.engine._floods
-        row = pool.rows_for(
-            np.array([origin]), np.array([level]), np.array([-1 if parent is None else parent])
-        ).item(0)
-        cells = reached[1:]
-        distance = reached_dist[1:].astype(pool.dist.dtype)
-        take = (pool.stamp[row, cells] < t) | (distance < pool.dist[row, cells])
-        holders = self.registered_at.get((origin, level))
-        if holders:
-            for node in list(holders):
-                d = dist_row[node]
-                if d > radius:
-                    continue
-                held, _, stamp = self.regs[node][origin][level]
-                if stamp >= t and held <= d:
-                    take &= cells != node
-                    continue
-                self.unregister(node, origin, level)
-                holders.discard(node)
-            if not holders:
-                del self.registered_at[(origin, level)]
-        cells = cells[take]
-        pool.dist[row, cells] = distance[take]
-        pool.next_hop[row, cells] = pred_row[cells]
-        pool.stamp[row, cells] = t
+        parents = self.engine._table.parent
+        held = parents.item(origin, level)
+        carried = -1 if parent is None else parent
+        if held != _NO_FLOOD and held != carried:
+            raise ParameterError(
+                f"node {origin}'s level-{level} flood carries parent "
+                f"{None if held < 0 else held}, which stays until the level is cleared"
+            )
+        parents[origin, level] = carried
+        for node, distance in zip(reached[1:].tolist(), reached_dist[1:].tolist()):
+            self.post(node, origin, level, int(distance), pred_row.item(node), t, False)
         return reached, reached_dist, int(np.searchsorted(reached_dist, radius - 1, side="right"))
-
-    def post_registration(self, node, member, level, distance, next_hop, t) -> None:
-        pool = self.engine._floods
-        by_member = self.regs[node]
-        cur = by_member.get(member, {}).get(level)
-        row = pool.row_of.item(member, level)
-        if cur is None and row >= 0 and pool.dist.item(row, node) != pool.unreached:
-            cur = (pool.dist.item(row, node), -1, pool.stamp.item(row, node))
-        if cur is not None and cur[2] >= t and cur[0] <= distance:
-            return
-        if row >= 0:
-            pool.dist[row, node] = pool.unreached
-        by_member.setdefault(member, {})[level] = (distance, next_hop, t)
-        self.registered_at.setdefault((member, level), set()).add(node)
-
-    def unregister(self, node: int, member: int, level: int) -> None:
-        registrations = self.regs[node]
-        del registrations[member][level]
-        if not registrations[member]:
-            del registrations[member]
 
 
 def outcome(call) -> str:
@@ -1387,8 +1467,8 @@ def differential_runs():
     """Seeded (name, graphs, nu, round seed, steps) cases, run on one graph after
     another. A step is a round ``("round", t)``, a stand-alone flood
     ``("flood", origin, radius, level, t)``, or ``("clear", gamma)``, which
-    clears the levels up to gamma as a round does: the state a round leaves
-    when it raises after clearing and before writing."""
+    clears the memberships and table entries up to gamma as a round does but
+    keeps every beacon level, so kept nodes hold empty cells."""
     n = 120
     domain = DomainSpec(side=math.sqrt(n), n=n)
     positions = sample_uniform_positions(n, domain, 43)
@@ -1442,9 +1522,9 @@ def test_closed_form_round_matches_the_sequential_reference(mode: str) -> None:
         for i, action in enumerate(steps):
             g = graphs[min(rounds, len(graphs) - 1)]
             if action[0] == "clear":
+                none = np.empty(0, dtype=np.int64)
                 for engine in (closed, reference):
-                    engine._floods.drop_levels(action[1])
-                    engine._registrations.keep(engine._registrations.level > action[1])
+                    engine._table.write(0, none, none, none, [], cleared=action[1])
                     engine._beacon[:, : action[1] + 1] = -1
                 sequential = SequentialRound(reference)
                 continue

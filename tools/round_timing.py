@@ -6,7 +6,9 @@ perfbench), takes the level count from the exact hop diameter with kappa 1,
 and times ``ProtocolEngine.beaconing_round`` on a fresh engine at t=0 (the
 first round, every level re-elected) and then at t=1 (gamma 0: only level 0
 re-elected). Each size is run ``--runs`` times; times are process CPU
-seconds. The result is printed as JSON.
+seconds. Each size also reports the routing-table entries per node after the
+t=1 round, summed from the ``table_entries`` column of
+``ProtocolEngine.dump_state_csv``. The result is printed as JSON.
 
     python3 tools/round_timing.py                      # n = 500, 1000, 2000, 4000, seed 41
     python3 tools/round_timing.py --sizes 1000 --runs 5
@@ -17,6 +19,8 @@ The library is imported from the ``src`` directory next to this one.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import math
 import os
@@ -44,7 +48,17 @@ def time_rounds(n: int, seed: int, runs: int) -> dict:
             start = time.process_time()
             engine.beaconing_round(g, t, seed=seed + 2)
             times.append(round(time.process_time() - start, 4))
-    return {"levels": levels, "edges": g.num_edges, "t0_s": first, "t1_s": second}
+    state = io.StringIO()
+    engine.dump_state_csv(state)
+    state.seek(0)
+    entries = sum(int(row["table_entries"]) for row in csv.DictReader(state))
+    return {
+        "levels": levels,
+        "edges": g.num_edges,
+        "t0_s": first,
+        "t1_s": second,
+        "t1_entries_per_node": round(entries / n, 1),
+    }
 
 
 def main(argv: list[str] | None = None) -> int:
