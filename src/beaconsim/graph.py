@@ -4,12 +4,13 @@ Provides the unit-disk graph builder (plain Euclidean distance), hop-distance
 queries, greedy ball covers with their growth-rate estimator, and diameter
 computation. Many-source searches run in blocks of up to 64 sources per scipy
 call. The estimator advances all its sampled covers in lockstep, so each
-step's new centers cost one batched search, cut at 2 * max(radii) hops since
-no cover reads farther. The diameter is exact at every size: eccentricity
-bounds from a few dozen BFS sources pin it down without a BFS from every
-node. Only ``bfs_distances`` and ``bfs_blocks`` call scipy's search.
-Graphs are undirected, unweighted, and stored as scipy CSR adjacency; node
-ids are dense integers.
+step's new centers cost one batched search. Each row is searched only as far
+as a cover reads it: the sampled centers' rows to 2 * max(radii) hops, a
+picked center's row to its cover's radius. The diameter is exact at every
+size: eccentricity bounds from a few dozen BFS sources pin it down without a
+BFS from every node. Only ``bfs_distances`` and ``bfs_blocks`` call scipy's
+search. Graphs are undirected, unweighted, and stored as scipy CSR
+adjacency; node ids are dense integers.
 """
 
 from __future__ import annotations
@@ -164,9 +165,12 @@ def greedy_cover(g: ConnectivityGraph, u: int, radius: int) -> list[int]:
     the yet-uncovered node closest to ``u`` (ties broken by lower id).
 
     Picking an uncovered node keeps every pair of centers more than R apart;
-    both that separation and full coverage are re-checked before returning.
-    This is the estimator's lockstep routine run on the one cover around
-    ``u``, so each step's search is 2R-limited.
+    each new center's row re-checks that separation, and a violation raises
+    ``ProtocolInvariantError``.  The cover ends when no node of the 2R-ball
+    is left uncovered, so coverage holds by construction; the tests check it
+    against independent oracles.  This is the estimator's lockstep routine
+    run on the one cover around ``u``: the row of ``u`` is searched to 2R
+    hops, every other center's to R.
     """
     if radius < 1:
         raise ParameterError(f"cover radius must be at least 1, got {radius}")
@@ -181,51 +185,59 @@ def _greedy_covers(
 ) -> list[np.ndarray]:
     """Greedy covers around every node of ``centers``, advanced in lockstep.
 
-    Returns, for each radius in turn, a ``(len(centers), k)`` array whose row ``i`` holds
-    cover ``i``'s centers in pick order, padded with -1; ``k`` is the largest
-    cover's size.  At each step every unfinished cover picks its nearest
-    uncovered node (lowest id on ties) with one ``argmin`` over its masked
-    center row, and the step's new sources are searched together.
+    Returns, for each radius in the caller's order, a ``(len(centers), k)``
+    array whose row ``i`` holds cover ``i``'s centers in pick order, padded
+    with -1; ``k`` is the largest cover's size.  At each step every
+    unfinished cover picks its nearest uncovered node (lowest id on ties)
+    with one ``argmin`` over its row of uncovered 2R-ball distances, and the
+    step's new sources are searched together.
 
-    Every comparison is against R or 2R, so BFS runs only to
-    ``2 * max(radii)`` hops, in ``bfs_blocks``' blocks of 64 sources, and each
-    source is searched at most once.  A row is held in the narrowest unsigned
-    type that holds ``2 * max(radii) + 1``; nodes past the limit read as the
-    type's maximum, farther than every compared radius.
+    Each row is searched only as far as it is read, in ``bfs_blocks``'
+    blocks of 64 sources.  The sampled centers' rows bound the 2R-balls, so
+    they are searched to ``2 * max(radii)`` hops.  A picked center's row is
+    compared only at its cover's radius R (its R-ball and the separation
+    check), so it is searched to R.  The radii run largest first: a row
+    searched for R = 8 already holds every distance a cover at R = 4 or 2
+    reads, so each source is searched at most once.  Rows are held in one
+    array of the narrowest unsigned type that holds ``2 * max(radii) + 1``;
+    nodes past a row's limit read as the type's maximum, farther than every
+    radius compared against that row.
     """
     limit = 2 * max(radii)
     dtype = np.min_scalar_type(int(limit) + 1)
     unreachable = np.iinfo(dtype).max
-    rows: dict[int, np.ndarray] = {}
+    slot = np.full(g.n, -1)  # node -> its row in `rows`, -1 until searched
+    rows = np.empty((min(g.n, 2 * len(centers)), g.n), dtype)
+    held = 0
 
-    def fetch(sources: np.ndarray) -> np.ndarray:
-        new = [int(v) for v in np.unique(sources) if int(v) not in rows]
-        for block, dist in bfs_blocks(g, new, limit):
+    def fetch(sources: np.ndarray, hops: int) -> np.ndarray:
+        nonlocal rows, held
+        new = np.unique(sources[slot[sources] < 0])
+        if held + len(new) > len(rows):
+            grown = np.empty((min(g.n, max(2 * len(rows), held + len(new))), g.n), dtype)
+            grown[:held] = rows[:held]
+            rows = grown
+        for block, dist in bfs_blocks(g, new, hops):
             dist[np.isinf(dist)] = unreachable
-            rows.update(zip(block, dist.astype(dtype)))
-        return np.stack([rows[int(v)] for v in sources])
+            rows[held : held + len(block)] = dist
+            slot[block] = np.arange(held, held + len(block))
+            held += len(block)
+        return rows[slot[sources]]
 
-    from_centers = fetch(centers)
-    picks: list[np.ndarray] = []
-    for radius in radii:
+    from_centers = fetch(centers, limit)
+    picks: dict[int, np.ndarray] = {}
+    for radius in sorted(set(radii), reverse=True):
         live = np.arange(len(centers))
-        targets = np.where(from_centers <= 2 * radius, from_centers, unreachable)
-        covered = np.zeros(targets.shape, dtype=bool)
+        uncovered = np.where(from_centers <= 2 * radius, from_centers, unreachable)
         steps: list[np.ndarray] = []
         while True:
-            uncovered = np.where(covered, unreachable, targets)
             nearest = uncovered.argmin(axis=1)
             going = uncovered[np.arange(len(live)), nearest] != unreachable
             if not going.all():
-                if (~covered[~going] & (targets[~going] != unreachable)).any():
-                    raise ProtocolInvariantError(
-                        "greedy cover left part of the 2R-ball uncovered"
-                    )
-                live, nearest = live[going], nearest[going]
-                targets, covered = targets[going], covered[going]
+                live, nearest, uncovered = live[going], nearest[going], uncovered[going]
                 if len(live) == 0:
                     break
-            from_new = fetch(nearest)
+            from_new = fetch(nearest, radius)
             if steps:
                 earlier = np.stack(steps, axis=1)[live]
                 close = from_new[np.arange(len(live))[:, np.newaxis], earlier] <= radius
@@ -235,12 +247,12 @@ def _greedy_covers(
                         f"cover centers {earlier[i, j]} and {nearest[i]} are within "
                         f"{radius} hops"
                     )
-            covered |= from_new <= radius
+            uncovered[from_new <= radius] = unreachable
             step = np.full(len(centers), -1)
             step[live] = nearest
             steps.append(step)
-        picks.append(np.stack(steps, axis=1))
-    return picks
+        picks[radius] = np.stack(steps, axis=1)
+    return [picks[radius] for radius in radii]
 
 
 @dataclass(frozen=True)
@@ -259,11 +271,15 @@ def estimate_doubling_dimension(
     """Max greedy cover count over sampled centers, per radius and overall.
 
     For each radius, all sampled covers advance in lockstep: each step picks
-    every unfinished cover's next center at once, and the step's uncached
-    centers are searched together, 2R-limited, in blocks of at most 64
-    sources (the sampled centers' own rows first).  Each source is searched
-    at most once per estimate, and every cover picks the same centers in the
-    same order as ``greedy_cover`` run on its own.
+    every unfinished cover's next center at once, and the step's unsearched
+    centers are searched together in blocks of at most 64 sources.  The
+    sampled centers' own rows come first, searched to ``2 * max(radii)``
+    hops; a picked center's row is searched to the radius of the cover that
+    picks it.  The radii run largest first, so a row searched for a larger
+    radius serves the smaller ones, and each source is searched at most once
+    per estimate.  ``cover_sizes`` keeps the caller's radius order, and every
+    cover picks the same centers in the same order as ``greedy_cover`` run
+    on its own.
     """
     if len(radii) == 0:
         raise ParameterError("at least one radius is required")

@@ -22,6 +22,7 @@ from beaconsim.errors import ConnectivityError, ParameterError
 from beaconsim.geometry import DomainSpec, sample_uniform_positions
 from beaconsim.graph import (
     ConnectivityGraph,
+    _greedy_covers,
     ball,
     bfs_blocks,
     bfs_distances,
@@ -386,14 +387,21 @@ def test_doubling_estimate_matches_uncached_greedy_covers() -> None:
     assert math.isinf(bfs_distances(graphs[0], 0).max())
     # Rows are uint8 for radii up to 127 at these sizes; radius 130 puts 2R
     # above every uint8 value, so the row type has to widen for the
-    # unreachable sentinel to stay outside the 2R-ball.
+    # unreachable sentinel to stay outside the 2R-ball.  The covers run
+    # largest radius first, so radii out of order or repeated must still get
+    # each radius's own picks, returned in the caller's order.
     for g in graphs:
-        for radii in ([1, 3], [130]):
+        for radii in ([1, 3], [130], [8, 2, 4, 4], [4, 2]):
             est = estimate_doubling_dimension(g, radii=radii, center_sample=12, seed=3)
             expected = {
                 r: max(len(greedy_cover(g, c, r)) for c in est.centers) for r in radii
             }
             assert est.cover_sizes == expected
+            centers = np.array(est.centers)
+            picks = _greedy_covers(g, centers, radii)
+            assert len(picks) == len(radii)
+            for r, p in zip(radii, picks):
+                assert np.array_equal(p, _greedy_covers(g, centers, [r])[0])
 
 
 def spy_dijkstra(monkeypatch) -> list[tuple[np.ndarray, dict]]:
@@ -423,16 +431,36 @@ def test_doubling_estimate_searches_each_source_once(monkeypatch) -> None:
 
 def test_doubling_estimate_batches_its_searches_to_2r(monkeypatch) -> None:
     # 256 covers at n=2048 fetch about 780 distinct rows; one search per row
-    # would be about 780 calls.
+    # would be about 780 calls.  The sampled centers' rows bound the 2R-balls
+    # and are searched to 2 * max(radii) = 16 hops; every picked center's row
+    # is searched to the radius of the cover that picks it, largest radius
+    # first, so it is at least the radius of every cover that reads it.
+    # No other row is searched.
+    # Measured: 27 calls (4 at 16 hops, 3 at 8, 9 at 4, 11 at 2).
     g = acceptance_regime_graph(2048, "supercritical")
+    radii = [2, 4, 8]
     calls = spy_dijkstra(monkeypatch)
-    est = estimate_doubling_dimension(g, radii=[2, 4, 8], center_sample=256, seed=100)
-    searched = [int(s) for sources, _ in calls for s in sources]
-    assert all(len(sources) <= 64 for sources, _ in calls)
-    assert all(kwargs.get("limit") == 16 for _, kwargs in calls)
+    est = estimate_doubling_dimension(g, radii=radii, center_sample=256, seed=100)
+    searched_calls = list(calls)  # the spy also records the next call's searches
+    picks = _greedy_covers(g, np.array(est.centers), radii)
+    limit_of = {int(s): kwargs.get("limit") for sources, kwargs in searched_calls for s in sources}
+    searched = [int(s) for sources, _ in searched_calls for s in sources]
+    assert all(len(sources) <= 64 for sources, _ in searched_calls)
     assert len(searched) == len(set(searched))
     assert set(est.centers) <= set(searched)
-    assert len(calls) <= 60
+    for sources, kwargs in searched_calls:
+        if set(sources.tolist()) <= set(est.centers):
+            assert kwargs.get("limit") == 16
+        else:
+            assert set(sources.tolist()).isdisjoint(est.centers)
+            assert kwargs.get("limit") in {2, 4, 8}
+    widest: dict[int, int] = {}  # picked center -> largest radius of a cover picking it
+    for radius, p in zip(radii, picks):
+        for v in np.unique(p[p >= 0]).tolist():
+            widest[v] = max(widest.get(v, 0), radius)
+    picked = {v: r for v, r in widest.items() if v not in est.centers}
+    assert picked == {v: limit for v, limit in limit_of.items() if v not in est.centers}
+    assert len(searched_calls) <= 40
 
 
 def acceptance_regime_graph(n: int, regime: str) -> ConnectivityGraph:
