@@ -15,11 +15,10 @@ member list is read from its column, which a load-balanced round groups by
 beacon once for its chain descent. Every node's routing table is one
 store (``_Table``): flat columns of entries sorted by (origin, node, level),
 each the hop distance, next hop and writing step that the origin's scoped
-flood or a membership registration left at the node, with an (n, L+1) array
-of the parent each (origin, level) flood carries; clearing a level drops its
-entries. In load-balanced mode an (n, L+1) array names the node that stores
-each (member, level) identifier, and one dict keyed the same way holds the
-beacon chain that led there. Rounds are expected at non-decreasing steps.
+flood or a membership registration left at the node; clearing a level
+drops its entries. In load-balanced mode an (n, L+1) array names the holder
+of each (member, level) identifier, and one dict keyed the same way holds
+the beacon chain that led there. Rounds are expected at non-decreasing steps.
 
 A beaconing round has the outcome of its nodes acting one at a time in a
 seeded random order pi (each floods, then its joiners register), but is
@@ -48,10 +47,10 @@ entries at the nodes they cross, one origin -> {node: next hop} dict that
 each round clears, which a later walk follows only where a node has no
 table entry.
 
-Cost accounting is explicit: flood cost is transmissions times the flood
-packet width, probe and membership cost is path hops times the respective
-packet width, with concrete field widths derived from the node count and
-level count.
+Cost accounting is explicit: a round's control bits are its flood
+transmissions times the flood packet width plus its membership and
+registration hops times the membership packet width, field widths derived
+from the node and level counts. Probes are counted in transmissions only.
 """
 
 from __future__ import annotations
@@ -119,6 +118,10 @@ class ProtocolParams:
     (ceil(kappa * 5 * 2**i) in load-balanced mode, so sub-beacons also hear
     their parents). ``levels`` fixes the top level L; ``nu`` scales the
     refresh cadence; ``alpha_hat`` feeds the probe-overhead factor ``mu``.
+
+    A load-balanced flood also carries the id of the origin's parent beacon.
+    That field is counted in ``flood_packet_bits(lb=True)`` but not stored:
+    chain steps are read from the memberships.
     """
 
     kappa: float
@@ -167,7 +170,7 @@ class ProtocolParams:
         return (3.0 * self.kappa**2) ** (2.0 * math.log2(self.alpha_hat))
 
     # Packet field widths in bits: type 4, ids and hop counts ceil(log2 n),
-    # level ceil(log2(L+1)), success flag 1.
+    # level ceil(log2(L+1)).
 
     def id_bits(self, n: int) -> int:
         return math.ceil(math.log2(n)) if n > 1 else 0
@@ -181,9 +184,6 @@ class ProtocolParams:
 
     def membership_packet_bits(self, n: int) -> int:
         return 4 + 2 * self.id_bits(n) + self.level_bits()
-
-    def probe_packet_bits(self, n: int) -> int:
-        return 4 + 2 * self.id_bits(n) + 1
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +199,6 @@ class RoutingEntry:
     distance: int
     level: int
     next_hop: int
-    parent: Optional[int] = None
 
 
 class Membership(NamedTuple):
@@ -251,25 +250,18 @@ class ForwardReceipt:
     probes: tuple[ProbeRecord, ...]
 
 
-_NO_FLOOD = -2  # table parent of an (origin, level) that holds no flood
-
-
 class _Table:
     """Every node's routing table, as one store of entries.
 
-    An entry is what one node holds toward one origin at one level: the hop
-    distance, the next hop toward the origin, the step that wrote it, and
-    whether a membership registration wrote it rather than the origin's
-    flood. The entries are flat columns sorted by ``key``, which packs
-    (origin, node, level) as ``(origin * n + node) * (L + 1) + level``. No
-    key appears twice, so the entries one node holds toward one origin are
-    one contiguous slice, lowest level first (``entries``); the entries one
-    node holds are read through a node-major permutation (``held_by``).
-
-    ``parent[origin, level]`` is the parent that the origin's flood at that
-    level carries: -1 for none, ``_NO_FLOOD`` where no such flood is held.
-    It cannot change while the level stays uncleared. The node-major
-    permutation is built on the first read after a change.
+    An entry is what one node holds toward one origin at one level, written
+    by the origin's flood or by a membership registration: the hop distance,
+    the next hop toward the origin and the step that wrote it. The entries
+    are four flat columns sorted by ``key``, which packs (origin, node,
+    level) as ``(origin * n + node) * (L + 1) + level``. No key appears
+    twice, so the entries one node holds toward one origin are one contiguous
+    slice, lowest level first (``entries``); the entries one node holds are
+    read through a node-major permutation (``held_by``), built on the first
+    read after a change.
     """
 
     def __init__(self, n: int, levels: int) -> None:
@@ -277,22 +269,20 @@ class _Table:
         self.width = levels + 1
         if 2 * self.width * n**3 >= 2**63:
             raise ParameterError(f"{n} nodes overflow the table's 64-bit merge ranks")
-        self.parent = np.full((n, self.width), _NO_FLOOD, dtype=np.int64)
         self._small = np.min_scalar_type(n)  # holds every node id and hop distance
         empty = np.empty(0, dtype=np.int64)
-        self._set(empty, empty, empty, empty, np.empty(0, dtype=bool))
+        self._set(empty, empty, empty, empty)
 
-    def _set(self, key, dist, hop, stamp, reg) -> None:
+    def _set(self, key, dist, hop, stamp) -> None:
         self.key = key
         self.dist = dist.astype(self._small, copy=False)
         self.hop = hop.astype(self._small, copy=False)
         self.stamp = stamp.astype(np.int32, copy=False)
-        self.reg = reg
         self._by_node: Optional[tuple[np.ndarray, np.ndarray]] = None
         self._origin: Optional[tuple[int, list[int]]] = None  # for ``lowest_level``
 
     def _columns(self) -> tuple[np.ndarray, ...]:
-        return (self.key, self.dist, self.hop, self.stamp, self.reg)
+        return (self.key, self.dist, self.hop, self.stamp)
 
     def entries(self, origin: int, node: int) -> tuple[int, int]:
         """Bounds of the slice of entries that ``node`` holds toward ``origin``."""
@@ -336,35 +326,11 @@ class _Table:
             self._by_node = (np.argsort(node, kind="stable"), start)
         return self._by_node
 
-    def write(
-        self,
-        t: int,
-        origins: np.ndarray,
-        levels: np.ndarray,
-        parents: np.ndarray,
-        runs: list[tuple[np.ndarray, np.ndarray, np.ndarray, bool]],
-        cleared: int = -1,
-    ) -> None:
-        """Drop the levels up to ``cleared``, record that ``origins`` flood
-        at ``levels`` carrying ``parents`` (-1 for none), then ``merge`` the
-        entries in ``runs`` at step ``t``. Raises ParameterError, before any
-        change, at the first origin whose flood at that level is held through
-        the clear with another parent."""
-        held = self.parent[origins, levels]
-        clash = np.flatnonzero((levels > cleared) & (held != _NO_FLOOD) & (held != parents))
-        if clash.size:
-            i = clash.item(0)
-            parent = held.item(i)
-            raise ParameterError(
-                f"node {origins.item(i)}'s level-{levels.item(i)} flood carries parent "
-                f"{None if parent < 0 else parent}, which stays until the level is cleared"
-            )
-        if cleared >= 0:
-            kept = self.key % self.width > cleared
+    def clear(self, level: int) -> None:
+        """Drop the entries at levels up to ``level`` (none where it is -1)."""
+        if level >= 0:
+            kept = self.key % self.width > level
             self._set(*(column[kept] for column in self._columns()))
-            self.parent[:, : cleared + 1] = _NO_FLOOD
-        self.parent[origins, levels] = parents
-        self.merge(t, runs)
 
     def run(
         self,
@@ -373,25 +339,23 @@ class _Table:
         level: int | np.ndarray,
         dist: np.ndarray,
         hop: np.ndarray,
-        registered: bool,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Entries of one writer as a ``merge`` run, in the order given; an
         origin's own cell (distance 0) is no entry and is left out."""
         key = (origin * self.n + node) * self.width + level
         out = np.flatnonzero(dist)
-        return key[out], dist[out].astype(self._small), hop[out].astype(self._small), registered
+        return key[out], dist[out].astype(self._small), hop[out].astype(self._small)
 
-    def merge(self, t: int, runs: list[tuple[np.ndarray, np.ndarray, np.ndarray, bool]]) -> None:
+    def merge(self, t: int, runs: list[tuple[np.ndarray, np.ndarray, np.ndarray]]) -> None:
         """Write entries at step ``t``. The runs come in writer order, each
         sorted by key with no key twice. Per key, the candidate lowest in
         (stale, distance, writer order) stays: a held entry comes before
         every write and is stale when written before ``t``. So a write
         replaces what is held when that is stale or strictly longer."""
         columns = [self._columns()]
-        for key, dist, hop, registered in runs:
-            stamp = np.full(len(key), t, dtype=np.int32)
-            columns.append((key, dist, hop, stamp, np.full(len(key), registered)))
-        rank, dist, hop, stamp, reg = (np.concatenate(column) for column in zip(*columns))
+        for key, dist, hop in runs:
+            columns.append((key, dist, hop, np.full(len(key), t, dtype=np.int32)))
+        rank, dist, hop, stamp = (np.concatenate(column) for column in zip(*columns))
         # (key, stale, distance) as one rank, built in place; the stable
         # sort merges the presorted runs and keeps writer order among equals
         rank *= 2 * self.n
@@ -404,7 +368,7 @@ class _Table:
         first[:1] = True
         np.not_equal(rank[1:], rank[:-1], out=first[1:])
         win = order[first]
-        self._set(rank[first], dist[win], hop[win], stamp[win], reg[win])
+        self._set(rank[first], dist[win], hop[win], stamp[win])
 
 
 class _Lazy(dict):
@@ -501,21 +465,13 @@ class ProtocolEngine:
         self._check_node(u)
         table = self._table
         held, origin, level = table.held_by(u)
-        parent = np.where(table.reg[held], -1, table.parent[origin, level])
         return [
-            RoutingEntry(
-                node_id=node_id,
-                distance=distance,
-                level=lvl,
-                next_hop=hop,
-                parent=None if up < 0 else up,
-            )
-            for node_id, distance, lvl, hop, up in zip(
+            RoutingEntry(node_id=node_id, distance=distance, level=lvl, next_hop=hop)
+            for node_id, distance, lvl, hop in zip(
                 origin.tolist(),
                 table.dist[held].tolist(),
                 level.tolist(),
                 table.hop[held].tolist(),
-                parent.tolist(),
             )
         ]
 
@@ -572,13 +528,11 @@ class ProtocolEngine:
         pi-first node of level >= l within 2**l hops, so the levels are
         decided top-down (``_elect``), then every origin is searched once at
         its own flood radius, and the joins and registrations are computed
-        as arrays. The registrations and flood cells are merged into the
-        routing table in one step: per (origin, node, level) key the entry
-        written first in pi order stays unless a later one is strictly
-        shorter, and an entry from an earlier step yields to either.
-
-        Raises ParameterError, before it changes any state, when an origin's
-        flood at its level is held through the clear with another parent.
+        as arrays. The table's levels up to gamma are cleared, then the
+        registrations and flood cells are merged into it in one step: per
+        (origin, node, level) key the entry written first in pi order stays
+        unless a later one is strictly shorter, and an entry from an earlier
+        step yields to either.
         """
         self._check_graph(g)
         if t < 0:
@@ -611,7 +565,7 @@ class ProtocolEngine:
             for sources in _blocks(np.flatnonzero(beta == level)):
                 origin, node, dist, pred = _reach(g, sources, radius)
                 flood_tx += int(np.count_nonzero(dist < radius))
-                floods.append(table.run(origin, node, level, dist, pred, False))
+                floods.append(table.run(origin, node, level, dist, pred))
                 if level:
                     near = np.flatnonzero(dist <= params.cover_radius(level))
                     covers.append((origin[near], node[near], dist[near], pred[near]))
@@ -624,24 +578,16 @@ class ProtocolEngine:
         joined = held.copy()
         joined[joiner, join_level] = beacon
 
-        parents = np.full(n, -1, dtype=np.int64)
-        if lb:
-            # A flood carries the origin's level-(beta+1) beacon as it stood
-            # at the origin's turn: held before the round, or joined to a
-            # pi-earlier beacon.
-            up = np.flatnonzero(beta < levels)
-            above = joined[up, beta[up] + 1]
-            known = (held[up, beta[up] + 1] >= 0) | ((above >= 0) & (rank[above] < rank[up]))
-            parents[up[known]] = above[known]
         # A registration comes before the flood of the same key: its beacon
         # is pi-earlier than the member, or the member would have joined
         # itself.
         node, member, level, distance, next_hop = registrations
         order = np.lexsort((level, node, member))
         registered = table.run(
-            member[order], node[order], level[order], distance[order], next_hop[order], True
+            member[order], node[order], level[order], distance[order], next_hop[order]
         )
-        table.write(t, pi, beta[pi], parents[pi], [registered, *floods], cleared=gamma)
+        table.clear(gamma)
+        table.merge(t, [registered, *floods])
 
         self._next_hops.clear()
         self._reverse.clear()
@@ -1315,11 +1261,10 @@ def flood(
     radius: int,
     level: int,
     t: int,
-    parent: Optional[int] = None,
 ) -> int:
-    """Flood ``origin``'s presence ``radius`` hops out, updating tables with
-    shortest-path reverse entries; returns the transmission count (every node
-    within radius-1 rebroadcasts once, the origin included)."""
+    """Merge ``origin``'s flood ``radius`` hops out into the tables at
+    ``level`` and step ``t``, clearing nothing; returns the transmission count
+    (every node within radius-1 rebroadcasts once, the origin included)."""
     engine._check_node(origin)
     engine._check_level(level)
     engine._check_graph(g)
@@ -1327,9 +1272,7 @@ def flood(
         raise ParameterError(f"flood radius must be >= 1, got {radius}")
     origins, node, dist, pred = _reach(g, np.array([origin]), radius)
     table = engine._table
-    written = table.run(origins, node, level, dist, pred, False)
-    carried = np.array([-1 if parent is None else parent])
-    table.write(t, np.array([origin]), np.array([level]), carried, [written])
+    table.merge(t, [table.run(origins, node, level, dist, pred)])
     engine._next_hops.clear()
     return int(np.count_nonzero(dist < radius))
 

@@ -719,13 +719,15 @@ def test_cli_seed_flag_overrides_all_seed_roles(tmp_path):
     assert (out_a / "metrics.csv").read_bytes() != (out_b / "metrics.csv").read_bytes()
 
 
-def test_cli_stretch_writes_cdf(tmp_path):
+def test_cli_stretch_writes_cdf(tmp_path, capsys):
     from beaconsim.cli import main
 
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text(dump_config(clique_config()))
     out = tmp_path / "out"
     assert main(["stretch", "--config", str(cfg_path), "--out", str(out)]) == 0
+    # every clique route is one hop, so the CDF has one distinct value
+    assert capsys.readouterr().out == "values=1 max=1.000\n"
     with open(out / "cdf.csv", newline="") as fh:
         assert next(csv.reader(fh)) == ["stretch", "fraction"]
 
