@@ -35,7 +35,6 @@ from .graph import (
     ConnectivityGraph,
     DiameterResult,
     DoublingEstimate,
-    ball,
     bfs_blocks,
     bfs_distances,
     build_geometric_graph,
@@ -123,7 +122,6 @@ __all__ = [
     "StepMetrics",
     "WallDemo",
     "WallTopology",
-    "ball",
     "bfs_blocks",
     "bfs_distances",
     "build_geometric_graph",

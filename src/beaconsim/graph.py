@@ -33,7 +33,6 @@ __all__ = [
     "build_geometric_graph",
     "bfs_distances",
     "bfs_blocks",
-    "ball",
     "greedy_cover",
     "estimate_doubling_dimension",
     "diameter",
@@ -103,7 +102,7 @@ def build_geometric_graph(positions: np.ndarray, r_n: float) -> ConnectivityGrap
 
 
 # ---------------------------------------------------------------------------
-# Hop distances and balls
+# Hop distances
 # ---------------------------------------------------------------------------
 
 
@@ -146,13 +145,6 @@ def _pair_hops(g: ConnectivityGraph, pairs: Sequence[tuple[int, int]] | np.ndarr
         hops[mine] = dist[slot[mine] - start, pairs[mine, 1]]
         start += len(block)
     return hops
-
-
-def ball(g: ConnectivityGraph, u: int, radius: int) -> np.ndarray:
-    """Node ids within ``radius`` hops of ``u``, ascending."""
-    if radius < 0:
-        raise ParameterError(f"ball radius must be non-negative, got {radius}")
-    return np.flatnonzero(bfs_distances(g, u) <= radius)
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,8 @@ store (``_Table``): flat columns of entries sorted by (origin, node, level),
 each the hop distance, next hop and writing step that the origin's scoped
 flood or a membership registration left at the node; clearing a level
 drops its entries. In load-balanced mode an (n, L+1) array names the holder
-of each (member, level) identifier, and one dict keyed the same way holds
-the beacon chain that led there. Rounds are expected at non-decreasing steps.
+of each (member, level) identifier. Rounds are expected at non-decreasing
+steps.
 
 A beaconing round has the outcome of its nodes acting one at a time in a
 seeded random order pi (each floods, then its joiners register), but is
@@ -27,25 +27,24 @@ lexicographically-first greedy rule of each level, every origin is then
 searched once at its own flood radius, at most ``_CHUNK`` origins per scipy
 call, and the joins and registrations are computed in block array steps
 from reached-only (origin, node, distance, predecessor) arrays. The round
-and the stand-alone ``flood`` write the table through one merge of presorted
-runs with one tie rule: per (origin, node, level) key the candidate lowest
-in (stale, distance, writer order) stays. An entry is stale when written at
-an earlier step; in writer order the entries already held come first, then
-the round's writes in pi order.
+writes the table through one merge of presorted runs with one tie rule: per
+(origin, node, level) key the candidate lowest in (stale, distance, writer
+order) stays. An entry is stale when written at an earlier step; in writer
+order the entries already held come first, then the round's writes in pi
+order.
 
 Probes walk the tables hop by hop. The entry a node follows toward an
 origin (freshest stamp, then shortest, then lowest level, among the table's
 (origin, node) slice, its next hop checked against the graph's sorted edge
 keys) is resolved the first time a look-up reaches that node and kept in a
 per-origin dict, so a later hop through the node is one dict lookup.
-Resolved entries hold for one table state and one graph: a beaconing round,
-a stand-alone ``flood`` and a look-up on another graph each clear them. The
-reads that want all of one node's entries (a probe stage's candidates, the
-routing entries, the state dump) use a node-major permutation of the table,
-built on the first such read after a change. Walks still leave reverse
-entries at the nodes they cross, one origin -> {node: next hop} dict that
-each round clears, which a later walk follows only where a node has no
-table entry.
+Resolved entries hold for one table state and one graph: a beaconing round
+and a look-up on another graph each clear them. The reads that want all of
+one node's entries (a probe stage's candidates, the state dump) use a
+node-major permutation of the table, built on the first such read after a
+change. Walks still leave reverse entries at the nodes they cross, one
+origin -> {node: next hop} dict that each round clears, which a later walk
+follows only where a node has no table entry.
 
 Cost accounting is explicit: a round's control bits are its flood
 transmissions times the flood packet width plus its membership and
@@ -71,13 +70,9 @@ __all__ = [
     "ForwardReceipt",
     "Membership",
     "ProbeRecord",
-    "ProbeResult",
     "ProtocolEngine",
     "ProtocolParams",
     "RoundReport",
-    "RoutingEntry",
-    "flood",
-    "probe",
     "ring_distance",
 ]
 
@@ -191,16 +186,6 @@ class ProtocolParams:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RoutingEntry:
-    """A table row: who, how far, at which level, and through which neighbor."""
-
-    node_id: int
-    distance: int
-    level: int
-    next_hop: int
-
-
 class Membership(NamedTuple):
     beacon_id: int
     distance: int
@@ -216,7 +201,7 @@ class ProbeRecord(NamedTuple):
     terminus: int
 
 
-class ProbeResult(NamedTuple):
+class _ProbeResult(NamedTuple):
     success: bool
     broken: bool
     path: tuple[int, ...]
@@ -427,10 +412,8 @@ class ProtocolEngine:
         # probe walks from the origin left behind; a round clears it
         self._reverse: dict[int, dict[int, int]] = {}
         # Load-balanced mode: the node that stores each (member, level)
-        # identifier, -1 until a load-balanced round runs, and the beacon
-        # chain that led there
+        # identifier, -1 until a load-balanced round runs
         self._lb_holder = np.full((n, params.levels + 1), -1, dtype=np.int64)
-        self._lb_chains: dict[tuple[int, int], tuple[int, ...]] = {}
         # level -> (member ids grouped by beacon, each beacon's start offset);
         # the possible chain steps, rebuilt by each load-balanced round
         self._sub_beacons: dict[int, tuple[list[int], list[int]]] = {}
@@ -460,36 +443,6 @@ class ProtocolEngine:
         self._check_node(u)
         self._check_level(level)
         return frozenset(np.flatnonzero(self._beacon[:, level] == u).tolist())
-
-    def routing_entries(self, u: int) -> list[RoutingEntry]:
-        self._check_node(u)
-        table = self._table
-        held, origin, level = table.held_by(u)
-        return [
-            RoutingEntry(node_id=node_id, distance=distance, level=lvl, next_hop=hop)
-            for node_id, distance, lvl, hop in zip(
-                origin.tolist(),
-                table.dist[held].tolist(),
-                level.tolist(),
-                table.hop[held].tolist(),
-            )
-        ]
-
-    def lb_store(self, u: int) -> dict[tuple[int, int], tuple[int, ...]]:
-        self._check_node(u)
-        held = np.argwhere(self._lb_holder == u).tolist()
-        return {(member, level): self._lb_chains[member, level] for member, level in held}
-
-    def lb_holder(self, u: int, level: int) -> int:
-        self._check_node(u)
-        self._check_level(level)
-        holder = self._lb_holder.item(u, level)
-        if holder < 0:
-            raise ParameterError(
-                f"no stored identifier for node {u} at level {level}; "
-                "run a load-balanced beaconing round first"
-            )
-        return holder
 
     def membership_load(self) -> np.ndarray:
         """Per-node count of stored membership records: member-list entries in
@@ -772,7 +725,7 @@ class ProtocolEngine:
     def _rebuild_lb_store(self, levels: int) -> int:
         """Re-register every identifier at its chain terminus; returns the
         total packet hops spent walking the chains. Every (member, level)
-        gets a holder and a chain, so nothing from the last round survives."""
+        gets a holder, so nothing from the last round survives."""
         # A level-lam chain step goes to a level-lam member whose beacon level
         # is >= lam - 1. Group those by beacon once, now that the joins are
         # done: a stable argsort keeps ids ascending within each beacon.
@@ -787,13 +740,10 @@ class ProtocolEngine:
         for u in range(self.n):
             for level in range(levels + 1):
                 holder = self._beacon.item(u, level)
-                chain = [holder]
                 for lam, nxt in self._chain_steps(holder, u):
                     hops += self._member_dist.item(nxt, lam)
-                    chain.append(nxt)
                     holder = nxt
                 self._lb_holder[u, level] = holder
-                self._lb_chains[u, level] = tuple(chain)
         return hops
 
     def _chain_steps(self, start: int, target: int):
@@ -914,15 +864,15 @@ class ProtocolEngine:
         dest: int,
         max_level: int,
         budget: Optional[int] = None,
-    ) -> ProbeResult:
+    ) -> _ProbeResult:
         if relay == source:
             success, found = self._answer(relay, dest, max_level)
-            return ProbeResult(success, False, (source,), 0, found, relay)
+            return _ProbeResult(success, False, (source,), 0, found, relay)
         arrived, path = self._walk(g, source, relay, budget)
         if not arrived:
             if len(path) == 1 and self._best_entry(g, source, relay) is None:
                 raise ParameterError(f"node {source} holds no routing entry for relay {relay}")
-            return ProbeResult(False, True, tuple(path), 2 * (len(path) - 1), -1, relay)
+            return _ProbeResult(False, True, tuple(path), 2 * (len(path) - 1), -1, relay)
         hops = len(path) - 1
         terminus = relay
         if self.mode == "load_balanced" and relay != dest:
@@ -933,12 +883,12 @@ class ProtocolEngine:
                 ok, leg = self._walk(g, chain_path[-1], nxt, self.params.flood_radius(lam))
                 if not ok:
                     total = hops + (len(chain_path) - 1) + (len(leg) - 1)
-                    return ProbeResult(False, True, tuple(path), 2 * total, -1, terminus)
+                    return _ProbeResult(False, True, tuple(path), 2 * total, -1, terminus)
                 chain_path.extend(leg[1:])
                 terminus = nxt
             hops += len(chain_path) - 1
         success, found = self._answer(terminus, dest, max_level)
-        return ProbeResult(success, False, tuple(path), 2 * hops, found, terminus)
+        return _ProbeResult(success, False, tuple(path), 2 * hops, found, terminus)
 
     # -- forwarding --------------------------------------------------------
 
@@ -1148,7 +1098,7 @@ class ProtocolEngine:
         )
         return record, tuple(path)
 
-    def _record(self, result: ProbeResult, relay: int, level: int) -> ProbeRecord:
+    def _record(self, result: _ProbeResult, relay: int, level: int) -> ProbeRecord:
         return ProbeRecord(
             relay=relay,
             level=level,
@@ -1248,49 +1198,3 @@ def _loop_erase(sequence) -> tuple[int, ...]:
             route.append(node)
     return tuple(route)
 
-
-# ---------------------------------------------------------------------------
-# Stand-alone primitives
-# ---------------------------------------------------------------------------
-
-
-def flood(
-    engine: ProtocolEngine,
-    g: ConnectivityGraph,
-    origin: int,
-    radius: int,
-    level: int,
-    t: int,
-) -> int:
-    """Merge ``origin``'s flood ``radius`` hops out into the tables at
-    ``level`` and step ``t``, clearing nothing; returns the transmission count
-    (every node within radius-1 rebroadcasts once, the origin included)."""
-    engine._check_node(origin)
-    engine._check_level(level)
-    engine._check_graph(g)
-    if radius < 1:
-        raise ParameterError(f"flood radius must be >= 1, got {radius}")
-    origins, node, dist, pred = _reach(g, np.array([origin]), radius)
-    table = engine._table
-    table.merge(t, [table.run(origins, node, level, dist, pred)])
-    engine._next_hops.clear()
-    return int(np.count_nonzero(dist < radius))
-
-
-def probe(
-    engine: ProtocolEngine,
-    g: ConnectivityGraph,
-    source: int,
-    relay: int,
-    dest: int,
-    max_level: int,
-    budget: Optional[int] = None,
-) -> ProbeResult:
-    """Send a probe from ``source`` along table next hops to ``relay`` asking
-    whether it answers for ``dest`` at any level up to ``max_level``; the
-    answer retraces the path, so transmissions count both directions."""
-    engine._check_node(source)
-    engine._check_node(relay)
-    engine._check_node(dest)
-    engine._check_graph(g)
-    return engine._probe(g, source, relay, dest, max_level, budget=budget)

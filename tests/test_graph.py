@@ -1,4 +1,4 @@
-"""Tests for connectivity-graph construction, ball/cover queries, and diameter.
+"""Tests for connectivity-graph construction, BFS and cover queries, and diameter.
 
 Oracles live next to the tests that use them: an O(n^2) brute-force pairwise
 adjacency scan, a deque BFS, a filter-over-distances ball, and exhaustive
@@ -23,7 +23,6 @@ from beaconsim.geometry import DomainSpec, sample_uniform_positions
 from beaconsim.graph import (
     ConnectivityGraph,
     _greedy_covers,
-    ball,
     bfs_blocks,
     bfs_distances,
     build_geometric_graph,
@@ -66,6 +65,11 @@ def bfs_oracle(g: ConnectivityGraph, source: int) -> list[float]:
                 dist[v] = dist[u] + 1.0
                 queue.append(v)
     return dist
+
+
+def ball_oracle(g: ConnectivityGraph, u: int, radius: int) -> set[int]:
+    """Node ids within ``radius`` hops of ``u``, filtered from the deque BFS."""
+    return {v for v, d in enumerate(bfs_oracle(g, u)) if d <= radius}
 
 
 def path_graph(m: int) -> ConnectivityGraph:
@@ -141,7 +145,7 @@ def test_from_edges_deduplicates_and_symmetrizes() -> None:
 
 
 # ---------------------------------------------------------------------------
-# bfs_distances / ball
+# bfs_distances / bfs_blocks
 # ---------------------------------------------------------------------------
 
 
@@ -200,14 +204,21 @@ def test_bfs_blocks_match_single_source_rows_and_cut_at_the_limit() -> None:
         list(bfs_blocks(g, [0, g.n]))
 
 
+def searched_ball(g: ConnectivityGraph, u: int, radius: int) -> set[int]:
+    """The nodes a search from ``u`` cut at ``radius`` hops reaches: the
+    R-ball as the cover estimator reads it."""
+    (_, rows), = bfs_blocks(g, [u], limit=radius)
+    return set(np.flatnonzero(np.isfinite(rows[0])).tolist())
+
+
 def test_ball_zero_radius_is_singleton() -> None:
     g = path_graph(5)
-    assert set(ball(g, 2, 0)) == {2}
+    assert searched_ball(g, 2, 0) == {2}
 
 
 def test_ball_path_center_radius_two_has_five_nodes() -> None:
     g = path_graph(9)
-    assert set(ball(g, 4, 2)) == {2, 3, 4, 5, 6}
+    assert searched_ball(g, 4, 2) == {2, 3, 4, 5, 6}
 
 
 def test_ball_matches_distance_filter_oracle() -> None:
@@ -218,8 +229,7 @@ def test_ball_matches_distance_filter_oracle() -> None:
     for _ in range(30):
         u = int(rng.integers(0, n))
         radius = int(rng.integers(0, 6))
-        expected = {v for v, d in enumerate(bfs_oracle(g, u)) if d <= radius}
-        assert set(ball(g, u, radius)) == expected
+        assert searched_ball(g, u, radius) == ball_oracle(g, u, radius)
 
 
 # ---------------------------------------------------------------------------
@@ -229,11 +239,11 @@ def test_ball_matches_distance_filter_oracle() -> None:
 
 def verify_cover(g: ConnectivityGraph, u: int, radius: int, centers: list[int]) -> None:
     """Exhaustively re-check the cover contract from scratch."""
-    target = set(ball(g, u, 2 * radius))
+    target = ball_oracle(g, u, 2 * radius)
     covered: set[int] = set()
     for c in centers:
         assert c in target
-        covered |= set(ball(g, c, radius))
+        covered |= ball_oracle(g, c, radius)
     assert target <= covered
     for i, a in enumerate(centers):
         dist_a = bfs_oracle(g, a)
@@ -261,8 +271,8 @@ def test_greedy_cover_path_uses_three_centers_and_breaks_ties_by_id() -> None:
     verify_cover(g, 4, 2, centers)
     # An exhaustive scan shows no single 2-ball covers the whole path, and the
     # two 2-balls around nodes 2 and 6 do: greedy sits between 2 and alpha^2.
-    assert all(len(ball(g, c, 2)) < 9 for c in range(9))
-    assert set(ball(g, 2, 2)) | set(ball(g, 6, 2)) == set(range(9))
+    assert all(len(ball_oracle(g, c, 2)) < 9 for c in range(9))
+    assert ball_oracle(g, 2, 2) | ball_oracle(g, 6, 2) == set(range(9))
 
 
 def test_greedy_cover_path_stays_at_three_centers_as_radius_grows() -> None:

@@ -1,5 +1,6 @@
-"""Tests for the hierarchical beacon protocol: flood and probe primitives,
-the beaconing round, hierarchical forwarding, and the load-balanced variant.
+"""Tests for the hierarchical beacon protocol: the entries a round's floods
+leave, probes, the beaconing round, hierarchical forwarding, and the
+load-balanced variant.
 
 Oracles live next to the tests that use them: hand-traced transmission counts
 on path graphs, a deque BFS for distances and stretch denominators, full
@@ -17,6 +18,7 @@ from typing import Optional
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from beaconsim.acceptance import _audit_round as audit_round
@@ -30,12 +32,9 @@ from beaconsim.protocol import (
     ProtocolEngine,
     ProtocolParams,
     RoundReport,
-    RoutingEntry,
     _Table,
     _reach,
     _ring_closest,
-    flood,
-    probe,
     ring_distance,
 )
 
@@ -87,6 +86,15 @@ def assert_route_valid(g: ConnectivityGraph, receipt: ForwardReceipt, source: in
     for a, b in zip(route, route[1:]):
         assert (min(a, b), max(a, b)) in edges, f"route uses a non-edge {(a, b)}"
     assert receipt.route_hops == len(route) - 1
+
+
+def held_entries(engine: ProtocolEngine, u: int) -> list[tuple[int, int, int, int]]:
+    """(origin, distance, level, next hop) of every table entry that ``u``
+    holds, in (origin, level) order."""
+    table = engine._table
+    held, origin, level = table.held_by(u)
+    columns = (origin, table.dist[held], level, table.hop[held])
+    return list(zip(*(column.tolist() for column in columns)))
 
 
 def make_params(levels: int, kappa: float = 1.0, nu: int = 1) -> ProtocolParams:
@@ -178,84 +186,83 @@ def test_mu_overhead_factor_tracks_alpha_hat():
 
 
 # ---------------------------------------------------------------------------
-# Flood
+# Flood entries
 # ---------------------------------------------------------------------------
 
 
 def test_flood_installs_shortest_path_entries_on_path_graph():
     g = path_graph(5)
-    engine = ProtocolEngine(5, make_params(levels=2))
-    transmissions = flood(engine, g, origin=0, radius=4, level=1, t=0)
-    # Re-broadcasters are the nodes within 3 hops of the origin: 0,1,2,3.
-    assert transmissions == 4
-    oracle = bfs_oracle(g, 0)
-    for v in range(1, 5):
-        entries = engine.routing_entries(v)
-        assert len(entries) == 1
-        entry = entries[0]
-        assert entry == RoutingEntry(node_id=0, distance=int(oracle[v]), level=1, next_hop=v - 1)
-    assert engine.routing_entries(0) == []
+    engine, _ = run_round(g, levels=2)
+    for v in range(5):
+        entries = held_entries(engine, v)
+        assert entries
+        for origin, distance, _, next_hop in entries:
+            assert origin != v  # an origin's own cell is no entry
+            assert distance == abs(origin - v)
+            assert next_hop == (v - 1 if origin < v else v + 1)
 
 
 def test_flood_radius_limits_reach_and_transmissions():
-    g = path_graph(5)
-    engine = ProtocolEngine(5, make_params(levels=2))
-    transmissions = flood(engine, g, origin=0, radius=2, level=0, t=0)
-    assert transmissions == 2  # nodes 0 and 1 rebroadcast
-    assert [len(engine.routing_entries(v)) for v in range(5)] == [0, 1, 1, 0, 0]
-
-    middle = ProtocolEngine(5, make_params(levels=2))
-    transmissions = flood(middle, g, origin=2, radius=2, level=0, t=0)
-    assert transmissions == 3  # nodes 1, 2, 3 rebroadcast
-    assert [len(middle.routing_entries(v)) for v in range(5)] == [1, 1, 0, 1, 1]
+    # With level 0 alone every node floods ceil(3 * kappa) hops out and its
+    # joiners register one hop away, so a node holds entries toward exactly
+    # the nodes within the radius; the nodes within radius - 1 rebroadcast.
+    g = path_graph(9)
+    pairs = [(u, v) for u in range(9) for v in range(9)]
+    for kappa, radius in ((1.0, 3), (2.0, 6)):
+        engine = ProtocolEngine(9, make_params(levels=0, kappa=kappa))
+        report = engine.beaconing_round(g, t=0, seed=0)
+        for v in range(9):
+            origins = sorted({origin for origin, *_ in held_entries(engine, v)})
+            assert origins == [u for u in range(9) if 0 < abs(u - v) <= radius]
+        assert report.flood_transmissions == sum(abs(u - v) < radius for u, v in pairs)
 
 
 def test_flood_single_node_counts_one_transmission():
     g = ConnectivityGraph.from_edges(1, [])
-    engine = ProtocolEngine(1, make_params(levels=0))
-    assert flood(engine, g, origin=0, radius=1, level=0, t=0) == 1
-    assert engine.routing_entries(0) == []
+    engine, report = run_round(g, levels=0)
+    assert report.flood_transmissions == 1
+    assert engine._table.key.size == 0  # an origin holds no entry toward itself
 
 
 def test_flood_keeps_better_entries_within_same_step():
     ring = cycle_graph(6)
     line = path_graph(6)
     engine = ProtocolEngine(6, make_params(levels=3))
-    flood(engine, ring, origin=0, radius=6, level=0, t=0)
-    by_node = {e.node_id: e for e in engine.routing_entries(5)}
-    assert by_node[0].distance == 1
 
-    # A worse re-flood in the same step must not displace the entry...
-    flood(engine, line, origin=0, radius=6, level=0, t=0)
-    by_node = {e.node_id: e for e in engine.routing_entries(5)}
-    assert by_node[0].distance == 1
+    def toward_0_at_level_1() -> list[tuple[int, int, int, int]]:
+        return [entry for entry in held_entries(engine, 5) if entry[0] == 0 and entry[2] == 1]
+
+    engine.beaconing_round(ring, t=0, seed=0)
+    assert engine.beacon_level(0) == 1  # floods at level 1, 6 hops out, every round
+    engine.beaconing_round(ring, t=1, seed=0)  # gamma = 0 keeps level 1
+    assert toward_0_at_level_1() == [(0, 1, 1, 0)]
+    # A worse re-flood in the same step, from a second round on the line,
+    # must not displace the entry...
+    engine.beaconing_round(line, t=1, seed=0)
+    assert toward_0_at_level_1() == [(0, 1, 1, 0)]
     # ...but a fresh step replaces it outright.
-    flood(engine, line, origin=0, radius=6, level=0, t=1)
-    by_node = {e.node_id: e for e in engine.routing_entries(5)}
-    assert by_node[0].distance == 5
+    engine.beaconing_round(line, t=3, seed=0)
+    assert toward_0_at_level_1() == [(0, 5, 1, 4)]
 
 
 def test_flood_reverse_paths_are_shortest_paths():
+    """Every entry a round writes, flood cell or registration, holds the BFS
+    distance to its origin and a next hop one hop closer to it, so following
+    next hops from any node walks a shortest path."""
     g = random_graph(120, seed=3)
-    diam = diameter(g).hops
-    engine = ProtocolEngine(g.n, ProtocolParams(kappa=1.0, levels=max(1, math.ceil(math.log2(diam)))))
-    flood(engine, g, origin=7, radius=diam, level=1, t=0)
-    oracle = bfs_oracle(g, 7)
+    levels = math.ceil(math.log2(diameter(g).hops))
+    engine, _ = run_round(g, levels=levels, seed=5)
+    table = engine._table
+    cell, level = np.divmod(table.key, table.width)
+    origin, node = np.divmod(cell, g.n)
+    assert (level != engine._beacon_level[origin]).any()  # registrations included
+    oracle = [bfs_oracle(g, u) for u in range(g.n)]
     edges = edge_set(g)
-    for v in range(g.n):
-        if v == 7:
-            continue
-        entries = {e.node_id: e for e in engine.routing_entries(v)}
-        entry = entries[7]
-        assert entry.distance == int(oracle[v])
-        walk, node = [v], v
-        while node != 7:
-            nxt = {e.node_id: e for e in engine.routing_entries(node)}[7].next_hop if node != v else entry.next_hop
-            assert (min(node, nxt), max(node, nxt)) in edges
-            assert oracle[nxt] == oracle[node] - 1.0
-            node = nxt
-            walk.append(node)
-        assert len(walk) - 1 == int(oracle[v])
+    columns = (origin, node, table.dist, table.hop)
+    for o, v, distance, hop in zip(*(column.tolist() for column in columns)):
+        assert distance == oracle[o][v]
+        assert (min(v, hop), max(v, hop)) in edges
+        assert oracle[o][hop] == distance - 1
 
 
 # ---------------------------------------------------------------------------
@@ -266,17 +273,18 @@ def test_flood_reverse_paths_are_shortest_paths():
 def test_probe_at_source_is_local_and_free():
     g = path_graph(4)
     engine, _ = run_round(g, levels=2)
-    result = probe(engine, g, source=0, relay=0, dest=3, max_level=2)
+    result = engine._probe(g, source=0, relay=0, dest=3, max_level=2)
     assert result.path == (0,)
     assert result.transmissions == 0
     assert not result.broken
 
 
 def test_probe_follows_entries_and_counts_round_trip():
-    g = path_graph(5)
-    engine = ProtocolEngine(5, make_params(levels=2))
-    flood(engine, g, origin=3, radius=4, level=1, t=0)
-    result = probe(engine, g, source=0, relay=3, dest=4, max_level=2)
+    g = path_graph(9)
+    engine, _ = run_round(g, levels=0)
+    # 0 holds an entry toward 3 (3 hops), but 3 holds none toward 8 (5 hops,
+    # past the level-0 flood radius 3).
+    result = engine._probe(g, source=0, relay=3, dest=8, max_level=0)
     # Three hops out, a negative answer, three hops back.
     assert result.path == (0, 1, 2, 3)
     assert result.transmissions == 6
@@ -294,9 +302,10 @@ def test_probe_success_reflects_member_lists():
                 for source in range(4):
                     if source == beacon:
                         continue
-                    if not any(e.node_id == beacon for e in engine.routing_entries(source)):
+                    lo, hi = engine._table.entries(beacon, source)
+                    if lo == hi:
                         continue
-                    result = probe(engine, g, source=source, relay=beacon, dest=dest, max_level=level)
+                    result = engine._probe(g, source=source, relay=beacon, dest=dest, max_level=level)
                     assert result.success and not result.broken
                     assert result.found_level <= level
                     hops = int(oracle_cache[source][beacon])
@@ -307,29 +316,29 @@ def test_probe_success_reflects_member_lists():
 
 def test_probe_reports_broken_next_hop_distinctly():
     g = path_graph(4)
-    engine = ProtocolEngine(4, make_params(levels=2))
-    flood(engine, g, origin=3, radius=3, level=1, t=0)
-    intact = probe(engine, g, source=0, relay=3, dest=2, max_level=2)
+    engine, _ = run_round(g, levels=2)
+    intact = engine._probe(g, source=0, relay=3, dest=2, max_level=2)
     assert intact.path == (0, 1, 2, 3) and not intact.broken
     # The walk on g resolved the next hops toward 3; the severed graph must
     # still break the probe where its edge is gone, and g must heal it again.
     severed = ConnectivityGraph.from_edges(4, [(0, 1), (2, 3)])
-    result = probe(engine, severed, source=0, relay=3, dest=2, max_level=2)
+    result = engine._probe(severed, source=0, relay=3, dest=2, max_level=2)
     assert result.broken and not result.success
     assert result.path == (0, 1)
     assert result.transmissions == 2
-    assert probe(engine, g, source=0, relay=3, dest=2, max_level=2) == intact
+    assert engine._probe(g, source=0, relay=3, dest=2, max_level=2) == intact
 
 
 def test_probe_hop_budget_aborts_long_chases():
     g = path_graph(6)
-    engine = ProtocolEngine(6, make_params(levels=3))
-    flood(engine, g, origin=5, radius=5, level=1, t=0)
-    capped = probe(engine, g, source=0, relay=5, dest=4, max_level=3, budget=3)
+    # kappa = 2: every level floods at least 6 hops, so 0 holds an entry toward 5
+    engine = ProtocolEngine(6, make_params(levels=3, kappa=2.0))
+    engine.beaconing_round(g, t=0, seed=0)
+    capped = engine._probe(g, source=0, relay=5, dest=4, max_level=3, budget=3)
     assert capped.broken and not capped.success
     assert capped.path == (0, 1, 2, 3)
     assert capped.transmissions == 6
-    roomy = probe(engine, g, source=0, relay=5, dest=4, max_level=3, budget=5)
+    roomy = engine._probe(g, source=0, relay=5, dest=4, max_level=3, budget=5)
     assert not roomy.broken
     assert roomy.path == (0, 1, 2, 3, 4, 5)
 
@@ -338,7 +347,7 @@ def test_probe_requires_an_entry_for_the_relay():
     g = path_graph(3)
     engine = ProtocolEngine(3, make_params(levels=1))
     with pytest.raises(ParameterError):
-        probe(engine, g, source=0, relay=2, dest=1, max_level=1)
+        engine._probe(g, source=0, relay=2, dest=1, max_level=1)
 
 
 # ---------------------------------------------------------------------------
@@ -466,12 +475,12 @@ def test_every_entry_stays_within_its_flood_radius():
     g = random_graph(150, seed=6)
     levels = math.ceil(math.log2(diameter(g).hops))
     engine = ProtocolEngine(g.n, make_params(levels=levels))
-    params = engine.params
+    radius = np.array([engine.params.flood_radius(level) for level in range(levels + 1)])
     for t in range(3):
         engine.beaconing_round(g, t=t, seed=5)
+        table = engine._table
+        assert (table.dist <= radius[table.key % table.width]).all()
         for u in range(g.n):
-            for entry in engine.routing_entries(u):
-                assert entry.distance <= params.flood_radius(entry.level)
             for level in range(levels + 1):
                 member = engine.membership(u, level)
                 assert member is not None and member.distance <= 2**level
@@ -520,7 +529,8 @@ def test_state_snapshot_csv_lists_every_node():
     assert first[0] == "0"
     assert int(first[1]) == engine.beacon_level(0)
     assert int(first[2]) == 3  # one membership per level 0..2
-    assert int(first[3]) == len(engine.routing_entries(0))
+    table = engine._table
+    assert int(first[3]) == np.count_nonzero(table.key // table.width % g.n == 0)
 
 
 def test_rounds_are_deterministic_for_fixed_seed():
@@ -650,7 +660,7 @@ def test_forward_survives_erased_membership_state_via_search():
     table = engine._table
     kept = table.key // table.width // g.n != dest
     table._set(*(column[kept] for column in table._columns()))
-    assert all(e.node_id != dest for u in range(g.n) for e in engine.routing_entries(u))
+    assert origin_state(engine, dest)[0].size == 0
     receipt = engine.forward(g, source=source, dest=dest)
     assert_route_valid(g, receipt, source, dest)
     assert receipt.route_hops == int(bfs_oracle(g, source)[dest])
@@ -725,23 +735,14 @@ def test_lb_round_stores_every_identifier_at_one_terminus():
     levels = math.ceil(math.log2(diameter(g).hops))
     engine, report = run_round(g, levels=levels, seed=6, mode="load_balanced")
     audit_cover(engine, g)
-    seen: dict[tuple[int, int], int] = {}
-    for holder in range(g.n):
-        for key in engine.lb_store(holder):
-            assert key not in seen, f"identifier {key} stored twice"
-            seen[key] = holder
-    for u in range(g.n):
-        for level in range(levels + 1):
-            holder = engine.lb_holder(u, level)
-            assert seen[(u, level)] == holder
-            assert holder == chain_oracle(engine, u, level)
+    termini = [chain_oracle(engine, u, level) for u in range(g.n) for level in range(levels + 1)]
+    assert engine._lb_holder.ravel().tolist() == termini
     assert report.registration_hops > 0
     load = engine.membership_load()
-    assert load.tolist() == [len(engine.lb_store(u)) for u in range(g.n)]
+    assert load.tolist() == np.bincount(termini, minlength=g.n).tolist()
     assert load.sum() == g.n * (levels + 1)
     plain, _ = run_round(g, levels=levels, seed=6)
-    with pytest.raises(ParameterError):
-        plain.lb_holder(0, 0)
+    assert (plain._lb_holder < 0).all()  # a plain round stores no identifier
 
 
 def test_lb_probe_is_answered_by_the_terminus_not_the_beacon():
@@ -751,7 +752,7 @@ def test_lb_probe_is_answered_by_the_terminus_not_the_beacon():
     split = None
     for u in range(g.n):
         for level in range(1, levels + 1):
-            holder = engine.lb_holder(u, level)
+            holder = engine._lb_holder.item(u, level)
             beacon = engine.membership(u, level).beacon_id
             if holder != beacon:
                 split = (u, level, holder, beacon)
@@ -790,7 +791,7 @@ def test_lb_spreads_membership_load_off_the_beacons():
         sum(len(plain.member_list(b, level)) for level in range(levels + 1))
         for b in range(g.n)
     )
-    lb_load = max(len(balanced.lb_store(u)) for u in range(g.n))
+    lb_load = balanced.membership_load().max()
     assert lb_load <= plain_load
 
 
@@ -834,18 +835,12 @@ def best_entry_oracle(
 
 
 def check_resolved_next_hops(
-    engine: ProtocolEngine,
-    g: ConnectivityGraph,
-    t: int,
-    gamma: int,
-    seen: dict,
-    flooded: frozenset[int] = frozenset(),
+    engine: ProtocolEngine, g: ConnectivityGraph, t: int, gamma: int, seen: dict
 ) -> None:
     """Compare the engine's resolved entry with the oracle at every (node,
     origin): first the entries that earlier look-ups resolved, which must not
     have gone stale, then the rest. Tallies the kinds of winner met into
-    ``seen``; the winners toward ``flooded`` origins, which stand-alone
-    floods wrote at any level, are not tallied as registrations."""
+    ``seen``."""
     for origin in range(engine.n):
         toward = engine._next_hops_to(g, origin)
         seen["resolved_before"] += len(toward)
@@ -857,7 +852,7 @@ def check_resolved_next_hops(
             if expected is None:
                 continue
             level, hop, stamp, registered, candidates = expected
-            seen["registration"] += registered and origin not in flooded
+            seen["registration"] += registered
             seen["stale_above_gamma"] += stamp < t and level > gamma
             seen["broken"] += hop == -1
             seen["contested"] += candidates > 1
@@ -894,20 +889,21 @@ def test_resolved_next_hops_match_the_scalar_key_rule(mode: str) -> None:
 
 
 def test_resolved_next_hops_pick_among_several_rows_of_one_origin() -> None:
+    """A full round on one layout, then a gamma-0 round on another: the
+    levels above 0 keep the first layout's registrations, stale and at other
+    distances, next to the second round's fresh entries of the same origins."""
     g = random_graph(120, seed=3)
     levels = math.ceil(math.log2(diameter(g).hops))
     engine = ProtocolEngine(g.n, make_params(levels))
-    for t, origin in ((2, 5), (3, 5), (2, 9), (2, 40)):
-        for level in range(levels + 1):
-            radius = engine.params.flood_radius(level)
-            flood(engine, g, origin=origin, radius=radius - (origin + level) % 3, level=level, t=t)
-    engine.beaconing_round(g, t=3, seed=37)
+    engine.beaconing_round(random_graph(120, seed=5), t=0, seed=37)
+    report = engine.beaconing_round(g, t=1, seed=37)
     seen = dict.fromkeys(("resolved_before", "registration", "stale_above_gamma", "broken"), 0)
     seen["contested"] = 0
     severed = ConnectivityGraph.from_edges(g.n, sorted(edge_set(g))[::2])
     for graph in (g, severed):
-        check_resolved_next_hops(engine, graph, 3, -1, seen, flooded=frozenset((5, 9, 40)))
+        check_resolved_next_hops(engine, graph, 1, report.gamma, seen)
     assert seen["contested"] and seen["broken"] and seen["registration"], seen
+    assert seen["stale_above_gamma"], seen
 
 
 def test_resolved_next_hops_do_not_outlive_a_round_on_the_same_graph() -> None:
@@ -926,27 +922,16 @@ def test_probe_reverse_state_does_not_outlive_a_round() -> None:
     levels = math.ceil(math.log2(diameter(g).hops))
     engine, _ = run_round(g, levels=levels, seed=37)
     source = 0
-    relay = max(engine.routing_entries(source), key=lambda e: e.distance).node_id
-    result = probe(engine, g, source, relay, relay, levels)
+    table = engine._table
+    held, origins, _ = table.held_by(source)
+    relay = origins.item(np.argmax(table.dist[held]))  # the farthest origin
+    result = engine._probe(g, source, relay, relay, levels)
     assert not result.broken and len(result.path) >= 3
     # Every node the walk crossed now points back toward the source.
     for back, node in zip(result.path, result.path[1:]):
         assert engine._reverse_entry(node, source) == (-1, back)
     engine.beaconing_round(g, t=1, seed=38)
     assert all(engine._reverse_entry(node, source) is None for node in result.path)
-
-
-def test_stand_alone_flood_between_forwards_is_seen_by_the_second():
-    g = path_graph(5)
-    engine = ProtocolEngine(5, make_params(levels=2))
-    # No table entry yet: the ring search floods out until 4 answers itself.
-    first = engine.forward(g, source=0, dest=4)
-    assert [(p.relay, p.success, p.transmissions) for p in first.probes] == [(4, True, 13)]
-    flood(engine, g, origin=4, radius=4, level=1, t=0)
-    # Now 0 holds an entry for 4, so one direct probe goes there and back.
-    second = engine.forward(g, source=0, dest=4)
-    assert second.route == (0, 1, 2, 3, 4)
-    assert [(p.relay, p.success, p.transmissions) for p in second.probes] == [(4, True, 8)]
 
 
 @pytest.mark.parametrize("mode", ["plain", "load_balanced"])
@@ -1050,8 +1035,18 @@ def test_table_rejects_node_counts_whose_merge_ranks_overflow() -> None:
 def test_reach_predecessor_is_the_highest_id_neighbour_one_hop_closer(limit: int) -> None:
     """The tie rule every pinned digest relies on: each node that ``_reach``
     finds within ``limit`` hops has the brute-force BFS distance, and its
-    predecessor is its highest-id neighbour one hop closer to the source."""
+    predecessor is its highest-id neighbour one hop closer to the source.
+    The rule holds on the built graph, whose CSR rows are sorted, and on the
+    same graph with each row's column indices shuffled, so it does not
+    follow the order of a row."""
     g = random_graph(1000, seed=11)
+    csr = g.csr
+    rng = np.random.default_rng(limit)
+    shuffled = csr.indices.copy()
+    for lo, hi in zip(csr.indptr[:-1].tolist(), csr.indptr[1:].tolist()):
+        shuffled[lo:hi] = rng.permutation(shuffled[lo:hi])
+    assert not np.array_equal(shuffled, csr.indices)
+    row_shuffled = ConnectivityGraph(g.n, csr_matrix((csr.data, shuffled, csr.indptr), shape=csr.shape))
     adjacency = [g.neighbors(u).tolist() for u in range(g.n)]
     sources = np.arange(7, g.n, 37)
     expected = {}
@@ -1069,12 +1064,13 @@ def test_reach_predecessor_is_the_highest_id_neighbour_one_hop_closer(limit: int
         for v, d in depth.items():
             closer = [w for w in adjacency[v] if depth.get(w) == d - 1]
             expected[source, v] = (d, max(closer) if closer else None)
-    origin, node, dist, pred = _reach(g, sources, limit)
-    got = {
-        (o, v): (d, p if d else None)
-        for o, v, d, p in zip(origin.tolist(), node.tolist(), dist.tolist(), pred.tolist())
-    }
-    assert got == expected
+    for graph in (g, row_shuffled):
+        origin, node, dist, pred = _reach(graph, sources, limit)
+        got = {
+            (o, v): (d, p if d else None)
+            for o, v, d, p in zip(origin.tolist(), node.tolist(), dist.tolist(), pred.tolist())
+        }
+        assert got == expected
 
 
 # ---------------------------------------------------------------------------
@@ -1086,28 +1082,25 @@ def test_reach_predecessor_is_the_highest_id_neighbour_one_hop_closer(limit: int
 # a change of BFS source (or of the scipy stack) re-derives these values.
 PINNED_DIGESTS = {
     "mobile-plain": "34063c430456f540084fe3b946fb2412c3bcc41adc52c0fad10bb28032baf261",
-    "mobile-load_balanced": "e8c345bd264a9bc5ca86937d035f8836e5adc0f920ae94a98d303dbafa67ad78",
+    "mobile-load_balanced": "1358e5d850660c92871759cdc8c3ac7d8ba867c11955cc1f4828f0b16d153006",
     "mobile-plain-nu2": "8670456c6bae8e8c33fb2c5d3f6d8405ee4f93c34ec20cc507c1c0be3508bc68",
     "first-round-at-t3": "a225e60db1071b0176e2eda7de8a4f7b49668b68904833e72924d4834c31cfa9",
-    "same-step-floods": "2b37c53455fc1dbe1211a520714293bbc173c3d432107cbdfebee0202e221043",
-    "floods-then-round": "4ce61d3dbcefefb3ea5ca8c84a6b70c8fee574e3cc9c90e6b4691d2f300a5b89",
 }
 
 
 def engine_observables(engine: ProtocolEngine) -> list[str]:
-    """Everything the engine exposes, as text: routing tables, the state CSV,
-    membership loads, memberships, member lists and load-balanced stores."""
+    """The engine's state, as text: routing tables, the state CSV, membership
+    loads, memberships, member lists and the (member, level) identifiers each
+    node holds in load-balanced mode."""
     levels = engine.params.levels
     buf = io.StringIO()
     engine.dump_state_csv(buf)
     parts = [buf.getvalue(), repr(engine.membership_load().tolist())]
     for u in range(engine.n):
-        parts.append(
-            repr([(e.node_id, e.distance, e.level, e.next_hop) for e in engine.routing_entries(u)])
-        )
+        parts.append(repr(held_entries(engine, u)))
         parts.append(repr([engine.membership(u, level) for level in range(levels + 1)]))
         parts.append(repr([sorted(engine.member_list(u, level)) for level in range(levels + 1)]))
-        parts.append(repr(sorted(engine.lb_store(u).items())))
+        parts.append(repr([tuple(key) for key in np.argwhere(engine._lb_holder == u).tolist()]))
     return parts
 
 
@@ -1160,43 +1153,6 @@ def mobile_run_digest(mode: str, nu: int = 1, first_t: int = 0, rounds: Optional
     return digest(parts)
 
 
-def same_step_floods_digest() -> str:
-    ring = cycle_graph(40)
-    line = path_graph(40)
-    chords = ConnectivityGraph.from_edges(
-        40, [(i, i + 1) for i in range(39)] + [(0, 20), (10, 30), (5, 35)]
-    )
-    engine = ProtocolEngine(40, make_params(levels=3))
-    parts = []
-    for t in range(3):
-        for g in (ring, line, chords):
-            for origin, radius, level in ((0, 12, 2), (7, 6, 1), (20, 24, 3), (0, 3, 0)):
-                parts.append(repr(flood(engine, g, origin=origin, radius=radius, level=level, t=t)))
-            parts.extend(engine_observables(engine))
-    return digest(parts)
-
-
-def floods_then_round_digest() -> str:
-    """Stand-alone floods at t=2 and t=3 leave rows at levels the engine has
-    never cleared; its first rounds, from t=3, then register members against
-    them, replacing older cells and losing to same-step ones."""
-    g = random_graph(120, seed=3)
-    levels = math.ceil(math.log2(diameter(g).hops))
-    engine = ProtocolEngine(g.n, make_params(levels))
-    parts = []
-    for origin in range(0, g.n, 3):
-        level = origin % (levels + 1)
-        radius = engine.params.flood_radius(level)
-        t = 2 if origin < g.n // 2 else 3
-        parts.append(repr(flood(engine, g, origin=origin, radius=radius, level=level, t=t)))
-    parts.extend(engine_observables(engine))
-    for t in (3, 4, 5):
-        if not hashed_round(engine, g, t, parts):
-            break
-        parts.extend(engine_observables(engine))
-    return digest(parts)
-
-
 EQUIVALENCE_RUNS = {
     # 2**L + 2 rounds: full clears at t=0 and t=2**L, partial clears between.
     "mobile-plain": lambda: mobile_run_digest("plain"),
@@ -1206,8 +1162,6 @@ EQUIVALENCE_RUNS = {
     # The first round at t=3 clears only level 0 of an empty engine, so nodes
     # are elected above gamma and flood to their own level's radius.
     "first-round-at-t3": lambda: mobile_run_digest("plain", first_t=3, rounds=6),
-    "same-step-floods": same_step_floods_digest,
-    "floods-then-round": floods_then_round_digest,
 }
 
 
@@ -1222,9 +1176,9 @@ def test_engine_observables_match_pinned_digests(name: str) -> None:
 
 
 class SequentialRound:
-    """The beaconing round and stand-alone flood as the nodes act one at a
-    time in pi order, on an engine's own state: the reference that the
-    closed-form round must reproduce.
+    """The beaconing round as the nodes act one at a time in pi order, on an
+    engine's own state: the reference that the closed-form round must
+    reproduce.
 
     Each node in turn takes the highest level still empty in its membership
     row (level 0, not elected, when none is), floods, lets the nodes its
@@ -1357,22 +1311,6 @@ class SequentialRound:
             registration_hops=registration_hops,
         )
 
-    def flood(self, g: ConnectivityGraph, origin: int, radius: int, level: int, t: int) -> int:
-        engine = self.engine
-        engine._check_node(origin)
-        engine._check_level(level)
-        engine._check_graph(g)
-        if radius < 1:
-            raise ParameterError(f"flood radius must be >= 1, got {radius}")
-        dist, pred = dijkstra(
-            g.csr, unweighted=True, indices=[origin], limit=float(radius), return_predecessors=True
-        )
-        engine._next_hops.clear()
-        try:
-            return self.post_flood(origin, level, radius, dist[0], pred[0], t)[2]
-        finally:
-            self.commit()
-
     # -- one origin at a time ------------------------------------------------
 
     def highest_empty(self, u: int) -> int:
@@ -1418,8 +1356,7 @@ def outcome(call) -> str:
 
 def differential_runs():
     """Seeded (name, graphs, nu, round seed, steps) cases, run on one graph after
-    another. A step is a round ``("round", t)``, a stand-alone flood
-    ``("flood", origin, radius, level, t)``, or ``("clear", gamma)``, which
+    another. A step is a round ``("round", t)`` or ``("clear", gamma)``, which
     clears the memberships and table entries up to gamma as a round does but
     keeps every beacon level, so kept nodes hold empty cells."""
     n = 120
@@ -1433,10 +1370,7 @@ def differential_runs():
     # four components, one an isolated node
     sparse = build_geometric_graph(sample_uniform_positions(n, domain, 53), 0.5 * r_n)
     g = random_graph(90, seed=7)
-    floods = [
-        ("flood", origin, 2 + origin % 7, origin % 4, 2 if origin < 45 else 3)
-        for origin in range(0, 90, 3)
-    ]
+    same_step = [("round", 0), ("round", 1), ("round", 1)]
     return [
         # t = 0..9 with nu = 1: gamma runs through L, 0, 1, 0, 2, 0, 1, 0, 3, 0
         ("mobile", mobile, 1, 59, [("round", t) for t in range(10)]),
@@ -1449,13 +1383,10 @@ def differential_runs():
         # by beacons that come before or after them in pi (node 1 at level 1
         # joins a pi-later level-2 beacon)
         ("cleared-levels", mobile, 1, 42, [("round", 0), ("round", 1), ("round", 2), ("clear", 2), ("round", 3)]),
-        # older (t=2) and same-step (t=3) floods, then rounds from t=3; then
-        # floods between rounds, at the step of the next round
-        ("floods-then-rounds", [g], 1, 59, floods + [("round", 3), ("round", 4)]
-         + [("flood", 5, 6, 2, 5), ("flood", 11, 3, 0, 5), ("round", 5), ("round", 6)]),
-        # same-step level-1 rows kept through a gamma-0 first round, so the
-        # round's level-1 writes meet held entries of their own step
-        ("same-step-rows-kept", [g], 1, 59, [("flood", u, 3, 1, 1) for u in range(90)] + [("round", 1)]),
+        # a second round at t=1 (gamma = 0): its writes above level 0 meet
+        # held entries of their own step, on the same graph and on a moved one
+        ("same-step-round", [g], 1, 59, same_step),
+        ("same-step-round-mobile", mobile, 1, 59, same_step),
         ("one-node", [ConnectivityGraph.from_edges(1, [])], 1, 59, [("round", t) for t in range(5)]),
         ("two-nodes", [path_graph(2)], 2, 59, [("round", t) for t in range(5)]),
     ]
@@ -1463,9 +1394,8 @@ def differential_runs():
 
 @pytest.mark.parametrize("mode", ["plain", "load_balanced"])
 def test_closed_form_round_matches_the_sequential_reference(mode: str) -> None:
-    """Every report and error of the closed-form round and the stand-alone
-    flood equals that of the sequential reference, and so does every
-    observable after each round and after each run of floods."""
+    """Every report and error of the closed-form round equals that of the
+    sequential reference, and so does every observable after each round."""
     for name, graphs, nu, seed, steps in differential_runs():
         # three levels: the connected graphs are 5 or 6 hops across
         closed = ProtocolEngine(graphs[0].n, make_params(3, nu=nu), mode=mode)
@@ -1480,16 +1410,10 @@ def test_closed_form_round_matches_the_sequential_reference(mode: str) -> None:
                     engine._beacon[:, : action[1] + 1] = -1
                 sequential = SequentialRound(reference)
                 continue
-            if action[0] == "round":
-                t = action[1]
-                got = outcome(lambda: closed.beaconing_round(g, t=t, seed=seed))
-                want = outcome(lambda: sequential.round(g, t=t, seed=seed))
-                rounds += 1
-            else:
-                _, origin, radius, level, t = action
-                got = outcome(lambda: flood(closed, g, origin, radius, level, t))
-                want = outcome(lambda: sequential.flood(g, origin, radius, level, t))
+            t = action[1]
+            got = outcome(lambda: closed.beaconing_round(g, t=t, seed=seed))
+            want = outcome(lambda: sequential.round(g, t=t, seed=seed))
+            rounds += 1
             assert got == want, (name, i, action)
-            if action[0] == "round" or i + 1 == len(steps) or steps[i + 1][0] == "round":
-                assert engine_observables(closed) == engine_observables(reference), (name, i, action)
+            assert engine_observables(closed) == engine_observables(reference), (name, i, action)
 

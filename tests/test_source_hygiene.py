@@ -4,8 +4,10 @@ Each ``src/beaconsim/*.py`` and ``tests/*.py`` file is parsed with ``ast``:
 every top-level import must bind a name the module reads (or re-exports
 through ``__all__``), every ``__all__`` entry of a package module must
 resolve on the imported module, every private function, method or class
-of the package must be named by some package source, and every attribute
-that package code stores must be read by some package source.
+of the package must be named by some package source, every attribute
+that package code stores must be read by some package source, and every
+public function, class or method of the package must be read by a package
+module, a ``tools/`` script or a non-test ``perfbench/`` module.
 """
 
 from __future__ import annotations
@@ -17,9 +19,14 @@ from pathlib import Path
 import pytest
 
 TESTS = Path(__file__).resolve().parent
-SRC = TESTS.parent / "src" / "beaconsim"
+ROOT = TESTS.parent
+SRC = ROOT / "src" / "beaconsim"
 SOURCES = sorted(SRC.glob("*.py"))
 TEST_SOURCES = sorted(TESTS.glob("*.py"))
+# the callers outside the package: tool scripts and the benchmark's modules
+DRIVER_SOURCES = sorted(ROOT.glob("tools/*.py")) + [
+    path for path in sorted(ROOT.glob("perfbench/*.py")) if not path.name.startswith("test_")
+]
 
 
 def _module_name(path: Path) -> str:
@@ -119,17 +126,93 @@ def test_every_private_definition_is_referenced() -> None:
     assert unreferenced == [], f"private definitions no source references: {unreferenced}"
 
 
+def _writes_into_self_attributes(tree: ast.Module) -> set[ast.Attribute]:
+    """``self._x`` nodes that only write into the object they name: the
+    container of a subscript store or delete (``self._x[k] = v``,
+    ``del self._x[k]``) and the receiver of ``self._x.clear()``."""
+    writes = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del)):
+            target = node.value
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "clear"
+        ):
+            target = node.func.value
+        else:
+            continue
+        if (
+            isinstance(target, ast.Attribute)
+            and isinstance(target.value, ast.Name)
+            and target.value.id == "self"
+        ):
+            writes.add(target)
+    return writes
+
+
 def test_every_stored_attribute_is_read() -> None:
-    """An attribute that package code assigns, e.g. ``self._x = ...``, and no
-    package source reads as ``._x`` is state kept for nothing."""
+    """An attribute that package code assigns, e.g. ``self._x = ...``, or
+    writes into, e.g. ``self._x[k] = v``, ``del self._x[k]`` or
+    ``self._x.clear()``, and no package source reads as ``._x`` otherwise
+    is state kept for nothing."""
     stored: dict[str, str] = {}
     read: set[str] = set()
     for path in SOURCES:
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        writes = _writes_into_self_attributes(tree)
+        for node in ast.walk(tree):
             if isinstance(node, ast.Attribute):
-                if isinstance(node.ctx, ast.Store):
+                if isinstance(node.ctx, ast.Store) or node in writes:
                     stored.setdefault(node.attr, f"{path.name}:{node.lineno}")
                 elif isinstance(node.ctx, ast.Load):
                     read.add(node.attr)
     unread = [f"{where} {name}" for name, where in stored.items() if name not in read]
     assert unread == [], f"attributes stored but never read: {unread}"
+
+
+# Public names with no reader outside tests that stay on purpose, each with
+# its reason.
+UNREAD_PUBLIC_EXEMPT = {
+    "ConnectivityGraph.from_edges": "the input-checking constructor for hand-built graphs",
+    "ProtocolParams.mu": "the probe-overhead factor, kept until a check reads it or it goes",
+}
+
+
+def _public_definitions(tree: ast.Module):
+    """Public top-level functions and classes, and the public methods of
+    top-level classes, as (qualified name, name, line number)."""
+    definitions = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for node in tree.body:
+        if not isinstance(node, definitions) or node.name.startswith("_"):
+            continue
+        yield node.name, node.name, node.lineno
+        if isinstance(node, ast.ClassDef):
+            for method in node.body:
+                if isinstance(method, definitions) and not method.name.startswith("_"):
+                    yield f"{node.name}.{method.name}", method.name, method.lineno
+
+
+def test_every_public_definition_has_a_reader_outside_tests() -> None:
+    """A public function, class or method that no package module (other than
+    the re-exporting ``__init__.py``), tool script or benchmark module reads,
+    as a name or an attribute, is API that only tests reach: it gets wired
+    into a caller or deleted. An exemption that has found a reader, or whose
+    definition is gone, is dropped from the list."""
+    read: set[str] = set()
+    for path in [path for path in SOURCES if path.name != "__init__.py"] + DRIVER_SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+                read.add(node.id if isinstance(node, ast.Name) else node.attr)
+    unread = {
+        qualified: f"{path.name}:{line}"
+        for path in SOURCES
+        for qualified, name, line in _public_definitions(
+            ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        )
+        if name not in read
+    }
+    flagged = [f"{where} {name}" for name, where in unread.items() if name not in UNREAD_PUBLIC_EXEMPT]
+    assert flagged == [], f"public definitions only tests read: {flagged}"
+    stale = sorted(set(UNREAD_PUBLIC_EXEMPT) - set(unread))
+    assert stale == [], f"exemptions with a reader or no definition: {stale}"
