@@ -2,15 +2,18 @@
 
 Provides the unit-disk graph builder (plain Euclidean distance), hop-distance
 queries, greedy ball covers with their growth-rate estimator, and diameter
-computation. Many-source searches run in blocks of up to 64 sources per scipy
-call. The estimator advances all its sampled covers in lockstep, so each
-step's new centers cost one batched search. Each row is searched only as far
-as a cover reads it: the sampled centers' rows to 2 * max(radii) hops, a
-picked center's row to its cover's radius. The diameter is exact at every
-size: eccentricity bounds from a few dozen BFS sources pin it down without a
-BFS from every node. Only ``bfs_distances`` and ``bfs_blocks`` call scipy's
-search. Graphs are undirected, unweighted, and stored as scipy CSR
-adjacency; node ids are dense integers.
+computation. Every scipy graph search of the package runs here:
+``bfs_distances`` searches one source, and ``bfs_blocks`` and ``_reach`` (a
+beaconing round's floods, with BFS predecessors) search many sources in
+blocks of up to ``_BFS_BLOCK`` (64) per scipy call; ``_largest_component``
+splits off a graph's largest connected component. The estimator advances all
+its sampled covers in lockstep, so each step's new centers cost one batched
+search. Each row is searched only as far as a cover reads it: the sampled
+centers' rows to 2 * max(radii) hops, a picked center's row to its cover's
+radius. The diameter is exact at every size: eccentricity bounds from a few
+dozen BFS sources pin it down without a BFS from every node. Graphs are
+undirected, unweighted, and stored as scipy CSR adjacency; node ids are
+dense integers.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra
+from scipy.sparse.csgraph import connected_components, dijkstra
 from scipy.spatial import cKDTree
 
 from .errors import ConnectivityError, ParameterError, ProtocolInvariantError
@@ -113,7 +116,7 @@ def bfs_distances(g: ConnectivityGraph, source: int) -> np.ndarray:
     return dijkstra(g.csr, unweighted=True, indices=source)
 
 
-_BFS_BLOCK = 64  # sources per BFS call in bfs_blocks: 64 float64 rows at n=2048 are 1 MB
+_BFS_BLOCK = 64  # sources per many-source BFS call: 64 float64 rows at n=2048 are 1 MB
 
 
 def bfs_blocks(
@@ -131,6 +134,32 @@ def bfs_blocks(
     for start in range(0, len(sources), _BFS_BLOCK):
         block = sources[start : start + _BFS_BLOCK]
         yield block, dijkstra(g.csr, unweighted=True, indices=block, limit=limit)
+
+
+def _reach(
+    g: ConnectivityGraph, sources: np.ndarray, radius: int
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """Every node within ``radius`` hops of each source, one scipy search per
+    block of ``_BFS_BLOCK`` sources. Yields each block's cells: the source,
+    the node, its hop distance and its BFS predecessor, the source itself
+    included at distance 0, in (position in ``sources``, node) order."""
+    for start in range(0, len(sources), _BFS_BLOCK):
+        block = sources[start : start + _BFS_BLOCK]
+        dist, pred = dijkstra(
+            g.csr, unweighted=True, indices=block, limit=float(radius), return_predecessors=True
+        )
+        cells = np.flatnonzero(dist <= radius)
+        at, node = np.divmod(cells, g.n)
+        yield block[at], node, dist.reshape(-1)[cells].astype(np.int64), pred.reshape(-1)[cells]
+
+
+def _largest_component(g: ConnectivityGraph) -> tuple[ConnectivityGraph, np.ndarray]:
+    """``g``'s largest connected component as a graph, with its node ids."""
+    count, labels = connected_components(g.csr, directed=False)
+    if count == 1:
+        return g, np.arange(g.n)
+    keep = np.flatnonzero(labels == np.bincount(labels).argmax())
+    return ConnectivityGraph(len(keep), g.csr[keep][:, keep]), keep
 
 
 def _pair_hops(g: ConnectivityGraph, pairs: Sequence[tuple[int, int]] | np.ndarray) -> np.ndarray:

@@ -21,12 +21,12 @@ from dataclasses import dataclass, fields, replace
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy.sparse.csgraph import connected_components
 
 from .errors import ParameterError, ProtocolInvariantError
 from .geometry import DomainSpec, SquareletGrid, _positions, sample_uniform_positions
 from .graph import (
     ConnectivityGraph,
+    _largest_component,
     _pair_hops,
     build_geometric_graph,
     diameter,
@@ -409,14 +409,6 @@ def _build_layout(config: SimConfig) -> _Layout:
         domain=None,
         static_graph=comb.graph,
     )
-
-
-def _largest_component(g: ConnectivityGraph) -> tuple[ConnectivityGraph, np.ndarray]:
-    count, labels = connected_components(g.csr, directed=False)
-    if count == 1:
-        return g, np.arange(g.n)
-    keep = np.flatnonzero(labels == np.bincount(labels).argmax())
-    return ConnectivityGraph(len(keep), g.csr[keep][:, keep]), keep
 
 
 def _levels_for(config: SimConfig, g0: ConnectivityGraph) -> int:

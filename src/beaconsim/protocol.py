@@ -24,9 +24,9 @@ A beaconing round has the outcome of its nodes acting one at a time in a
 seeded random order pi (each floods, then its joiners register), but is
 computed in closed form: the levels are decided top-down from the
 lexicographically-first greedy rule of each level, every origin is then
-searched once at its own flood radius, at most ``_CHUNK`` origins per scipy
-call, and the joins and registrations are computed in block array steps
-from reached-only (origin, node, distance, predecessor) arrays. The round
+searched once at its own flood radius, one block of origins at a time
+(``graph._reach``), and the joins and registrations are computed in block
+array steps from reached-only (origin, node, distance, predecessor) arrays. The round
 writes the table through one merge of presorted runs with one tie rule: per
 (origin, node, level) key the candidate lowest in (stale, distance, writer
 order) stays. An entry is stale when written at an earlier step; in writer
@@ -61,10 +61,9 @@ from dataclasses import dataclass
 from typing import IO, NamedTuple, Optional
 
 import numpy as np
-from scipy.sparse.csgraph import dijkstra
 
 from .errors import DeliveryError, ParameterError, ProtocolInvariantError
-from .graph import ConnectivityGraph, bfs_distances, diameter
+from .graph import ConnectivityGraph, _reach, bfs_blocks, bfs_distances, diameter
 
 __all__ = [
     "ForwardReceipt",
@@ -77,7 +76,6 @@ __all__ = [
 ]
 
 _MODES = ("plain", "load_balanced")
-_CHUNK = 256  # flood origins per scipy search in a beaconing round
 
 
 def ring_distance(a: int, b: int, n: int) -> int:
@@ -515,8 +513,7 @@ class ProtocolEngine:
         covers = [(np.empty(0, dtype=np.int64),) * 4]
         for level in range(levels, -1, -1):
             radius = self._flood_radius(level)
-            for sources in _blocks(np.flatnonzero(beta == level)):
-                origin, node, dist, pred = _reach(g, sources, radius)
+            for origin, node, dist, pred in _reach(g, np.flatnonzero(beta == level), radius):
                 flood_tx += int(np.count_nonzero(dist < radius))
                 floods.append(table.run(origin, node, level, dist, pred))
                 if level:
@@ -607,8 +604,7 @@ class ProtocolEngine:
                 continue
             radius = self.params.cover_radius(k)
             first = np.full(self.n, self.n, dtype=np.int64)  # pi-first level >= k node in reach
-            for sources in _blocks(np.flatnonzero(beta >= k)):
-                dist = dijkstra(g.csr, unweighted=True, indices=sources, limit=float(radius))
+            for sources, dist in bfs_blocks(g, np.flatnonzero(beta >= k), radius):
                 reach = np.where(dist <= radius, rank[sources, None], self.n)
                 first = np.minimum(first, reach.min(axis=0))
             waiting = waiting[np.argsort(rank[waiting])]
@@ -617,8 +613,8 @@ class ProtocolEngine:
                 u = waiting.item(0)
                 beta[u] = k
                 elected[k].append(u)
-                dist = dijkstra(g.csr, unweighted=True, indices=u, limit=float(radius))
-                waiting = waiting[1:][dist[waiting[1:]] > radius]
+                ((_, dist),) = bfs_blocks(g, [u], radius)
+                waiting = waiting[1:][dist[0, waiting[1:]] > radius]
         rest = again[beta[again] < 0]
         beta[rest] = 0
         elected[0] = rest[(held[rest, 0] < 0) & (nearest[rest] == rank[rest])].tolist()
@@ -712,15 +708,15 @@ class ProtocolEngine:
                 continue
             radius = 2**level
             idx = np.asarray(sorted(nodes), dtype=np.int64)
-            dist = dijkstra(g.csr, unweighted=True, indices=idx, limit=float(radius))
-            sub = dist[:, idx]
-            np.fill_diagonal(sub, np.inf)
-            if (sub <= radius).any():
-                a, b = np.argwhere(sub <= radius)[0]
-                raise ProtocolInvariantError(
-                    f"beacons {idx[a]} and {idx[b]} were both elected at level {level} "
-                    f"but are within {radius} hops of each other"
-                )
+            for block, dist in bfs_blocks(g, idx, radius):
+                # a node's distance 0 to itself is no violation
+                close = (dist[:, idx] <= radius) & (block[:, np.newaxis] != idx)
+                if close.any():
+                    a, b = np.argwhere(close)[0]
+                    raise ProtocolInvariantError(
+                        f"beacons {block[a]} and {idx[b]} were both elected at level {level} "
+                        f"but are within {radius} hops of each other"
+                    )
 
     def _rebuild_lb_store(self, levels: int) -> int:
         """Re-register every identifier at its chain terminus; returns the
@@ -1145,27 +1141,6 @@ class ProtocolEngine:
             raise ParameterError(
                 f"level {level} out of range [0, {self.params.levels}]"
             )
-
-
-def _blocks(sources: np.ndarray):
-    """``sources`` in consecutive blocks of at most ``_CHUNK``."""
-    for start in range(0, len(sources), _CHUNK):
-        yield sources[start : start + _CHUNK]
-
-
-def _reach(
-    g: ConnectivityGraph, sources: np.ndarray, radius: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Every node within ``radius`` hops of each source, in one scipy
-    search: the source, the node, its hop distance and its BFS predecessor,
-    the source itself included at distance 0, in (position in ``sources``,
-    node) order."""
-    dist, pred = dijkstra(
-        g.csr, unweighted=True, indices=sources, limit=float(radius), return_predecessors=True
-    )
-    cells = np.flatnonzero(dist <= radius)
-    at, node = np.divmod(cells, g.n)
-    return sources[at], node, dist.reshape(-1)[cells].astype(np.int64), pred.reshape(-1)[cells]
 
 
 def _closed_min(g: ConnectivityGraph, rank: np.ndarray) -> np.ndarray:

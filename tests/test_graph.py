@@ -23,6 +23,7 @@ from beaconsim.geometry import DomainSpec, sample_uniform_positions
 from beaconsim.graph import (
     ConnectivityGraph,
     _greedy_covers,
+    _reach,
     bfs_blocks,
     bfs_distances,
     build_geometric_graph,
@@ -202,6 +203,13 @@ def test_bfs_blocks_match_single_source_rows_and_cut_at_the_limit() -> None:
     assert list(bfs_blocks(g, [])) == []
     with pytest.raises(ParameterError):
         list(bfs_blocks(g, [0, g.n]))
+    # _reach's cells, block by block, are those of one search per source
+    many = np.arange(g.n - 150, g.n)  # three blocks: 64, 64 and 22 sources
+    blocks = list(_reach(g, many, 3))
+    assert len(blocks) == 3
+    one_by_one = [cells for i in range(len(many)) for cells in _reach(g, many[i : i + 1], 3)]
+    for got, expected in zip(zip(*blocks), zip(*one_by_one), strict=True):
+        assert np.array_equal(np.concatenate(got), np.concatenate(expected))
 
 
 def searched_ball(g: ConnectivityGraph, u: int, radius: int) -> set[int]:

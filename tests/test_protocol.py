@@ -24,7 +24,7 @@ from scipy.sparse.csgraph import dijkstra
 from beaconsim.acceptance import _audit_round as audit_round
 from beaconsim.errors import DeliveryError, ParameterError, ProtocolInvariantError
 from beaconsim.geometry import DomainSpec, sample_uniform_positions
-from beaconsim.graph import ConnectivityGraph, build_geometric_graph, diameter
+from beaconsim.graph import ConnectivityGraph, _reach, build_geometric_graph, diameter
 from beaconsim.mobility import RandomWalk, step
 from beaconsim.protocol import (
     ForwardReceipt,
@@ -33,7 +33,6 @@ from beaconsim.protocol import (
     ProtocolParams,
     RoundReport,
     _Table,
-    _reach,
     _ring_closest,
     ring_distance,
 )
@@ -936,31 +935,32 @@ def test_probe_reverse_state_does_not_outlive_a_round() -> None:
 
 @pytest.mark.parametrize("mode", ["plain", "load_balanced"])
 def test_each_origin_is_searched_once_at_its_own_flood_radius(monkeypatch, mode: str):
-    """Every predecessor search of a round covers at most ``_CHUNK`` origins,
-    all at the flood radius of the level each ends the round at, and every
-    node is searched exactly once: on a first round (every level open) and
-    on the rounds after it, where the levels above gamma stay put."""
-    import beaconsim.protocol as protocol
+    """Every predecessor search of a round covers at most ``_BFS_BLOCK``
+    origins, all at the flood radius of the level each ends the round at,
+    and every node is searched exactly once: on a first round (every level
+    open) and on the rounds after it, where the levels above gamma stay put.
+    Only the flood searches ask for predecessors."""
+    import beaconsim.graph as graph
 
     g = random_graph(700, seed=5)
     levels = math.ceil(math.log2(diameter(g).hops))
     engine = ProtocolEngine(g.n, make_params(levels), mode=mode)
     searches: list[tuple[float, list[int]]] = []
-    real_dijkstra = protocol.dijkstra
+    real_dijkstra = graph.dijkstra
 
     def recording_dijkstra(csgraph, **kwargs):
         if kwargs.get("return_predecessors"):
             searches.append((kwargs["limit"], np.atleast_1d(kwargs["indices"]).tolist()))
         return real_dijkstra(csgraph, **kwargs)
 
-    monkeypatch.setattr(protocol, "dijkstra", recording_dijkstra)
+    monkeypatch.setattr(graph, "dijkstra", recording_dijkstra)
     radius = engine.params.lb_flood_radius if mode == "load_balanced" else engine.params.flood_radius
     for t in range(3):
         searches.clear()
         engine.beaconing_round(g, t=t, seed=37)
         searched = []
         for limit, sources in searches:
-            assert 1 <= len(sources) <= protocol._CHUNK
+            assert 1 <= len(sources) <= graph._BFS_BLOCK
             assert {float(radius(engine.beacon_level(u))) for u in sources} == {limit}
             searched.extend(sources)
         assert sorted(searched) == list(range(g.n))
@@ -1065,7 +1065,9 @@ def test_reach_predecessor_is_the_highest_id_neighbour_one_hop_closer(limit: int
             closer = [w for w in adjacency[v] if depth.get(w) == d - 1]
             expected[source, v] = (d, max(closer) if closer else None)
     for graph in (g, row_shuffled):
-        origin, node, dist, pred = _reach(graph, sources, limit)
+        origin, node, dist, pred = (
+            np.concatenate(column) for column in zip(*_reach(graph, sources, limit))
+        )
         got = {
             (o, v): (d, p if d else None)
             for o, v, d, p in zip(origin.tolist(), node.tolist(), dist.tolist(), pred.tolist())

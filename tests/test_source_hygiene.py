@@ -7,7 +7,8 @@ resolve on the imported module, every private function, method or class
 of the package must be named by some package source, every attribute
 that package code stores must be read by some package source, and every
 public function, class or method of the package must be read by a package
-module, a ``tools/`` script or a non-test ``perfbench/`` module.
+module, a ``tools/`` script or a non-test ``perfbench/`` module, and only
+``graph.py`` may import scipy's graph searches.
 """
 
 from __future__ import annotations
@@ -216,3 +217,32 @@ def test_every_public_definition_has_a_reader_outside_tests() -> None:
     assert flagged == [], f"public definitions only tests read: {flagged}"
     stale = sorted(set(UNREAD_PUBLIC_EXEMPT) - set(unread))
     assert stale == [], f"exemptions with a reader or no definition: {stale}"
+
+
+def _csgraph_imports(tree: ast.Module) -> list[int]:
+    """Lines that import from ``scipy.sparse.csgraph``, in any form."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            modules = [module] + [f"{module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        if any(m == "scipy.sparse.csgraph" or m.startswith("scipy.sparse.csgraph.") for m in modules):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_only_the_graph_module_imports_scipy_graph_searches() -> None:
+    """How a hop search runs (scipy's unweighted search, the hop limit, the
+    sources per call) is decided in ``graph.py`` alone: every other package
+    module searches through it."""
+    found = [
+        f"{path.name}:{line}"
+        for path in SOURCES
+        if path.name != "graph.py"
+        for line in _csgraph_imports(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+    ]
+    assert found == [], f"scipy.sparse.csgraph imported outside graph.py: {found}"

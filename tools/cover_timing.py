@@ -37,7 +37,6 @@ for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import numpy as np  # noqa: E402
-from scipy.sparse.csgraph import connected_components  # noqa: E402
 
 import beaconsim as bs  # noqa: E402
 import beaconsim.graph as graph  # noqa: E402
@@ -73,9 +72,7 @@ def regime_layout(n: int, regime: str, seed: int) -> bs.ConnectivityGraph:
         g = bs.build_geometric_graph(positions, math.sqrt((1.0 + EPSILON) * math.log(n)))
     else:
         g = bs.build_geometric_graph(*bs.subcritical_positions(n, THETA, seed))
-    _, labels = connected_components(g.csr, directed=False)
-    keep = np.flatnonzero(labels == np.bincount(labels).argmax())
-    return bs.ConnectivityGraph(len(keep), g.csr[keep][:, keep])
+    return graph._largest_component(g)[0]
 
 
 def time_covers(n: int, regime: str, seed: int, trials: int, runs: int) -> dict:
