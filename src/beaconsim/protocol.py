@@ -214,7 +214,6 @@ class RoundReport:
 
     gamma: int
     elected: dict[int, tuple[int, ...]]
-    beacons: dict[int, tuple[int, ...]]
     control_packets: int
     control_bits: int
     flood_transmissions: int
@@ -561,7 +560,6 @@ class ProtocolEngine:
         return RoundReport(
             gamma=gamma,
             elected={level: tuple(sorted(nodes)) for level, nodes in elected.items()},
-            beacons=self._beacon_sets(levels),
             control_packets=flood_tx + membership_hops + registration_hops,
             control_bits=control_bits,
             flood_transmissions=flood_tx,
@@ -686,12 +684,6 @@ class ProtocolEngine:
             tuple(np.concatenate(part) for part in zip(*joins)),
             tuple(np.concatenate(part) for part in zip(*registrations)),
         )
-
-    def _beacon_sets(self, levels: int) -> dict[int, tuple[int, ...]]:
-        return {
-            level: tuple(np.flatnonzero(self._beacon_level == level).tolist())
-            for level in range(levels + 1)
-        }
 
     def _assert_cover_complete(self) -> None:
         missing = np.argwhere(self._beacon < 0)
