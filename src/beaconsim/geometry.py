@@ -84,10 +84,6 @@ class SquareletGrid:
             side=domain.side,
         )
 
-    @property
-    def r_n(self) -> float:
-        return self.cell_side * self.c
-
 
 def _positions(positions: np.ndarray, side: float | None = None) -> np.ndarray:
     """``positions`` as an (n, 2) float64 array, without a copy when it is one.

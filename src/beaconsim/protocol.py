@@ -859,7 +859,10 @@ class ProtocolEngine:
         arrived, path = self._walk(g, source, relay, budget)
         if not arrived:
             if len(path) == 1 and self._best_entry(g, source, relay) is None:
-                raise ParameterError(f"node {source} holds no routing entry for relay {relay}")
+                # forward probes only relays that the source holds an entry for
+                raise ProtocolInvariantError(
+                    f"node {source} holds no routing entry for relay {relay}"
+                )
             return _ProbeResult(False, True, tuple(path), 2 * (len(path) - 1), -1, relay)
         hops = len(path) - 1
         terminus = relay

@@ -345,7 +345,7 @@ def test_probe_hop_budget_aborts_long_chases():
 def test_probe_requires_an_entry_for_the_relay():
     g = path_graph(3)
     engine = ProtocolEngine(3, make_params(levels=1))
-    with pytest.raises(ParameterError):
+    with pytest.raises(ProtocolInvariantError, match="no routing entry"):
         engine._probe(g, source=0, relay=2, dest=1, max_level=1)
 
 
