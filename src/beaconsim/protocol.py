@@ -26,12 +26,12 @@ computed in closed form: the levels are decided top-down from the
 lexicographically-first greedy rule of each level, every origin is then
 searched once at its own flood radius, one block of origins at a time
 (``graph._reach``), and the joins and registrations are computed in block
-array steps from reached-only (origin, node, distance, predecessor) arrays. The round
-writes the table through one merge of presorted runs with one tie rule: per
-(origin, node, level) key the candidate lowest in (stale, distance, writer
-order) stays. An entry is stale when written at an earlier step; in writer
-order the entries already held come first, then the round's writes in pi
-order.
+array steps from reached-only (origin, node, distance, predecessor) arrays.
+The round writes the table through one merge of presorted runs with one tie
+rule: per (origin, node, level) key the candidate lowest in (stale,
+distance, writer order) stays. An entry is stale when written at an earlier
+step; in writer order the entries already held come first, then the round's
+writes in pi order.
 
 Probes walk the tables hop by hop. The entry a node follows toward an
 origin (freshest stamp, then shortest, then lowest level, among the table's
