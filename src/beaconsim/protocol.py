@@ -33,18 +33,22 @@ distance, writer order) stays. An entry is stale when written at an earlier
 step; in writer order the entries already held come first, then the round's
 writes in pi order.
 
-Probes walk the tables hop by hop. The entry a node follows toward an
-origin (freshest stamp, then shortest, then lowest level, among the table's
-(origin, node) slice, its next hop checked against the graph's sorted edge
-keys) is resolved the first time a look-up reaches that node and kept in a
-per-origin dict, so a later hop through the node is one dict lookup.
-Resolved entries hold for one table state and one graph: a beaconing round
-and a look-up on another graph each clear them. The reads that want all of
-one node's entries (a probe stage's candidates, the state dump) use a
-node-major permutation of the table, built on the first such read after a
-change. Walks still leave reverse entries at the nodes they cross, one
-origin -> {node: next hop} dict that each round clears, which a later walk
-follows only where a node has no table entry.
+A forward probes in stages. A stage's candidates are the origins that one
+node holds entries for at or above a level and within a distance, nearest
+first, read through a node-major permutation of the table (built on the
+first read after a change; the state dump reads it too) and kept per (node,
+level, distance). The stage probes them in order and stops at the first
+that arrives and answers; in plain mode one search of the table answers
+every candidate before the first walk. Probes walk the tables hop by hop.
+The entry a node follows toward an origin (freshest stamp, then shortest,
+then lowest level, among the table's (origin, node) slice, its next hop
+checked against the graph's sorted edge keys) is resolved the first time a
+look-up reaches that node and kept in a per-origin dict, so a later hop
+through the node is one dict lookup. Resolved entries and candidate lists
+hold for one table state and one graph: a beaconing round and a look-up on
+another graph each clear them. Walks still leave reverse entries at the
+nodes they cross, one origin -> {node: next hop} dict that each round
+clears, which a later walk follows only where a node has no table entry.
 
 Cost accounting is explicit: a round's control bits are its flood
 transmissions times the flood packet width plus its membership and
@@ -199,15 +203,6 @@ class ProbeRecord(NamedTuple):
     terminus: int
 
 
-class _ProbeResult(NamedTuple):
-    success: bool
-    broken: bool
-    path: tuple[int, ...]
-    transmissions: int
-    found_level: int
-    terminus: int
-
-
 @dataclass(frozen=True)
 class RoundReport:
     """Per-round tallies: who got elected where and what the control cost was."""
@@ -261,7 +256,6 @@ class _Table:
         self.hop = hop.astype(self._small, copy=False)
         self.stamp = stamp.astype(np.int32, copy=False)
         self._by_node: Optional[tuple[np.ndarray, np.ndarray]] = None
-        self._origin: Optional[tuple[int, list[int]]] = None  # for ``lowest_level``
 
     def _columns(self) -> tuple[np.ndarray, ...]:
         return (self.key, self.dist, self.hop, self.stamp)
@@ -276,19 +270,16 @@ class _Table:
             hi += 1
         return lo, hi
 
-    def lowest_level(self, origin: int, node: int) -> int:
-        """The level of the first entry in ``entries(origin, node)``, L + 1
-        where the slice is empty. Look-ups come in runs toward one origin (a
-        forward asks about one destination), so the last origin's keys are
-        kept as a list."""
-        if self._origin is None or self._origin[0] != origin:
-            block = origin * self.n * self.width
-            lo, hi = self.key.searchsorted([block, block + self.n * self.width]).tolist()
-            self._origin = (origin, self.key[lo:hi].tolist())
-        keys, width = self._origin[1], self.width
-        start = (origin * self.n + node) * width
-        i = bisect_left(keys, start)
-        return min(keys[i] - start, width) if i < len(keys) else width
+    def lowest_levels(self, origin: int, nodes: np.ndarray) -> np.ndarray:
+        """The level of the first entry in ``entries(origin, node)`` for each
+        of ``nodes``, L + 1 where the slice is empty: one search for all."""
+        key, width = self.key, self.width
+        if not key.size:
+            return np.full(len(nodes), width)
+        start = (origin * self.n + nodes) * width
+        gap = key.take(key.searchsorted(start), mode="clip") - start
+        gap[gap < 0] = width  # past the last key
+        return np.minimum(gap, width, out=gap)
 
     def held_by(self, node: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The positions of the entries that ``node`` holds, in (origin,
@@ -356,7 +347,8 @@ class _Table:
 class _Lazy(dict):
     """A dict whose value for a missing key is computed by ``resolve`` on
     the key's first look-up and kept, e.g. node -> (level, next_hop) of its
-    entry toward one origin, or None where it has none."""
+    entry toward one origin, or None where it has none, and origin -> such a
+    dict."""
 
     __slots__ = ("resolve",)
 
@@ -414,9 +406,11 @@ class ProtocolEngine:
         # level -> (member ids grouped by beacon, each beacon's start offset);
         # the possible chain steps, rebuilt by each load-balanced round
         self._sub_beacons: dict[int, tuple[list[int], list[int]]] = {}
-        # origin -> the entries that look-ups toward it have resolved; every
-        # change of the tables clears it
-        self._next_hops: dict[int, _Lazy] = {}
+        # origin -> the entries that look-ups toward it have resolved, and
+        # (node, min level, max distance) -> a probe stage's candidates; a
+        # round and a new graph clear both
+        self._next_hops = _Lazy(lambda origin: _Lazy(lambda node: self._resolve(node, origin)))
+        self._candidates: dict[tuple[int, int, int], np.ndarray] = {}
         # the last graph walked on, with its edges as sorted u * n + v keys
         self._edges: Optional[tuple[ConnectivityGraph, np.ndarray]] = None
 
@@ -539,6 +533,7 @@ class ProtocolEngine:
         table.merge(t, [registered, *floods])
 
         self._next_hops.clear()
+        self._candidates.clear()
         self._reverse.clear()
         self._beacon_level[:] = beta
         self._beacon = joined
@@ -759,21 +754,20 @@ class ProtocolEngine:
 
     def _next_hops_to(self, g: ConnectivityGraph, origin: int) -> _Lazy:
         self._edge_keys(g)
-        toward = self._next_hops.get(origin)
-        if toward is None:
-            toward = self._next_hops[origin] = _Lazy(lambda node: self._resolve(node, origin))
-        return toward
+        return self._next_hops[origin]
 
     def _edge_keys(self, g: ConnectivityGraph) -> np.ndarray:
         """``g``'s directed edges as sorted ``u * n + v`` keys, closed by the
         key ``n * n`` so that a search never runs off the end. A graph is
         not changed after it is built, so its identity names its edges.
-        Resolved entries hold for one graph, so a new graph clears them."""
+        Resolved entries and stage candidates hold for one graph, so a new
+        graph clears them."""
         if self._edges is None or self._edges[0] is not g:
             csr = g.csr
             rows = np.repeat(np.arange(g.n, dtype=np.int64), np.diff(csr.indptr))
             self._edges = (g, np.append(np.sort(rows * g.n + csr.indices), g.n * g.n))
             self._next_hops.clear()
+            self._candidates.clear()
         return self._edges[1]
 
     def _is_edge(self, u: int, v: int) -> bool:
@@ -806,80 +800,121 @@ class ProtocolEngine:
             return None
         return (-1, back if self._is_edge(node, back) else -1)
 
-    def _walk(
-        self, g: ConnectivityGraph, source: int, relay: int, budget: Optional[int]
-    ) -> tuple[bool, list[int]]:
-        """Follow table next hops from ``source`` to ``relay``, leaving
+    def _walk(self, source: int, relay: int, budget: int) -> tuple[bool, list[int]]:
+        """Follow table next hops from ``source`` to ``relay`` on the graph
+        last given to ``_edge_keys``, at most ``budget`` hops, leaving
         temporary reverse entries behind. Returns (arrived, path)."""
-        toward = self._next_hops_to(g, relay)
+        toward = self._next_hops[relay]
         # Past n hops, stale tables sent the packet in a circle.
-        limit = self.n if budget is None else min(budget, self.n)
+        limit = budget if budget < self.n else self.n
         reverse = self._reverse.setdefault(source, {})
         path = [source]
         node = source
         while node != relay:
             entry = toward[node] or self._reverse_entry(node, relay)
             if entry is None or entry[1] < 0 or len(path) > limit:
+                if entry is None and node == source:
+                    # a walk starts only toward a relay the source holds an entry for
+                    raise ProtocolInvariantError(
+                        f"node {source} holds no routing entry for relay {relay}"
+                    )
                 return False, path
-            nxt = entry[1]
-            reverse[nxt] = node
-            node = nxt
+            node = entry[1]
+            reverse[node] = path[-1]
             path.append(node)
         return True, path
 
-    def _answer(self, relay: int, dest: int, max_level: int) -> tuple[bool, int]:
-        if relay == dest:
-            return True, 0
+    def _found_levels(self, relays: np.ndarray, dest: int, max_level: int) -> np.ndarray:
+        """The level at which each of ``relays`` answers for ``dest`` when
+        asked up to ``max_level``, -1 where it does not; the destination
+        itself answers at level 0. In plain mode any table entry for the
+        destination answers at its lowest level: flood entries from the
+        destination's own beaconing and forward state installed by its
+        membership registrations both qualify. In load-balanced mode the
+        holder of the destination's identifier at a level answers, at the
+        lowest such level."""
+        top = min(max_level, self.params.levels)
         if self.mode == "load_balanced":
-            held = self._lb_holder[dest].tolist()
-            for lvl in range(min(max_level, self.params.levels) + 1):
-                if held[lvl] == relay:
-                    return True, lvl
-            return False, -1
-        # Any table entry for the destination answers: flood entries from the
-        # destination's own beaconing and forward state installed by its
-        # membership registrations both qualify.
-        found = self._table.lowest_level(dest, relay)
-        if found <= min(max_level, self.params.levels):
-            return True, found
-        return False, -1
+            match = relays[:, np.newaxis] == self._lb_holder[dest, : top + 1]
+            found = np.where(match.any(axis=1), match.argmax(axis=1), -1)
+        else:
+            found = self._table.lowest_levels(dest, relays)
+            found[found > top] = -1
+        found[relays == dest] = 0
+        return found
 
-    def _probe(
+    def _probe_stage(
         self,
-        g: ConnectivityGraph,
         source: int,
-        relay: int,
+        relays: np.ndarray,
         dest: int,
-        max_level: int,
-        budget: Optional[int] = None,
-    ) -> _ProbeResult:
-        if relay == source:
-            success, found = self._answer(relay, dest, max_level)
-            return _ProbeResult(success, False, (source,), 0, found, relay)
-        arrived, path = self._walk(g, source, relay, budget)
-        if not arrived:
-            if len(path) == 1 and self._best_entry(g, source, relay) is None:
-                # forward probes only relays that the source holds an entry for
-                raise ProtocolInvariantError(
-                    f"node {source} holds no routing entry for relay {relay}"
-                )
-            return _ProbeResult(False, True, tuple(path), 2 * (len(path) - 1), -1, relay)
-        hops = len(path) - 1
-        terminus = relay
-        if self.mode == "load_balanced" and relay != dest:
-            # The question travels on to the chain terminus, which answers in
-            # the beacon's stead; the excursion costs transmissions only.
-            chain_path = [relay]
-            for lam, nxt in self._chain_steps(relay, dest):
-                ok, leg = self._walk(g, chain_path[-1], nxt, self.params.flood_radius(lam))
-                if not ok:
-                    total = hops + (len(chain_path) - 1) + (len(leg) - 1)
-                    return _ProbeResult(False, True, tuple(path), 2 * total, -1, terminus)
-                chain_path.extend(leg[1:])
-                terminus = nxt
-            hops += len(chain_path) - 1
-        success, found = self._answer(terminus, dest, max_level)
-        return _ProbeResult(success, False, tuple(path), 2 * hops, found, terminus)
+        level: int,
+        budget: int,
+        probes: list[ProbeRecord],
+        attempted: Optional[dict[int, bool]] = None,
+    ) -> Optional[tuple[int, int, list[int]]]:
+        """Probe ``relays`` from ``source`` in order, each walked to within
+        ``budget`` hops and asked whether it knows ``dest`` at a level up to
+        ``level``, until one arrives and answers. Returns that relay, the
+        level it answered at and the path walked to it, or None; every probe
+        sent is appended to ``probes``, at ``level``.
+
+        In plain mode the table answers for every relay in one search before
+        the first walk. In load-balanced mode an arriving question travels on
+        down the relay's identifier chain, whose walks leave reverse state
+        that later walks may follow, so each chain terminus is asked in turn.
+        Where ``attempted`` is given, a relay it marks firm is skipped, and
+        each probe marks its relay firm unless the probe broke."""
+        if not relays.size:
+            return None
+        lb = self.mode == "load_balanced"
+        found = None if lb else self._found_levels(relays, dest, level).tolist()
+        for i, relay in enumerate(relays.tolist()):
+            if attempted is not None and attempted.get(relay, False):
+                continue  # a firm negative does not change when re-asked
+            arrived, path = self._walk(source, relay, budget)
+            hops = len(path) - 1
+            terminus = relay
+            if arrived and lb and relay != dest:
+                # The question travels on to the chain terminus, which answers
+                # in the beacon's stead; the excursion costs transmissions only.
+                for lam, nxt in self._chain_steps(relay, dest):
+                    arrived, leg = self._walk(terminus, nxt, self.params.flood_radius(lam))
+                    hops += len(leg) - 1
+                    if not arrived:
+                        break
+                    terminus = nxt
+            if attempted is not None:
+                attempted[relay] = arrived
+            if not arrived:
+                probes.append(ProbeRecord(relay, level, False, True, 2 * hops, terminus))
+                continue
+            if lb:
+                answer = self._found_levels(np.array([terminus]), dest, level).item()
+            else:
+                answer = found[i]
+            probes.append(ProbeRecord(relay, level, answer >= 0, False, 2 * hops, terminus))
+            if answer >= 0:
+                return relay, answer, path
+        return None
+
+    def _stage_candidates(self, node: int, min_level: int, max_distance: int) -> np.ndarray:
+        """Origins with an entry at ``node`` at level >= ``min_level`` within
+        ``max_distance`` hops, nearest first (ties to the lower id); never
+        ``node`` itself, which holds no entry toward itself. Kept until the
+        tables or the graph change."""
+        memo = (node, min_level, max_distance)
+        candidates = self._candidates.get(memo)
+        if candidates is None:
+            table = self._table
+            held, origins, level = table.held_by(node)
+            dist = table.dist[held]
+            near = (level >= min_level) & (dist <= max_distance)
+            origins, dist = origins[near], dist[near]
+            origins = origins[np.lexsort((origins, dist))]
+            first = np.unique(origins, return_index=True)[1]  # each origin at its shortest
+            candidates = self._candidates[memo] = origins[np.sort(first)]
+        return candidates
 
     # -- forwarding --------------------------------------------------------
 
@@ -896,11 +931,12 @@ class ProtocolEngine:
         self._check_graph(g)
         if source == dest:
             return ForwardReceipt(route=(), route_hops=0, probe_transmissions=0, probes=())
+        self._edge_keys(g)  # every walk below checks its hops against g
 
         radius_fn = self._flood_radius
         levels = self.params.levels
         probes: list[ProbeRecord] = []
-        legs: list[tuple[int, ...]] = []
+        legs: list[list[int]] = []
         holder: Optional[int] = None
         found_level = -1
 
@@ -908,28 +944,25 @@ class ProtocolEngine:
         if own.size:
             holder = source
             found_level = own.item(0)
-            legs.append((source,))
+            legs.append([source])
         if holder is None:
             direct = self._best_entry(g, source, dest)
             if direct is not None:
-                result = self._probe(
-                    g, source, dest, dest, levels, budget=radius_fn(max(direct[0], 0))
-                )
-                probes.append(self._record(result, dest, levels))
-                if result.success:
+                # the destination answers for itself once the walk arrives
+                arrived, path = self._walk(source, dest, radius_fn(max(direct[0], 0)))
+                hops = len(path) - 1
+                probes.append(ProbeRecord(dest, levels, arrived, not arrived, 2 * hops, dest))
+                if arrived:
                     holder = dest
-                    legs.append(result.path)
+                    legs.append(path)
         if holder is None:
             for j in range(1, levels + 1):
-                for relay in self._stage_candidates(source, j, radius_fn(j), skip=(source, dest)):
-                    result = self._probe(g, source, relay, dest, j, budget=radius_fn(j))
-                    probes.append(self._record(result, relay, j))
-                    if result.success:
-                        holder = relay
-                        found_level = result.found_level
-                        legs.append(result.path)
-                        break
-                if holder is not None:
+                relays = self._stage_candidates(source, j, radius_fn(j))
+                relays = relays[relays != dest]  # asked directly, and by the descent
+                hit = self._probe_stage(source, relays, dest, j, radius_fn(j), probes)
+                if hit is not None:
+                    holder, found_level, path = hit
+                    legs.append(path)
                     break
         if holder is None:
             found = self._ring_search(g, source, dest, {source})
@@ -940,7 +973,6 @@ class ProtocolEngine:
             probes.append(record)
             legs.append(path)
 
-        transmissions = sum(p.transmissions for p in probes)
         current = holder
         level = found_level
         visited = {source, holder}
@@ -949,38 +981,26 @@ class ProtocolEngine:
             # member, so a direct hand-off is tried before descending levels.
             direct = self._best_entry(g, current, dest)
             if direct is not None:
-                result = self._probe(
-                    g, current, dest, dest, levels, budget=radius_fn(max(direct[0], 0))
-                )
-                probes.append(self._record(result, dest, max(direct[0], 0)))
-                transmissions += result.transmissions
-                if result.success:
-                    legs.append(result.path)
+                lowest = max(direct[0], 0)
+                arrived, path = self._walk(current, dest, radius_fn(lowest))
+                hops = len(path) - 1
+                probes.append(ProbeRecord(dest, lowest, arrived, not arrived, 2 * hops, dest))
+                if arrived:
+                    legs.append(path)
                     break
-            advanced = False
             if level >= 1:
                 attempted: dict[int, bool] = {}
-                for widen in (False, True):
-                    reach = radius_fn(level if widen else level - 1)
-                    for relay in self._stage_candidates(
-                        current, level - 1, reach, skip=(current,)
-                    ):
-                        if attempted.get(relay, False):
-                            continue  # a firm negative does not change when re-asked
-                        result = self._probe(g, current, relay, dest, level - 1, budget=reach)
-                        probes.append(self._record(result, relay, level - 1))
-                        transmissions += result.transmissions
-                        attempted[relay] = not result.broken
-                        if result.success:
-                            legs.append(result.path)
-                            current = relay
-                            level = result.found_level
-                            advanced = True
-                            break
-                    if advanced:
+                for reach in (radius_fn(level - 1), radius_fn(level)):
+                    relays = self._stage_candidates(current, level - 1, reach)
+                    hit = self._probe_stage(
+                        current, relays, dest, level - 1, reach, probes, attempted
+                    )
+                    if hit is not None:
                         break
-            if advanced:
-                continue
+                if hit is not None:
+                    current, level, path = hit
+                    legs.append(path)
+                    continue
             # The held path for the destination has gone stale and no nearby
             # beacon has fresher state, so fall back to expanding scoped
             # floods.  Every holder left behind stays excluded, and the
@@ -995,7 +1015,6 @@ class ProtocolEngine:
                 )
             record, path = found
             probes.append(record)
-            transmissions += record.transmissions
             legs.append(path)
             visited.add(record.relay)
             current = record.relay
@@ -1006,42 +1025,29 @@ class ProtocolEngine:
         return ForwardReceipt(
             route=route,
             route_hops=len(route) - 1,
-            probe_transmissions=transmissions,
+            probe_transmissions=sum(probe.transmissions for probe in probes),
             probes=tuple(probes),
         )
 
-    def _stage_candidates(
-        self, node: int, min_level: int, max_distance: int, skip: tuple[int, ...]
-    ) -> list[int]:
-        """Origins with an entry at ``node`` at level >= ``min_level`` within
-        ``max_distance`` hops, nearest first (ties to the lower id)."""
-        table = self._table
-        held, origins, level = table.held_by(node)
-        dist = table.dist[held]
-        near = (level >= min_level) & (dist <= max_distance)
-        origins, dist = origins[near], dist[near]
-        origins = origins[np.lexsort((origins, dist))]
-        first = np.unique(origins, return_index=True)[1]  # each origin at its shortest
-        return [origin for origin in origins[np.sort(first)].tolist() if origin not in skip]
-
     def _ring_search(
         self, g: ConnectivityGraph, start: int, dest: int, excluded: set[int]
-    ) -> Optional[tuple[ProbeRecord, tuple[int, ...]]]:
+    ) -> Optional[tuple[ProbeRecord, list[int]]]:
         """Expanding scoped floods from ``start`` asking who holds a live
         entry for ``dest``; the destination itself always answers.  Nodes in
         ``excluded`` stay silent so the packet never returns to a spot it
-        already left.  Returns the successful probe record (the nearest
-        answerer, its entry level and the transmissions) with the path to
-        the answerer, or None when even the widest flood radius hears
-        nobody.  Cost is one broadcast per node inside every ring tried
-        plus the answer walking back."""
+        already left; the nodes one hop further out are asked together.
+        Returns the successful probe record (the nearest answerer, its entry
+        level and the transmissions) with the path to the answerer, or None
+        when even the widest flood radius hears nobody.  Cost is one
+        broadcast per node inside every ring tried plus the answer walking
+        back."""
         radius_fn = self._flood_radius
         levels = self.params.levels
         stop = radius_fn(levels)
         parent = {start: -1}
         frontier = deque([start])
         ball_at: list[int] = [1]
-        answerer: Optional[int] = None  # lowest id among the first answering level
+        answerer = found = -1  # the lowest id at the first depth that answers, and its level
         hit_depth = ring = 0
         depth = 0
         # The successful ring floods all the way out even though the answer
@@ -1056,19 +1062,19 @@ class ProtocolEngine:
                     if v not in parent:
                         parent[v] = u
                         nxt.append(v)
-                        if (
-                            not hit_depth
-                            and v not in excluded
-                            and self._answer(v, dest, levels)[0]
-                        ):
-                            answerer = v if answerer is None else min(answerer, v)
             frontier = nxt
             ball_at.append(len(parent))
-            if answerer is not None and not hit_depth:
-                hit_depth = depth
-                ring = min(i for i in range(levels + 1) if radius_fn(i) >= hit_depth)
-                stop = radius_fn(ring)
-        if answerer is None:
+            if not hit_depth and nxt:
+                asked = np.fromiter((v for v in nxt if v not in excluded), dtype=np.int64)
+                levels_found = self._found_levels(asked, dest, levels)
+                answering = np.flatnonzero(levels_found >= 0)
+                if answering.size:
+                    pick = answering[asked[answering].argmin()]
+                    answerer, found = asked.item(pick), levels_found.item(pick)
+                    hit_depth = depth
+                    ring = min(i for i in range(levels + 1) if radius_fn(i) >= hit_depth)
+                    stop = radius_fn(ring)
+        if not hit_depth:
             return None
         transmissions = hit_depth + ball_at[min(radius_fn(ring), depth)]
         transmissions += sum(
@@ -1078,26 +1084,15 @@ class ProtocolEngine:
         while path[-1] != start:
             path.append(parent[path[-1]])
         path.reverse()
-        found = self._answer(answerer, dest, levels)[1]
         record = ProbeRecord(
             relay=answerer,
-            level=max(found, 0),
+            level=found,
             success=True,
             broken=False,
             transmissions=transmissions,
             terminus=answerer,
         )
-        return record, tuple(path)
-
-    def _record(self, result: _ProbeResult, relay: int, level: int) -> ProbeRecord:
-        return ProbeRecord(
-            relay=relay,
-            level=level,
-            success=result.success,
-            broken=result.broken,
-            transmissions=result.transmissions,
-            terminus=result.terminus,
-        )
+        return record, path
 
     def _fail(self, g: ConnectivityGraph, source: int, dest: int, why: str) -> None:
         if math.isinf(bfs_distances(g, source)[dest]):

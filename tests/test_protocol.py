@@ -14,7 +14,7 @@ import hashlib
 import io
 import math
 from collections import deque
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 import pytest
@@ -29,10 +29,12 @@ from beaconsim.mobility import RandomWalk, step
 from beaconsim.protocol import (
     ForwardReceipt,
     Membership,
+    ProbeRecord,
     ProtocolEngine,
     ProtocolParams,
     RoundReport,
     _Table,
+    _loop_erase,
     _ring_closest,
     ring_distance,
 )
@@ -269,13 +271,34 @@ def test_flood_reverse_paths_are_shortest_paths():
 # ---------------------------------------------------------------------------
 
 
+def probe(
+    engine: ProtocolEngine,
+    g: ConnectivityGraph,
+    source: int,
+    relay: int,
+    dest: int,
+    level: int,
+    budget: Optional[int] = None,
+) -> tuple[ProbeRecord, Optional[tuple[int, int, list[int]]]]:
+    """One probe on ``g`` as a probe stage of one relay sends it: its record
+    and what the stage returned. The budget defaults to n hops."""
+    engine._edge_keys(g)
+    probes: list[ProbeRecord] = []
+    hit = engine._probe_stage(
+        source, np.array([relay]), dest, level, engine.n if budget is None else budget, probes
+    )
+    (record,) = probes
+    return record, hit
+
+
 def test_probe_at_source_is_local_and_free():
     g = path_graph(4)
     engine, _ = run_round(g, levels=2)
-    result = engine._probe(g, source=0, relay=0, dest=3, max_level=2)
-    assert result.path == (0,)
-    assert result.transmissions == 0
-    assert not result.broken
+    # node 0 holds node 3's level-0 flood entry, so it answers for itself
+    record, hit = probe(engine, g, source=0, relay=0, dest=3, level=2)
+    assert record == ProbeRecord(relay=0, level=2, success=True, broken=False, transmissions=0, terminus=0)
+    assert hit == (0, 0, [0])
+    assert engine._reverse[0] == {}  # nothing walked
 
 
 def test_probe_follows_entries_and_counts_round_trip():
@@ -283,11 +306,11 @@ def test_probe_follows_entries_and_counts_round_trip():
     engine, _ = run_round(g, levels=0)
     # 0 holds an entry toward 3 (3 hops), but 3 holds none toward 8 (5 hops,
     # past the level-0 flood radius 3).
-    result = engine._probe(g, source=0, relay=3, dest=8, max_level=0)
+    record, hit = probe(engine, g, source=0, relay=3, dest=8, level=0)
     # Three hops out, a negative answer, three hops back.
-    assert result.path == (0, 1, 2, 3)
-    assert result.transmissions == 6
-    assert not result.success and not result.broken
+    assert engine._reverse[0] == {1: 0, 2: 1, 3: 2}
+    assert record.transmissions == 6
+    assert not record.success and not record.broken and hit is None
 
 
 def test_probe_success_reflects_member_lists():
@@ -304,11 +327,11 @@ def test_probe_success_reflects_member_lists():
                     lo, hi = engine._table.entries(beacon, source)
                     if lo == hi:
                         continue
-                    result = engine._probe(g, source=source, relay=beacon, dest=dest, max_level=level)
-                    assert result.success and not result.broken
-                    assert result.found_level <= level
+                    record, hit = probe(engine, g, source=source, relay=beacon, dest=dest, level=level)
+                    assert record.success and not record.broken
+                    assert hit is not None and hit[0] == beacon and hit[1] <= level
                     hops = int(oracle_cache[source][beacon])
-                    assert result.transmissions == 2 * hops
+                    assert record.transmissions == 2 * hops == 2 * (len(hit[2]) - 1)
                     checked += 1
     assert checked >= 3
 
@@ -316,16 +339,16 @@ def test_probe_success_reflects_member_lists():
 def test_probe_reports_broken_next_hop_distinctly():
     g = path_graph(4)
     engine, _ = run_round(g, levels=2)
-    intact = engine._probe(g, source=0, relay=3, dest=2, max_level=2)
-    assert intact.path == (0, 1, 2, 3) and not intact.broken
+    intact, hit = probe(engine, g, source=0, relay=3, dest=2, level=2)
+    assert hit is not None and hit[2] == [0, 1, 2, 3] and not intact.broken
     # The walk on g resolved the next hops toward 3; the severed graph must
     # still break the probe where its edge is gone, and g must heal it again.
     severed = ConnectivityGraph.from_edges(4, [(0, 1), (2, 3)])
-    result = engine._probe(severed, source=0, relay=3, dest=2, max_level=2)
-    assert result.broken and not result.success
-    assert result.path == (0, 1)
-    assert result.transmissions == 2
-    assert engine._probe(g, source=0, relay=3, dest=2, max_level=2) == intact
+    record, hit = probe(engine, severed, source=0, relay=3, dest=2, level=2)
+    assert record.broken and not record.success and hit is None
+    assert engine._walk(0, 3, 4) == (False, [0, 1])
+    assert record.transmissions == 2
+    assert probe(engine, g, source=0, relay=3, dest=2, level=2)[0] == intact
 
 
 def test_probe_hop_budget_aborts_long_chases():
@@ -333,20 +356,74 @@ def test_probe_hop_budget_aborts_long_chases():
     # kappa = 2: every level floods at least 6 hops, so 0 holds an entry toward 5
     engine = ProtocolEngine(6, make_params(levels=3, kappa=2.0))
     engine.beaconing_round(g, t=0, seed=0)
-    capped = engine._probe(g, source=0, relay=5, dest=4, max_level=3, budget=3)
+    capped, _ = probe(engine, g, source=0, relay=5, dest=4, level=3, budget=3)
     assert capped.broken and not capped.success
-    assert capped.path == (0, 1, 2, 3)
+    assert engine._walk(0, 5, 3) == (False, [0, 1, 2, 3])
     assert capped.transmissions == 6
-    roomy = engine._probe(g, source=0, relay=5, dest=4, max_level=3, budget=5)
+    roomy, _ = probe(engine, g, source=0, relay=5, dest=4, level=3, budget=5)
     assert not roomy.broken
-    assert roomy.path == (0, 1, 2, 3, 4, 5)
+    assert engine._walk(0, 5, 5) == (True, [0, 1, 2, 3, 4, 5])
 
 
 def test_probe_requires_an_entry_for_the_relay():
     g = path_graph(3)
     engine = ProtocolEngine(3, make_params(levels=1))
     with pytest.raises(ProtocolInvariantError, match="no routing entry"):
-        engine._probe(g, source=0, relay=2, dest=1, max_level=1)
+        probe(engine, g, source=0, relay=2, dest=1, level=1)
+
+
+@pytest.mark.parametrize("mode", ["plain", "load_balanced"])
+def test_a_probe_of_the_destination_answers_at_level_zero(mode: str):
+    """The descent may probe the destination among its candidates; it answers
+    for itself at level 0 whatever the stage's level, with no chain
+    excursion in load-balanced mode."""
+    g = path_graph(9)
+    engine, _ = run_round(g, levels=3, mode=mode)
+    record, hit = probe(engine, g, source=0, relay=4, dest=4, level=2)
+    assert hit == (4, 0, [0, 1, 2, 3, 4])
+    assert record == ProbeRecord(relay=4, level=2, success=True, broken=False, transmissions=8, terminus=4)
+
+
+def test_the_upward_stage_skips_the_destination():
+    """Node 0 holds node 4's level-3 flood entry, so 4 is among 0's candidates
+    at every level. On a graph that cut the entry's path the direct probe
+    breaks, and the upward stage then probes relay 1 alone: the destination
+    is asked only directly and by the descent."""
+    g = path_graph(9)
+    engine, _ = run_round(g, levels=3)
+    radius = engine._flood_radius
+    assert [engine._stage_candidates(0, j, radius(j)).tolist() for j in (1, 2, 3)] == [[1, 4], [4], [4]]
+    moved = ConnectivityGraph.from_edges(9, [(i, i + 1) for i in range(8) if i != 2] + [(0, 8)])
+    receipt = engine.forward(moved, source=0, dest=4)
+    assert receipt.route == (0, 8, 7, 6, 5, 4)
+    assert receipt.probes[:3] == (
+        ProbeRecord(relay=4, level=3, success=False, broken=True, transmissions=4, terminus=4),
+        ProbeRecord(relay=1, level=1, success=False, broken=False, transmissions=2, terminus=1),
+        # the ring search's answer, which starts the descent
+        ProbeRecord(relay=1, level=3, success=True, broken=False, transmissions=7, terminus=1),
+    )
+    # the descent probes 4 among its candidates, and again once widened
+    # because the probe broke
+    assert receipt.probes[5:7] == (ProbeRecord(4, 2, False, True, 2, 4),) * 2
+
+
+def test_a_broken_probe_is_recorded_and_the_stage_goes_on():
+    """A relay whose walk breaks is recorded as broken, and the next relay of
+    the stage is still asked."""
+    g = path_graph(9)
+    engine, _ = run_round(g, levels=3)
+    assert engine._stage_candidates(0, 0, 6).tolist() == [1, 2, 3, 4]
+    severed = ConnectivityGraph.from_edges(9, [(i, i + 1) for i in range(8) if i != 2])
+    engine._edge_keys(severed)
+    probes: list[ProbeRecord] = []
+    # relay 4 is walked first and breaks at the missing edge (2, 3); relay 2
+    # holds the level-0 flood entry of node 1
+    hit = engine._probe_stage(0, np.array([4, 2]), 1, 1, 6, probes)
+    assert hit == (2, 0, [0, 1, 2])
+    assert [(p.relay, p.success, p.broken, p.transmissions) for p in probes] == [
+        (4, False, True, 4),
+        (2, True, False, 4),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -915,6 +992,44 @@ def test_resolved_next_hops_do_not_outlive_a_round_on_the_same_graph() -> None:
         check_resolved_next_hops(engine, g, t, report.gamma, seen)
 
 
+def candidates_oracle(engine: ProtocolEngine, node: int, min_level: int, max_distance: int) -> list[int]:
+    """A stage's candidates, from ``held_entries``: each origin with an entry
+    at level >= ``min_level`` within ``max_distance`` hops, by (shortest such
+    distance, id)."""
+    nearest: dict[int, int] = {}
+    for origin, dist, level, _ in held_entries(engine, node):
+        if level >= min_level and dist <= max_distance:
+            nearest[origin] = min(dist, nearest.get(origin, dist))
+    return sorted(nearest, key=lambda origin: (nearest[origin], origin))
+
+
+def test_stage_candidates_do_not_outlive_a_round_or_a_graph() -> None:
+    """Forwards fill the stage candidate lists; a round on the same graph and
+    a look-up on a new graph each empty them, and every list kept matches
+    the table it was read from."""
+    g = random_graph(120, seed=3)
+    levels = math.ceil(math.log2(diameter(g).hops))
+    engine = ProtocolEngine(g.n, make_params(levels))
+    rng = np.random.default_rng(41)
+
+    def forward_and_check(graph: ConnectivityGraph) -> None:
+        for _ in range(40):
+            source, dest = (int(x) for x in rng.choice(g.n, size=2, replace=False))
+            engine.forward(graph, source=source, dest=dest)
+        assert engine._candidates
+        for (node, min_level, max_distance), kept in engine._candidates.items():
+            assert kept.tolist() == candidates_oracle(engine, node, min_level, max_distance)
+
+    for t in range(4):
+        engine.beaconing_round(g, t=t, seed=37 + t)
+        assert not engine._candidates, t
+        forward_and_check(g)
+    other = random_graph(120, seed=5)
+    engine._edge_keys(other)
+    assert not engine._candidates
+    forward_and_check(other)
+
+
 def test_probe_reverse_state_does_not_outlive_a_round() -> None:
     g = random_graph(120, seed=3)
     levels = math.ceil(math.log2(diameter(g).hops))
@@ -923,13 +1038,15 @@ def test_probe_reverse_state_does_not_outlive_a_round() -> None:
     table = engine._table
     held, origins, _ = table.held_by(source)
     relay = origins.item(np.argmax(table.dist[held]))  # the farthest origin
-    result = engine._probe(g, source, relay, relay, levels)
-    assert not result.broken and len(result.path) >= 3
+    record, hit = probe(engine, g, source, relay, relay, levels)
+    assert not record.broken and hit is not None
+    path = hit[2]
+    assert len(path) >= 3
     # Every node the walk crossed now points back toward the source.
-    for back, node in zip(result.path, result.path[1:]):
+    for back, node in zip(path, path[1:]):
         assert engine._reverse_entry(node, source) == (-1, back)
     engine.beaconing_round(g, t=1, seed=38)
-    assert all(engine._reverse_entry(node, source) is None for node in result.path)
+    assert all(engine._reverse_entry(node, source) is None for node in path)
 
 
 @pytest.mark.parametrize("mode", ["plain", "load_balanced"])
@@ -1417,3 +1534,315 @@ def test_closed_form_round_matches_the_sequential_reference(mode: str) -> None:
             assert got == want, (name, i, action)
             assert engine_observables(closed) == engine_observables(reference), (name, i, action)
 
+
+
+# ---------------------------------------------------------------------------
+# Per-candidate reference: the forward with one probe call per candidate
+# ---------------------------------------------------------------------------
+
+
+class ProbeResult(NamedTuple):
+    success: bool
+    broken: bool
+    path: tuple[int, ...]
+    transmissions: int
+    found_level: int
+    terminus: int
+
+
+class PerCandidateForward:
+    """The forward as it reads when every candidate is probed on its own, on
+    an engine's own state: the reference that ``ProtocolEngine.forward``
+    must reproduce, receipt for receipt and reverse entry for reverse entry.
+
+    Each stage sorts the node's table entries afresh, and each candidate is
+    walked, asked and recorded through its own calls; the table answers one
+    relay at a time. The ring search asks each node as it reaches it. The
+    entries that walks follow, the chain steps and the route checks are the
+    engine's own. ``seen`` tallies the paths the runs took.
+    """
+
+    def __init__(self, engine: ProtocolEngine) -> None:
+        self.engine = engine
+        self.seen = dict.fromkeys(
+            ("broken", "chain_broken", "dest_skipped", "firm_skipped", "widened", "ring_search"), 0
+        )
+
+    def forward(self, g: ConnectivityGraph, source: int, dest: int) -> ForwardReceipt:
+        engine = self.engine
+        engine._check_node(source)
+        engine._check_node(dest)
+        engine._check_graph(g)
+        if source == dest:
+            return ForwardReceipt(route=(), route_hops=0, probe_transmissions=0, probes=())
+        radius_fn = engine._flood_radius
+        levels = engine.params.levels
+        probes: list[ProbeRecord] = []
+        legs: list[tuple[int, ...]] = []
+        holder: Optional[int] = None
+        found_level = -1
+
+        own = np.flatnonzero(engine._beacon[dest] == source)
+        if own.size:
+            holder = source
+            found_level = own.item(0)
+            legs.append((source,))
+        if holder is None:
+            direct = engine._best_entry(g, source, dest)
+            if direct is not None:
+                result = self.probe(g, source, dest, dest, levels, budget=radius_fn(max(direct[0], 0)))
+                probes.append(self.record(result, dest, levels))
+                if result.success:
+                    holder = dest
+                    legs.append(result.path)
+        if holder is None:
+            for j in range(1, levels + 1):
+                for relay in self.stage_candidates(source, j, radius_fn(j), skip=(source, dest)):
+                    result = self.probe(g, source, relay, dest, j, budget=radius_fn(j))
+                    probes.append(self.record(result, relay, j))
+                    if result.success:
+                        holder = relay
+                        found_level = result.found_level
+                        legs.append(result.path)
+                        break
+                if holder is not None:
+                    break
+        if holder is None:
+            found = self.ring_search(g, source, dest, {source})
+            if found is None:
+                engine._fail(g, source, dest, "no probed beacon knows the destination")
+            record, path = found
+            holder, found_level = record.relay, record.level
+            probes.append(record)
+            legs.append(path)
+
+        transmissions = sum(p.transmissions for p in probes)
+        current = holder
+        level = found_level
+        visited = {source, holder}
+        while current != dest:
+            direct = engine._best_entry(g, current, dest)
+            if direct is not None:
+                result = self.probe(g, current, dest, dest, levels, budget=radius_fn(max(direct[0], 0)))
+                probes.append(self.record(result, dest, max(direct[0], 0)))
+                transmissions += result.transmissions
+                if result.success:
+                    legs.append(result.path)
+                    break
+            advanced = False
+            if level >= 1:
+                attempted: dict[int, bool] = {}
+                for widen in (False, True):
+                    self.seen["widened"] += widen
+                    reach = radius_fn(level if widen else level - 1)
+                    for relay in self.stage_candidates(current, level - 1, reach, skip=(current,)):
+                        if attempted.get(relay, False):
+                            self.seen["firm_skipped"] += 1
+                            continue
+                        result = self.probe(g, current, relay, dest, level - 1, budget=reach)
+                        probes.append(self.record(result, relay, level - 1))
+                        transmissions += result.transmissions
+                        attempted[relay] = not result.broken
+                        if result.success:
+                            legs.append(result.path)
+                            current = relay
+                            level = result.found_level
+                            advanced = True
+                            break
+                    if advanced:
+                        break
+            if advanced:
+                continue
+            found = self.ring_search(g, current, dest, visited)
+            if found is None:
+                engine._fail(
+                    g, source, dest,
+                    f"holder {current} heard no answer for the destination"
+                    " at the widest flood radius",
+                )
+            record, path = found
+            probes.append(record)
+            transmissions += record.transmissions
+            legs.append(path)
+            visited.add(record.relay)
+            current = record.relay
+            level = record.level
+
+        route = _loop_erase(leg_node for leg in legs for leg_node in leg)
+        engine._check_route(g, route, source, dest)
+        return ForwardReceipt(
+            route=route, route_hops=len(route) - 1, probe_transmissions=transmissions, probes=tuple(probes)
+        )
+
+    def stage_candidates(
+        self, node: int, min_level: int, max_distance: int, skip: tuple[int, ...]
+    ) -> list[int]:
+        table = self.engine._table
+        held, origins, level = table.held_by(node)
+        dist = table.dist[held]
+        near = (level >= min_level) & (dist <= max_distance)
+        origins, dist = origins[near], dist[near]
+        origins = origins[np.lexsort((origins, dist))]
+        first = np.unique(origins, return_index=True)[1]
+        candidates = origins[np.sort(first)].tolist()
+        if len(skip) == 2:  # the upward stage's (source, dest)
+            self.seen["dest_skipped"] += skip[1] in candidates
+        return [origin for origin in candidates if origin not in skip]
+
+    def walk(self, g: ConnectivityGraph, source: int, relay: int, budget: Optional[int]) -> tuple[bool, list[int]]:
+        engine = self.engine
+        toward = engine._next_hops_to(g, relay)
+        limit = engine.n if budget is None else min(budget, engine.n)
+        reverse = engine._reverse.setdefault(source, {})
+        path = [source]
+        node = source
+        while node != relay:
+            entry = toward[node] or engine._reverse_entry(node, relay)
+            if entry is None or entry[1] < 0 or len(path) > limit:
+                return False, path
+            nxt = entry[1]
+            reverse[nxt] = node
+            node = nxt
+            path.append(node)
+        return True, path
+
+    def answer(self, relay: int, dest: int, max_level: int) -> tuple[bool, int]:
+        engine = self.engine
+        if relay == dest:
+            return True, 0
+        top = min(max_level, engine.params.levels)
+        if engine.mode == "load_balanced":
+            held = engine._lb_holder[dest].tolist()
+            for lvl in range(top + 1):
+                if held[lvl] == relay:
+                    return True, lvl
+            return False, -1
+        table = engine._table
+        lo, hi = table.entries(dest, relay)
+        found = table.key.item(lo) % table.width if lo < hi else table.width
+        return (True, found) if found <= top else (False, -1)
+
+    def probe(
+        self, g: ConnectivityGraph, source: int, relay: int, dest: int, max_level: int,
+        budget: Optional[int] = None,
+    ) -> ProbeResult:
+        engine = self.engine
+        arrived, path = self.walk(g, source, relay, budget)
+        if not arrived:
+            self.seen["broken"] += 1
+            return ProbeResult(False, True, tuple(path), 2 * (len(path) - 1), -1, relay)
+        hops = len(path) - 1
+        terminus = relay
+        if engine.mode == "load_balanced" and relay != dest:
+            chain_path = [relay]
+            for lam, nxt in engine._chain_steps(relay, dest):
+                ok, leg = self.walk(g, chain_path[-1], nxt, engine.params.flood_radius(lam))
+                if not ok:
+                    self.seen["chain_broken"] += 1
+                    total = hops + (len(chain_path) - 1) + (len(leg) - 1)
+                    return ProbeResult(False, True, tuple(path), 2 * total, -1, terminus)
+                chain_path.extend(leg[1:])
+                terminus = nxt
+            hops += len(chain_path) - 1
+        success, found = self.answer(terminus, dest, max_level)
+        return ProbeResult(success, False, tuple(path), 2 * hops, found, terminus)
+
+    @staticmethod
+    def record(result: ProbeResult, relay: int, level: int) -> ProbeRecord:
+        return ProbeRecord(relay, level, result.success, result.broken, result.transmissions, result.terminus)
+
+    def ring_search(
+        self, g: ConnectivityGraph, start: int, dest: int, excluded: set[int]
+    ) -> Optional[tuple[ProbeRecord, tuple[int, ...]]]:
+        self.seen["ring_search"] += 1
+        engine = self.engine
+        radius_fn = engine._flood_radius
+        levels = engine.params.levels
+        stop = radius_fn(levels)
+        parent = {start: -1}
+        frontier = deque([start])
+        ball_at: list[int] = [1]
+        answerer: Optional[int] = None
+        hit_depth = ring = 0
+        depth = 0
+        while frontier and depth < stop:
+            depth += 1
+            nxt: deque[int] = deque()
+            for u in frontier:
+                for v in map(int, g.neighbors(u)):
+                    if v not in parent:
+                        parent[v] = u
+                        nxt.append(v)
+                        if not hit_depth and v not in excluded and self.answer(v, dest, levels)[0]:
+                            answerer = v if answerer is None else min(answerer, v)
+            frontier = nxt
+            ball_at.append(len(parent))
+            if answerer is not None and not hit_depth:
+                hit_depth = depth
+                ring = min(i for i in range(levels + 1) if radius_fn(i) >= hit_depth)
+                stop = radius_fn(ring)
+        if answerer is None:
+            return None
+        transmissions = hit_depth + ball_at[min(radius_fn(ring), depth)]
+        transmissions += sum(ball_at[min(radius_fn(i), depth)] for i in range(ring))
+        path = [answerer]
+        while path[-1] != start:
+            path.append(parent[path[-1]])
+        path.reverse()
+        found = self.answer(answerer, dest, levels)[1]
+        record = ProbeRecord(answerer, max(found, 0), True, False, transmissions, answerer)
+        return record, tuple(path)
+
+
+def forward_outcome(call) -> str:
+    """The repr of the receipt ``call`` returns, or of the error it raises."""
+    try:
+        return repr(call())
+    except (DeliveryError, ProtocolInvariantError) as exc:
+        return repr(exc)
+
+
+def forward_runs():
+    """Seeded (name, graphs, forwards per graph) runs: a static layout, and
+    a short mobile run whose later graphs carry stale entries above gamma,
+    some of them disconnected. Each round runs on one graph and its
+    forwards run on it and on the next, the layout the nodes moved to
+    before the next round, whose changed edges break probes."""
+    n = 150
+    domain = DomainSpec(side=math.sqrt(n), n=n)
+    positions = sample_uniform_positions(n, domain, 61)
+    r_n = math.sqrt(2.0 * math.log(n))
+    mobile = [build_geometric_graph(positions, r_n)]
+    for t in range(1, 8):
+        positions = step(RandomWalk(max_speed=1.0), positions, domain, seed=67, t=t)
+        mobile.append(build_geometric_graph(positions, r_n))
+    return [("static", [random_graph(200, seed=71)], 200), ("mobile", mobile, 30)]
+
+
+@pytest.mark.parametrize("mode", ["plain", "load_balanced"])
+def test_staged_probes_match_the_per_candidate_reference(mode: str) -> None:
+    """Every receipt and error of ``forward`` equals the per-candidate
+    reference's, and both engines hold the same reverse state after every
+    forward."""
+    seen: dict[str, int] = {}
+    for name, graphs, forwards in forward_runs():
+        levels = ProtocolParams.levels_for_diameter(diameter(graphs[0]).hops)
+        staged = ProtocolEngine(graphs[0].n, make_params(levels), mode=mode)
+        reference = PerCandidateForward(ProtocolEngine(graphs[0].n, make_params(levels), mode=mode))
+        rng = np.random.default_rng(73)
+        for t, g in enumerate(graphs):
+            for engine in (staged, reference.engine):
+                engine.beaconing_round(g, t=t, seed=79)
+            for moved in graphs[t : t + 2]:
+                for _ in range(forwards):
+                    source, dest = (int(x) for x in rng.choice(g.n, size=2, replace=False))
+                    got = forward_outcome(lambda: staged.forward(moved, source, dest))
+                    want = forward_outcome(lambda: reference.forward(moved, source, dest))
+                    assert got == want, (name, t, source, dest)
+                    assert staged._reverse == reference.engine._reverse, (name, t, source, dest)
+        for key, count in reference.seen.items():
+            seen[key] = seen.get(key, 0) + count
+    # the runs reach every path of the probe loop and of the ring search
+    paths = ("broken", "dest_skipped", "firm_skipped", "widened", "ring_search")
+    assert all(seen[path] for path in paths), seen
+    assert seen["chain_broken"] or mode == "plain", seen

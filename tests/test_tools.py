@@ -28,6 +28,11 @@ def test_round_timing_reports_rounds_and_table_sizes() -> None:
     assert size["levels"] >= 1 and size["edges"] > 0
     assert len(size["t0_s"]) == len(size["t1_s"]) == 1
     assert size["t1_entries_per_node"] > 0
+    # the seed-41 layout at n=128 is connected, and every delivered forward
+    # sends at least one probe
+    assert size["undelivered"] == 0
+    assert size["forwards_per_cpu_s"] > 0
+    assert size["probes_per_forward"] >= 1
 
 
 def test_cover_timing_reports_rows_per_limit_and_both_times() -> None:

@@ -8,7 +8,11 @@ first round, every level re-elected) and then at t=1 (gamma 0: only level 0
 re-elected). Each size is run ``--runs`` times; times are process CPU
 seconds. Each size also reports the routing-table entries per node after the
 t=1 round, summed from the ``table_entries`` column of
-``ProtocolEngine.dump_state_csv``. The result is printed as JSON.
+``ProtocolEngine.dump_state_csv``. After the last run's t=1 round it
+forwards 1,000 seeded pairs, drawn as perfbench static-routing draws them,
+and reports forwards per process CPU second and probes per forward; a pair
+the layout leaves unconnected counts as a forward with no probes and is
+reported in ``undelivered``. The result is printed as JSON.
 
     python3 tools/round_timing.py                      # n = 500, 1000, 2000, 4000, seed 41
     python3 tools/round_timing.py --sizes 1000 --runs 5
@@ -32,7 +36,11 @@ for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(var, "1")
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+import numpy as np  # noqa: E402
+
 import beaconsim as bs  # noqa: E402
+
+FORWARDS = 1000  # seeded pairs forwarded after the t=1 round
 
 
 def time_rounds(n: int, seed: int, runs: int) -> dict:
@@ -52,13 +60,34 @@ def time_rounds(n: int, seed: int, runs: int) -> dict:
     engine.dump_state_csv(state)
     state.seek(0)
     entries = sum(int(row["table_entries"]) for row in csv.DictReader(state))
+    forwards_per_s, probes_per_forward, undelivered = time_forwards(engine, g, seed)
     return {
         "levels": levels,
         "edges": g.num_edges,
         "t0_s": first,
         "t1_s": second,
         "t1_entries_per_node": round(entries / n, 1),
+        "forwards_per_cpu_s": forwards_per_s,
+        "probes_per_forward": probes_per_forward,
+        "undelivered": undelivered,
     }
+
+
+def time_forwards(engine: bs.ProtocolEngine, g: bs.ConnectivityGraph, seed: int) -> tuple:
+    """Forward ``FORWARDS`` seeded pairs of distinct nodes one after another."""
+    n = g.n
+    rng = np.random.default_rng((seed, 3))
+    sources = rng.integers(n, size=FORWARDS)
+    dests = (sources + rng.integers(1, n, size=FORWARDS)) % n
+    probes = undelivered = 0
+    start = time.process_time()
+    for source, dest in zip(sources.tolist(), dests.tolist()):
+        try:
+            probes += len(engine.forward(g, source, dest).probes)
+        except bs.DeliveryError:
+            undelivered += 1
+    elapsed = time.process_time() - start
+    return round(FORWARDS / elapsed, 1), round(probes / FORWARDS, 2), undelivered
 
 
 def main(argv: list[str] | None = None) -> int:
