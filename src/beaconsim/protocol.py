@@ -37,18 +37,22 @@ A forward probes in stages. A stage's candidates are the origins that one
 node holds entries for at or above a level and within a distance, nearest
 first, read through a node-major permutation of the table (built on the
 first read after a change; the state dump reads it too) and kept per (node,
-level, distance). The stage probes them in order and stops at the first
-that arrives and answers; in plain mode one search of the table answers
-every candidate before the first walk. Probes walk the tables hop by hop.
-The entry a node follows toward an origin (freshest stamp, then shortest,
+level, distance) until the table changes. The stage probes them in order and
+stops at the first that arrives and answers; in plain mode one search of the
+table answers every candidate before the first walk. Where no probed beacon
+knows the destination, the forward falls back to a ring search of expanding
+scoped floods, read from two BFS rows: the stuck node's row finds the
+nearest answerer, lowest id first, and the answerer's row lays the
+lexicographically first shortest path to it. Probes walk the tables hop by
+hop. The entry a node follows toward an origin (freshest stamp, then shortest,
 then lowest level, among the table's (origin, node) slice, its next hop
 checked against the graph's sorted edge keys) is resolved the first time a
 look-up reaches that node and kept in a per-origin dict, so a later hop
-through the node is one dict lookup. Resolved entries and candidate lists
-hold for one table state and one graph: a beaconing round and a look-up on
-another graph each clear them. Walks still leave reverse entries at the
-nodes they cross, one origin -> {node: next hop} dict that each round
-clears, which a later walk follows only where a node has no table entry.
+through the node is one dict lookup. Resolved entries hold for one table
+state and one graph: a beaconing round and a look-up on another graph each
+clear them. Walks still leave reverse entries at the nodes they cross, one
+origin -> {node: next hop} dict that each round clears, which a later walk
+follows only where a node has no table entry.
 
 Cost accounting is explicit: a round's control bits are its flood
 transmissions times the flood packet width plus its membership and
@@ -60,7 +64,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from collections import deque
 from dataclasses import dataclass
 from typing import IO, NamedTuple, Optional
 
@@ -238,7 +241,8 @@ class _Table:
     twice, so the entries one node holds toward one origin are one contiguous
     slice, lowest level first (``entries``); the entries one node holds are
     read through a node-major permutation (``held_by``), built on the first
-    read after a change.
+    read after a change. A probe stage's candidates (``candidates``) are kept
+    per (node, level, distance) until the entries change.
     """
 
     def __init__(self, n: int, levels: int) -> None:
@@ -256,6 +260,7 @@ class _Table:
         self.hop = hop.astype(self._small, copy=False)
         self.stamp = stamp.astype(np.int32, copy=False)
         self._by_node: Optional[tuple[np.ndarray, np.ndarray]] = None
+        self._candidates: dict[tuple[int, int, int], np.ndarray] = {}
 
     def _columns(self) -> tuple[np.ndarray, ...]:
         return (self.key, self.dist, self.hop, self.stamp)
@@ -298,6 +303,22 @@ class _Table:
             np.cumsum(np.bincount(node, minlength=self.n), out=start[1:])
             self._by_node = (np.argsort(node, kind="stable"), start)
         return self._by_node
+
+    def candidates(self, node: int, min_level: int, max_distance: int) -> np.ndarray:
+        """Origins with an entry at ``node`` at level >= ``min_level`` within
+        ``max_distance`` hops, nearest first (ties to the lower id); never
+        ``node`` itself, which holds no entry toward itself."""
+        memo = (node, min_level, max_distance)
+        candidates = self._candidates.get(memo)
+        if candidates is None:
+            held, origins, level = self.held_by(node)
+            dist = self.dist[held]
+            near = (level >= min_level) & (dist <= max_distance)
+            origins, dist = origins[near], dist[near]
+            origins = origins[np.lexsort((origins, dist))]
+            first = np.unique(origins, return_index=True)[1]  # each origin at its shortest
+            candidates = self._candidates[memo] = origins[np.sort(first)]
+        return candidates
 
     def clear(self, level: int) -> None:
         """Drop the entries at levels up to ``level`` (none where it is -1)."""
@@ -406,11 +427,9 @@ class ProtocolEngine:
         # level -> (member ids grouped by beacon, each beacon's start offset);
         # the possible chain steps, rebuilt by each load-balanced round
         self._sub_beacons: dict[int, tuple[list[int], list[int]]] = {}
-        # origin -> the entries that look-ups toward it have resolved, and
-        # (node, min level, max distance) -> a probe stage's candidates; a
-        # round and a new graph clear both
+        # origin -> the entries that look-ups toward it have resolved; a round
+        # and a new graph clear it
         self._next_hops = _Lazy(lambda origin: _Lazy(lambda node: self._resolve(node, origin)))
-        self._candidates: dict[tuple[int, int, int], np.ndarray] = {}
         # the last graph walked on, with its edges as sorted u * n + v keys
         self._edges: Optional[tuple[ConnectivityGraph, np.ndarray]] = None
 
@@ -441,15 +460,9 @@ class ProtocolEngine:
         held = self._lb_holder if self.mode == "load_balanced" else self._beacon
         return np.bincount(held[held >= 0], minlength=self.n)
 
-    def dump_state_csv(self, destination) -> None:
-        """Write per-node beacon level, membership count, and live table size."""
-        if hasattr(destination, "write"):
-            self._write_state(destination)
-        else:
-            with open(destination, "w", encoding="utf-8") as fh:
-                self._write_state(fh)
-
-    def _write_state(self, fh: IO[str]) -> None:
+    def dump_state_csv(self, fh: IO[str]) -> None:
+        """Write per-node beacon level, membership count, and live table size
+        to the text stream ``fh``."""
         fh.write("node_id,beacon_level,membership_count,table_entries\n")
         entries = np.diff(self._table.by_node()[1]).tolist()
         joined = np.count_nonzero(self._beacon >= 0, axis=1).tolist()
@@ -533,7 +546,6 @@ class ProtocolEngine:
         table.merge(t, [registered, *floods])
 
         self._next_hops.clear()
-        self._candidates.clear()
         self._reverse.clear()
         self._beacon_level[:] = beta
         self._beacon = joined
@@ -744,30 +756,16 @@ class ProtocolEngine:
 
     # -- probing -----------------------------------------------------------
 
-    def _best_entry(
-        self, g: ConnectivityGraph, node: int, origin: int
-    ) -> Optional[tuple[int, int]]:
-        """(level, next_hop) of the entry ``node`` follows toward ``origin``,
-        next hop -1 where that is no edge of ``g``; probe-installed reverse
-        state, at level -1, is the last resort."""
-        return self._next_hops_to(g, origin)[node] or self._reverse_entry(node, origin)
-
-    def _next_hops_to(self, g: ConnectivityGraph, origin: int) -> _Lazy:
-        self._edge_keys(g)
-        return self._next_hops[origin]
-
     def _edge_keys(self, g: ConnectivityGraph) -> np.ndarray:
         """``g``'s directed edges as sorted ``u * n + v`` keys, closed by the
         key ``n * n`` so that a search never runs off the end. A graph is
         not changed after it is built, so its identity names its edges.
-        Resolved entries and stage candidates hold for one graph, so a new
-        graph clears them."""
+        Resolved entries hold for one graph, so a new graph clears them."""
         if self._edges is None or self._edges[0] is not g:
             csr = g.csr
             rows = np.repeat(np.arange(g.n, dtype=np.int64), np.diff(csr.indptr))
             self._edges = (g, np.append(np.sort(rows * g.n + csr.indices), g.n * g.n))
             self._next_hops.clear()
-            self._candidates.clear()
         return self._edges[1]
 
     def _is_edge(self, u: int, v: int) -> bool:
@@ -898,23 +896,24 @@ class ProtocolEngine:
                 return relay, answer, path
         return None
 
-    def _stage_candidates(self, node: int, min_level: int, max_distance: int) -> np.ndarray:
-        """Origins with an entry at ``node`` at level >= ``min_level`` within
-        ``max_distance`` hops, nearest first (ties to the lower id); never
-        ``node`` itself, which holds no entry toward itself. Kept until the
-        tables or the graph change."""
-        memo = (node, min_level, max_distance)
-        candidates = self._candidates.get(memo)
-        if candidates is None:
-            table = self._table
-            held, origins, level = table.held_by(node)
-            dist = table.dist[held]
-            near = (level >= min_level) & (dist <= max_distance)
-            origins, dist = origins[near], dist[near]
-            origins = origins[np.lexsort((origins, dist))]
-            first = np.unique(origins, return_index=True)[1]  # each origin at its shortest
-            candidates = self._candidates[memo] = origins[np.sort(first)]
-        return candidates
+    def _probe_dest(
+        self, node: int, dest: int, level: Optional[int], probes: list[ProbeRecord]
+    ) -> Optional[list[int]]:
+        """Probe ``dest`` straight from ``node``, along the entry ``node``
+        follows toward it (probe-installed reverse state, at level -1, as the
+        last resort) and within the flood radius of that entry's level, at
+        least level 0; the destination answers for itself once the walk
+        arrives. The probe is appended to ``probes`` at ``level``, or at the
+        radius' level where ``level`` is None. Returns the path walked if the
+        walk arrived, None if it broke or ``node`` holds no entry."""
+        entry = self._next_hops[dest][node] or self._reverse_entry(node, dest)
+        if entry is None:
+            return None
+        lowest = max(entry[0], 0)
+        arrived, path = self._walk(node, dest, self._flood_radius(lowest))
+        recorded = lowest if level is None else level
+        probes.append(ProbeRecord(dest, recorded, arrived, not arrived, 2 * (len(path) - 1), dest))
+        return path if arrived else None
 
     # -- forwarding --------------------------------------------------------
 
@@ -946,18 +945,13 @@ class ProtocolEngine:
             found_level = own.item(0)
             legs.append([source])
         if holder is None:
-            direct = self._best_entry(g, source, dest)
-            if direct is not None:
-                # the destination answers for itself once the walk arrives
-                arrived, path = self._walk(source, dest, radius_fn(max(direct[0], 0)))
-                hops = len(path) - 1
-                probes.append(ProbeRecord(dest, levels, arrived, not arrived, 2 * hops, dest))
-                if arrived:
-                    holder = dest
-                    legs.append(path)
+            path = self._probe_dest(source, dest, levels, probes)
+            if path is not None:
+                holder = dest
+                legs.append(path)
         if holder is None:
             for j in range(1, levels + 1):
-                relays = self._stage_candidates(source, j, radius_fn(j))
+                relays = self._table.candidates(source, j, radius_fn(j))
                 relays = relays[relays != dest]  # asked directly, and by the descent
                 hit = self._probe_stage(source, relays, dest, j, radius_fn(j), probes)
                 if hit is not None:
@@ -979,19 +973,14 @@ class ProtocolEngine:
         while current != dest:
             # Registration installed forward state from the holder toward its
             # member, so a direct hand-off is tried before descending levels.
-            direct = self._best_entry(g, current, dest)
-            if direct is not None:
-                lowest = max(direct[0], 0)
-                arrived, path = self._walk(current, dest, radius_fn(lowest))
-                hops = len(path) - 1
-                probes.append(ProbeRecord(dest, lowest, arrived, not arrived, 2 * hops, dest))
-                if arrived:
-                    legs.append(path)
-                    break
+            path = self._probe_dest(current, dest, None, probes)
+            if path is not None:
+                legs.append(path)
+                break
             if level >= 1:
                 attempted: dict[int, bool] = {}
                 for reach in (radius_fn(level - 1), radius_fn(level)):
-                    relays = self._stage_candidates(current, level - 1, reach)
+                    relays = self._table.candidates(current, level - 1, reach)
                     hit = self._probe_stage(
                         current, relays, dest, level - 1, reach, probes, attempted
                     )
@@ -1033,60 +1022,43 @@ class ProtocolEngine:
         self, g: ConnectivityGraph, start: int, dest: int, excluded: set[int]
     ) -> Optional[tuple[ProbeRecord, list[int]]]:
         """Expanding scoped floods from ``start`` asking who holds a live
-        entry for ``dest``; the destination itself always answers.  Nodes in
+        entry for ``dest``; the destination itself always answers. Nodes in
         ``excluded`` stay silent so the packet never returns to a spot it
-        already left; the nodes one hop further out are asked together.
-        Returns the successful probe record (the nearest answerer, its entry
-        level and the transmissions) with the path to the answerer, or None
-        when even the widest flood radius hears nobody.  Cost is one
-        broadcast per node inside every ring tried plus the answer walking
-        back."""
+        already left. The answerer is the lowest id among the nearest nodes
+        that answer within the widest flood radius, and the successful ring
+        is the first level whose flood radius reaches it. Returns the probe
+        record (the answerer, its answer level and the transmissions) with
+        the path to the answerer, the lexicographically first shortest path
+        from ``start`` (each hop to the lowest-id neighbour one hop closer),
+        or None when even the widest flood radius hears nobody. The cost is
+        one broadcast per node inside every ring up to the successful one,
+        which floods all the way out, plus the answer walking back."""
         radius_fn = self._flood_radius
         levels = self.params.levels
-        stop = radius_fn(levels)
-        parent = {start: -1}
-        frontier = deque([start])
-        ball_at: list[int] = [1]
-        answerer = found = -1  # the lowest id at the first depth that answers, and its level
-        hit_depth = ring = 0
-        depth = 0
-        # The successful ring floods all the way out even though the answer
-        # comes from closer in, so once a level answers the search keeps
-        # expanding, without asking, to that ring's radius: its full ball is
-        # charged, as is each empty ring before it.
-        while frontier and depth < stop:
-            depth += 1
-            nxt: deque[int] = deque()
-            for u in frontier:
-                for v in map(int, g.neighbors(u)):
-                    if v not in parent:
-                        parent[v] = u
-                        nxt.append(v)
-            frontier = nxt
-            ball_at.append(len(parent))
-            if not hit_depth and nxt:
-                asked = np.fromiter((v for v in nxt if v not in excluded), dtype=np.int64)
-                levels_found = self._found_levels(asked, dest, levels)
-                answering = np.flatnonzero(levels_found >= 0)
-                if answering.size:
-                    pick = answering[asked[answering].argmin()]
-                    answerer, found = asked.item(pick), levels_found.item(pick)
-                    hit_depth = depth
-                    ring = min(i for i in range(levels + 1) if radius_fn(i) >= hit_depth)
-                    stop = radius_fn(ring)
-        if not hit_depth:
+        ((_, dist),) = bfs_blocks(g, [start], radius_fn(levels))
+        dist = dist[0]
+        asked = np.flatnonzero(np.isfinite(dist))
+        asked = asked[~np.isin(asked, [start, *excluded])]
+        found = self._found_levels(asked, dest, levels)
+        answering = np.flatnonzero(found >= 0)
+        if not answering.size:
             return None
-        transmissions = hit_depth + ball_at[min(radius_fn(ring), depth)]
-        transmissions += sum(
-            ball_at[min(radius_fn(i), depth)] for i in range(ring)
+        pick = answering[dist[asked[answering]].argmin()]  # ids ascend: the lowest wins ties
+        answerer = asked.item(pick)
+        hit_depth = int(dist[answerer])
+        ring = min(i for i in range(levels + 1) if radius_fn(i) >= hit_depth)
+        transmissions = hit_depth + sum(
+            int(np.count_nonzero(dist <= radius_fn(i))) for i in range(ring + 1)
         )
-        path = [answerer]
-        while path[-1] != start:
-            path.append(parent[path[-1]])
-        path.reverse()
+        ((_, back),) = bfs_blocks(g, [answerer], hit_depth)
+        back = back[0]
+        path = [start]
+        for closer in range(hit_depth - 1, -1, -1):
+            around = g.neighbors(path[-1])
+            path.append(int(around[back[around] == closer].min()))
         record = ProbeRecord(
             relay=answerer,
-            level=found,
+            level=found.item(pick),
             success=True,
             broken=False,
             transmissions=transmissions,

@@ -392,7 +392,7 @@ def test_the_upward_stage_skips_the_destination():
     g = path_graph(9)
     engine, _ = run_round(g, levels=3)
     radius = engine._flood_radius
-    assert [engine._stage_candidates(0, j, radius(j)).tolist() for j in (1, 2, 3)] == [[1, 4], [4], [4]]
+    assert [engine._table.candidates(0, j, radius(j)).tolist() for j in (1, 2, 3)] == [[1, 4], [4], [4]]
     moved = ConnectivityGraph.from_edges(9, [(i, i + 1) for i in range(8) if i != 2] + [(0, 8)])
     receipt = engine.forward(moved, source=0, dest=4)
     assert receipt.route == (0, 8, 7, 6, 5, 4)
@@ -412,7 +412,7 @@ def test_a_broken_probe_is_recorded_and_the_stage_goes_on():
     the stage is still asked."""
     g = path_graph(9)
     engine, _ = run_round(g, levels=3)
-    assert engine._stage_candidates(0, 0, 6).tolist() == [1, 2, 3, 4]
+    assert engine._table.candidates(0, 0, 6).tolist() == [1, 2, 3, 4]
     severed = ConnectivityGraph.from_edges(9, [(i, i + 1) for i in range(8) if i != 2])
     engine._edge_keys(severed)
     probes: list[ProbeRecord] = []
@@ -742,6 +742,44 @@ def test_forward_survives_erased_membership_state_via_search():
     assert any(p.relay == dest and p.success for p in receipt.probes)
 
 
+def test_ring_search_takes_the_lexicographically_first_shortest_path():
+    """With no round run, only the destination answers. Node 6 lies 4 hops
+    from node 0 along 0-1-4-5-6 and 0-2-3-5-6; the search takes the first in
+    id order, which walking back from 6 to the lowest-id closer neighbour
+    would miss. Level 1's radius 6 is the first to reach 4 hops, so the cost
+    is the 4 hops back plus the balls of radius 3 (nodes 0-5) and 6 (0-8)."""
+    edges = [(0, 1), (0, 2), (1, 4), (2, 3), (3, 5), (4, 5), (5, 6), (6, 7), (7, 8), (8, 9)]
+    g = ConnectivityGraph.from_edges(10, edges)
+    engine = ProtocolEngine(10, make_params(levels=2))
+    record, path = engine._ring_search(g, 0, 6, {0})
+    assert path == [0, 1, 4, 5, 6]
+    assert record == ProbeRecord(relay=6, level=0, success=True, broken=False, transmissions=19, terminus=6)
+    assert engine._ring_search(g, 0, 6, {0, 6}) is None
+
+
+def test_ring_search_does_not_follow_row_order() -> None:
+    """The same records and paths on the built graph and on a copy whose CSR
+    rows list each node's neighbours in shuffled order."""
+    g = random_graph(300, seed=3)
+    levels = math.ceil(math.log2(diameter(g).hops))
+    engine, _ = run_round(g, levels=levels, seed=37)
+    csr = g.csr
+    rng = np.random.default_rng(5)
+    shuffled = csr.indices.copy()
+    for lo, hi in zip(csr.indptr[:-1].tolist(), csr.indptr[1:].tolist()):
+        shuffled[lo:hi] = rng.permutation(shuffled[lo:hi])
+    row_shuffled = ConnectivityGraph(g.n, csr_matrix((csr.data, shuffled, csr.indptr), shape=csr.shape))
+    far = 0
+    for start, dest in rng.integers(g.n, size=(40, 2)).tolist():
+        if start == dest:
+            continue
+        found = engine._ring_search(g, start, dest, {start})
+        assert found is not None
+        assert engine._ring_search(row_shuffled, start, dest, {start}) == found, (start, dest)
+        far += len(found[1]) > 2
+    assert far  # some answerer lies past a neighbour of the start
+
+
 # ---------------------------------------------------------------------------
 # Load-balanced variant
 # ---------------------------------------------------------------------------
@@ -916,8 +954,9 @@ def check_resolved_next_hops(
     origin): first the entries that earlier look-ups resolved, which must not
     have gone stale, then the rest. Tallies the kinds of winner met into
     ``seen``."""
+    engine._edge_keys(g)
     for origin in range(engine.n):
-        toward = engine._next_hops_to(g, origin)
+        toward = engine._next_hops[origin]
         seen["resolved_before"] += len(toward)
         state = origin_state(engine, origin)
         for node in [*toward, *(v for v in range(engine.n) if v not in toward)]:
@@ -1004,9 +1043,9 @@ def candidates_oracle(engine: ProtocolEngine, node: int, min_level: int, max_dis
 
 
 def test_stage_candidates_do_not_outlive_a_round_or_a_graph() -> None:
-    """Forwards fill the stage candidate lists; a round on the same graph and
-    a look-up on a new graph each empty them, and every list kept matches
-    the table it was read from."""
+    """Forwards fill the stage candidate lists, which the table keeps; a
+    round on the same graph empties them, and every list kept, also across a
+    new graph, matches the table it was read from."""
     g = random_graph(120, seed=3)
     levels = math.ceil(math.log2(diameter(g).hops))
     engine = ProtocolEngine(g.n, make_params(levels))
@@ -1016,18 +1055,16 @@ def test_stage_candidates_do_not_outlive_a_round_or_a_graph() -> None:
         for _ in range(40):
             source, dest = (int(x) for x in rng.choice(g.n, size=2, replace=False))
             engine.forward(graph, source=source, dest=dest)
-        assert engine._candidates
-        for (node, min_level, max_distance), kept in engine._candidates.items():
-            assert kept.tolist() == candidates_oracle(engine, node, min_level, max_distance)
+        kept = engine._table._candidates
+        assert kept
+        for (node, min_level, max_distance), candidates in kept.items():
+            assert candidates.tolist() == candidates_oracle(engine, node, min_level, max_distance)
 
     for t in range(4):
         engine.beaconing_round(g, t=t, seed=37 + t)
-        assert not engine._candidates, t
+        assert not engine._table._candidates, t
         forward_and_check(g)
-    other = random_graph(120, seed=5)
-    engine._edge_keys(other)
-    assert not engine._candidates
-    forward_and_check(other)
+    forward_and_check(random_graph(120, seed=5))
 
 
 def test_probe_reverse_state_does_not_outlive_a_round() -> None:
@@ -1588,7 +1625,7 @@ class PerCandidateForward:
             found_level = own.item(0)
             legs.append((source,))
         if holder is None:
-            direct = engine._best_entry(g, source, dest)
+            direct = self.entry(g, source, dest)
             if direct is not None:
                 result = self.probe(g, source, dest, dest, levels, budget=radius_fn(max(direct[0], 0)))
                 probes.append(self.record(result, dest, levels))
@@ -1621,7 +1658,7 @@ class PerCandidateForward:
         level = found_level
         visited = {source, holder}
         while current != dest:
-            direct = engine._best_entry(g, current, dest)
+            direct = self.entry(g, current, dest)
             if direct is not None:
                 result = self.probe(g, current, dest, dest, levels, budget=radius_fn(max(direct[0], 0)))
                 probes.append(self.record(result, dest, max(direct[0], 0)))
@@ -1689,9 +1726,17 @@ class PerCandidateForward:
             self.seen["dest_skipped"] += skip[1] in candidates
         return [origin for origin in candidates if origin not in skip]
 
+    def entry(self, g: ConnectivityGraph, node: int, origin: int) -> Optional[tuple[int, int]]:
+        """(level, next hop) of the entry ``node`` follows toward ``origin``
+        on ``g``, reverse state at level -1 as the last resort."""
+        engine = self.engine
+        engine._edge_keys(g)
+        return engine._next_hops[origin][node] or engine._reverse_entry(node, origin)
+
     def walk(self, g: ConnectivityGraph, source: int, relay: int, budget: Optional[int]) -> tuple[bool, list[int]]:
         engine = self.engine
-        toward = engine._next_hops_to(g, relay)
+        engine._edge_keys(g)
+        toward = engine._next_hops[relay]
         limit = engine.n if budget is None else min(budget, engine.n)
         reverse = engine._reverse.setdefault(source, {})
         path = [source]
