@@ -23,15 +23,19 @@ steps.
 A beaconing round has the outcome of its nodes acting one at a time in a
 seeded random order pi (each floods, then its joiners register), but is
 computed in closed form: the levels are decided top-down from the
-lexicographically-first greedy rule of each level, every origin is then
-searched once at its own flood radius, one block of origins at a time
-(``graph._reach``), and the joins and registrations are computed in block
-array steps from reached-only (origin, node, distance, predecessor) arrays.
-The round writes the table through one merge of presorted runs with one tie
-rule: per (origin, node, level) key the candidate lowest in (stale,
+lexicographically-first greedy rule of each level, every origin above level
+0 is then searched once at its own flood radius, one block of origins at a
+time (``graph._reach``), and the joins and registrations are computed in
+block array steps from reached-only (origin, node, distance, predecessor)
+arrays. The round writes the table through one merge of presorted runs with
+one tie rule: per (origin, node, level) key the candidate lowest in (stale,
 distance, writer order) stays. An entry is stale when written at an earlier
 step; in writer order the entries already held come first, then the round's
-writes in pi order.
+writes in pi order. Level-0 floods feed only the table, so the round
+searches their origins only as far as the nodes that rebroadcast, for the
+transmission count, and leaves their cells to the table's next read, which
+merges them at the round's step after the round's own writes; a round that
+clears level 0 first drops them unread.
 
 A forward probes in stages. A stage's candidates are the origins that one
 node holds entries for at or above a level and within a distance, nearest
@@ -243,6 +247,14 @@ class _Table:
     read through a node-major permutation (``held_by``), built on the first
     read after a change. A probe stage's candidates (``candidates``) are kept
     per (node, level, distance) until the entries change.
+
+    A round's level-0 flood cells are held as a pending write (``defer``):
+    the step, the graph, the level-0 origins and their flood radius. Every
+    read (``entries``, ``lowest_levels``, ``by_node``, ``held_by``,
+    ``candidates``, ``merge`` and ``_columns``) first searches those origins
+    and merges their cells at that step, so the four columns are read
+    through ``_columns`` or after another read. ``clear`` drops the pending
+    write unwritten: it clears level 0, the only level the write touches.
     """
 
     def __init__(self, n: int, levels: int) -> None:
@@ -253,6 +265,8 @@ class _Table:
         self._small = np.min_scalar_type(n)  # holds every node id and hop distance
         empty = np.empty(0, dtype=np.int64)
         self._set(empty, empty, empty, empty)
+        # (step, graph, level-0 origins, flood radius) of a deferred write
+        self._pending: Optional[tuple[int, ConnectivityGraph, np.ndarray, int]] = None
 
     def _set(self, key, dist, hop, stamp) -> None:
         self.key = key
@@ -263,10 +277,28 @@ class _Table:
         self._candidates: dict[tuple[int, int, int], np.ndarray] = {}
 
     def _columns(self) -> tuple[np.ndarray, ...]:
+        self._settle()
         return (self.key, self.dist, self.hop, self.stamp)
+
+    def defer(self, t: int, g: ConnectivityGraph, origins: np.ndarray, radius: int) -> None:
+        """Hold the level-0 flood of ``origins`` to ``radius`` hops on ``g``
+        at step ``t`` until the next read, which writes it."""
+        self._pending = (t, g, origins, radius)
+
+    def _settle(self) -> None:
+        """Write the pending level-0 flood, if any: one ``merge`` at its
+        step, so the round's registrations still win ties."""
+        if self._pending is not None:
+            t, g, origins, radius = self._pending
+            self._pending = None
+            cells = _reach(g, origins, radius)
+            self.merge(
+                t, [self.run(origin, node, 0, dist, pred) for origin, node, dist, pred in cells]
+            )
 
     def entries(self, origin: int, node: int) -> tuple[int, int]:
         """Bounds of the slice of entries that ``node`` holds toward ``origin``."""
+        self._settle()
         key, width = self.key, self.width
         start = (origin * self.n + node) * width
         lo = hi = int(key.searchsorted(start))
@@ -278,6 +310,7 @@ class _Table:
     def lowest_levels(self, origin: int, nodes: np.ndarray) -> np.ndarray:
         """The level of the first entry in ``entries(origin, node)`` for each
         of ``nodes``, L + 1 where the slice is empty: one search for all."""
+        self._settle()
         key, width = self.key, self.width
         if not key.size:
             return np.full(len(nodes), width)
@@ -297,6 +330,7 @@ class _Table:
     def by_node(self) -> tuple[np.ndarray, np.ndarray]:
         """Entry positions in (node, origin, level) order, and each node's
         start offset among them."""
+        self._settle()
         if self._by_node is None:
             node = (self.key // self.width % self.n).astype(self._small)
             start = np.zeros(self.n + 1, dtype=np.int64)
@@ -308,6 +342,7 @@ class _Table:
         """Origins with an entry at ``node`` at level >= ``min_level`` within
         ``max_distance`` hops, nearest first (ties to the lower id); never
         ``node`` itself, which holds no entry toward itself."""
+        self._settle()
         memo = (node, min_level, max_distance)
         candidates = self._candidates.get(memo)
         if candidates is None:
@@ -321,8 +356,10 @@ class _Table:
         return candidates
 
     def clear(self, level: int) -> None:
-        """Drop the entries at levels up to ``level`` (none where it is -1)."""
+        """Drop the entries at levels up to ``level`` (none where it is -1),
+        and the pending level-0 write with them."""
         if level >= 0:
+            self._pending = None
             kept = self.key % self.width > level
             self._set(*(column[kept] for column in self._columns()))
 
@@ -345,7 +382,8 @@ class _Table:
         sorted by key with no key twice. Per key, the candidate lowest in
         (stale, distance, writer order) stays: a held entry comes before
         every write and is stale when written before ``t``. So a write
-        replaces what is held when that is stale or strictly longer."""
+        replaces what is held when that is stale or strictly longer. A
+        pending write is written first."""
         columns = [self._columns()]
         for key, dist, hop in runs:
             columns.append((key, dist, hop, np.full(len(key), t, dtype=np.int32)))
@@ -393,7 +431,8 @@ class ProtocolEngine:
     A round leaves the state that its nodes, acting one at a time in its
     seeded permutation, would leave, computed in closed form; memberships
     are written as block array updates and routing entries through one merge
-    into the routing table. Forwarding reads the state built by the most
+    into the routing table, the level-0 flood cells on the table's first
+    read after the round. Forwarding reads the state built by the most
     recent round against the same graph.
     """
 
@@ -483,13 +522,17 @@ class ProtocolEngine:
         The outcome is that of the nodes acting one at a time in pi order,
         computed in closed form. A node's level-l membership takes the
         pi-first node of level >= l within 2**l hops, so the levels are
-        decided top-down (``_elect``), then every origin is searched once at
-        its own flood radius, and the joins and registrations are computed
-        as arrays. The table's levels up to gamma are cleared, then the
-        registrations and flood cells are merged into it in one step: per
-        (origin, node, level) key the entry written first in pi order stays
-        unless a later one is strictly shorter, and an entry from an earlier
-        step yields to either.
+        decided top-down (``_elect``), then every origin above level 0 is
+        searched once at its own flood radius, and the joins and
+        registrations are computed as arrays. The table's levels up to gamma
+        are cleared, then the registrations and flood cells are merged into
+        it in one step: per (origin, node, level) key the entry written
+        first in pi order stays unless a later one is strictly shorter, and
+        an entry from an earlier step yields to either. Level-0 origins are
+        searched to their flood radius - 1 hops only, which counts their
+        transmissions; their flood cells feed no join (level-0 joins read
+        closed neighbourhoods), so the table writes them on its next read,
+        as a second merge at step ``t``, with the same outcome.
         """
         self._check_graph(g)
         if t < 0:
@@ -510,21 +553,26 @@ class ProtocolEngine:
         nearest = _closed_min(g, rank)
         beta, elected = self._elect(g, gamma, held, rank, nearest)
 
-        # Every origin floods at its own level, one search per block of
-        # origins; the cover balls of the origins above level 0 are kept, as
-        # they decide every join above level 0.
+        # Every origin above level 0 floods at its own level, one search per
+        # block of origins; their cover balls are kept, as they decide every
+        # join above level 0. A level-0 flood feeds only the table, so the
+        # round counts its transmissions (the nodes within radius - 1 hops
+        # rebroadcast) and leaves its cells to the table's next read.
         table = self._table
         flood_tx = 0
         floods = []
         covers = [(np.empty(0, dtype=np.int64),) * 4]
-        for level in range(levels, -1, -1):
+        for level in range(levels, 0, -1):
             radius = self._flood_radius(level)
             for origin, node, dist, pred in _reach(g, np.flatnonzero(beta == level), radius):
                 flood_tx += int(np.count_nonzero(dist < radius))
                 floods.append(table.run(origin, node, level, dist, pred))
-                if level:
-                    near = np.flatnonzero(dist <= params.cover_radius(level))
-                    covers.append((origin[near], node[near], dist[near], pred[near]))
+                near = np.flatnonzero(dist <= params.cover_radius(level))
+                covers.append((origin[near], node[near], dist[near], pred[near]))
+        ground = np.flatnonzero(beta == 0)
+        radius = self._flood_radius(0)
+        for _, dist in bfs_blocks(g, ground, radius - 1):
+            flood_tx += int(np.count_nonzero(dist < radius))
         origin, node, dist, pred = (np.concatenate(column) for column in zip(*covers))
         order = np.argsort(origin * n + node, kind="stable")  # merges the level runs
         covers = tuple(column[order] for column in (origin, node, dist, pred))
@@ -544,6 +592,7 @@ class ProtocolEngine:
         )
         table.clear(gamma)
         table.merge(t, [registered, *floods])
+        table.defer(t, g, ground, self._flood_radius(0))
 
         self._next_hops.clear()
         self._reverse.clear()

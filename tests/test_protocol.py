@@ -222,7 +222,8 @@ def test_flood_single_node_counts_one_transmission():
     g = ConnectivityGraph.from_edges(1, [])
     engine, report = run_round(g, levels=0)
     assert report.flood_transmissions == 1
-    assert engine._table.key.size == 0  # an origin holds no entry toward itself
+    key = engine._table._columns()[0]
+    assert key.size == 0  # an origin holds no entry toward itself
 
 
 def test_flood_keeps_better_entries_within_same_step():
@@ -253,13 +254,13 @@ def test_flood_reverse_paths_are_shortest_paths():
     g = random_graph(120, seed=3)
     levels = math.ceil(math.log2(diameter(g).hops))
     engine, _ = run_round(g, levels=levels, seed=5)
-    table = engine._table
-    cell, level = np.divmod(table.key, table.width)
+    key, dist, next_hop, _ = engine._table._columns()
+    cell, level = np.divmod(key, engine._table.width)
     origin, node = np.divmod(cell, g.n)
     assert (level != engine._beacon_level[origin]).any()  # registrations included
     oracle = [bfs_oracle(g, u) for u in range(g.n)]
     edges = edge_set(g)
-    columns = (origin, node, table.dist, table.hop)
+    columns = (origin, node, dist, next_hop)
     for o, v, distance, hop in zip(*(column.tolist() for column in columns)):
         assert distance == oracle[o][v]
         assert (min(v, hop), max(v, hop)) in edges
@@ -553,8 +554,8 @@ def test_every_entry_stays_within_its_flood_radius():
     radius = np.array([engine.params.flood_radius(level) for level in range(levels + 1)])
     for t in range(3):
         engine.beaconing_round(g, t=t, seed=5)
-        table = engine._table
-        assert (table.dist <= radius[table.key % table.width]).all()
+        key, dist, _, _ = engine._table._columns()
+        assert (dist <= radius[key % engine._table.width]).all()
         for u in range(g.n):
             for level in range(levels + 1):
                 member = engine.membership(u, level)
@@ -567,18 +568,18 @@ def test_table_keys_stay_sorted_and_unique_with_floods_at_beacon_levels():
     engine = ProtocolEngine(g.n, make_params(levels))
     for t in range(2**levels + 1):  # full clears at t=0 and t=2**levels
         report = engine.beaconing_round(g, t=t, seed=4)
-        table = engine._table
-        assert (np.diff(table.key) > 0).all()  # sorted, and no key twice
-        cell, level = np.divmod(table.key, table.width)
+        key, _, _, stamp = engine._table._columns()
+        assert (np.diff(key) > 0).all()  # sorted, and no key twice
+        cell, level = np.divmod(key, engine._table.width)
         origin = cell // g.n
         # Every origin with a neighbour flooded at step t at its own beacon
         # level, so its neighbours hold a stamp-t entry toward it there.
-        fresh = (table.stamp == t) & (level == engine._beacon_level[origin])
+        fresh = (stamp == t) & (level == engine._beacon_level[origin])
         flooded = np.zeros(g.n, dtype=bool)
         flooded[origin[fresh]] = True
         assert flooded[np.diff(g.csr.indptr) > 0].all()
         # Levels up to gamma were cleared, so nothing there is older than t.
-        assert (table.stamp[level <= report.gamma] >= t).all()
+        assert (stamp[level <= report.gamma] >= t).all()
 
 
 def test_round_rejects_mismatched_graph_and_bad_arguments():
@@ -604,8 +605,8 @@ def test_state_snapshot_csv_lists_every_node():
     assert first[0] == "0"
     assert int(first[1]) == engine.beacon_level(0)
     assert int(first[2]) == 3  # one membership per level 0..2
-    table = engine._table
-    assert int(first[3]) == np.count_nonzero(table.key // table.width % g.n == 0)
+    key = engine._table._columns()[0]
+    assert int(first[3]) == np.count_nonzero(key // engine._table.width % g.n == 0)
 
 
 def test_rounds_are_deterministic_for_fixed_seed():
@@ -733,8 +734,9 @@ def test_forward_survives_erased_membership_state_via_search():
     engine._beacon[dest] = -1
     assert all(dest not in engine.member_list(b, level) for b in range(g.n) for level in range(levels + 1))
     table = engine._table
-    kept = table.key // table.width // g.n != dest
-    table._set(*(column[kept] for column in table._columns()))
+    columns = table._columns()
+    kept = columns[0] // table.width // g.n != dest
+    table._set(*(column[kept] for column in columns))
     assert origin_state(engine, dest)[0].size == 0
     receipt = engine.forward(g, source=source, dest=dest)
     assert_route_valid(g, receipt, source, dest)
@@ -916,8 +918,8 @@ def test_lb_spreads_membership_load_off_the_beacons():
 def origin_state(engine: ProtocolEngine, origin: int) -> tuple[np.ndarray, np.ndarray]:
     """The positions of the table entries toward ``origin`` and the nodes
     that hold them, found by scanning the whole table."""
-    table = engine._table
-    origins, nodes = np.divmod(table.key // table.width, engine.n)
+    key = engine._table._columns()[0]
+    origins, nodes = np.divmod(key // engine._table.width, engine.n)
     held = np.flatnonzero(origins == origin)
     return held, nodes[held]
 
@@ -932,12 +934,13 @@ def best_entry_oracle(
     neighbour on ``g``. A round's floods write only at their origin's beacon
     level, so a winner at another level is a registration (not conversely: a
     non-elected node's level-0 registrations sit at its own beacon level)."""
-    table = engine._table
+    key, dist, next_hop, stamp = engine._table._columns()
+    width = engine._table.width
     held, nodes = state
     candidates = []
     for i in held[nodes == node].tolist():
-        key = (-int(table.stamp[i]), int(table.dist[i]), int(table.key[i] % table.width))
-        candidates.append((key, int(table.hop[i]), int(table.key[i]) // table.width // engine.n))
+        rule = (-int(stamp[i]), int(dist[i]), int(key[i] % width))
+        candidates.append((rule, int(next_hop[i]), int(key[i]) // width // engine.n))
     if not candidates:
         return None
     (neg_stamp, _, level), hop, origin = min(candidates)
@@ -1088,36 +1091,111 @@ def test_probe_reverse_state_does_not_outlive_a_round() -> None:
 
 @pytest.mark.parametrize("mode", ["plain", "load_balanced"])
 def test_each_origin_is_searched_once_at_its_own_flood_radius(monkeypatch, mode: str):
-    """Every predecessor search of a round covers at most ``_BFS_BLOCK``
-    origins, all at the flood radius of the level each ends the round at,
-    and every node is searched exactly once: on a first round (every level
-    open) and on the rounds after it, where the levels above gamma stay put.
-    Only the flood searches ask for predecessors."""
+    """A round searches every origin above level 0 once with predecessors,
+    at the flood radius of the level it ends the round at, and every level-0
+    origin once without predecessors, to radius - 1 hops (the nodes that
+    rebroadcast), in searches of at most ``_BFS_BLOCK`` origins: on a first
+    round (every level open) and on the rounds after it, where the levels
+    above gamma stay put. The table's first read after the round searches
+    every level-0 origin once with predecessors at its flood radius, and a
+    second read searches nothing. A round that clears level 0 before any
+    read drops the pending cells, so no level-0 origin of the round before
+    it is searched with predecessors."""
     import beaconsim.graph as graph
 
     g = random_graph(700, seed=5)
     levels = math.ceil(math.log2(diameter(g).hops))
     engine = ProtocolEngine(g.n, make_params(levels), mode=mode)
-    searches: list[tuple[float, list[int]]] = []
+    searches: list[tuple[bool, float, list[int]]] = []
     real_dijkstra = graph.dijkstra
 
     def recording_dijkstra(csgraph, **kwargs):
-        if kwargs.get("return_predecessors"):
-            searches.append((kwargs["limit"], np.atleast_1d(kwargs["indices"]).tolist()))
+        sources = np.atleast_1d(kwargs["indices"]).tolist()
+        searches.append((bool(kwargs.get("return_predecessors")), kwargs.get("limit"), sources))
         return real_dijkstra(csgraph, **kwargs)
 
     monkeypatch.setattr(graph, "dijkstra", recording_dijkstra)
     radius = engine.params.lb_flood_radius if mode == "load_balanced" else engine.params.flood_radius
-    for t in range(3):
+    for t in range(3):  # t = 1 clears level 0, and so does t = 2 before reading
         searches.clear()
         engine.beaconing_round(g, t=t, seed=37)
-        searched = []
-        for limit, sources in searches:
-            assert 1 <= len(sources) <= graph._BFS_BLOCK
-            assert {float(radius(engine.beacon_level(u))) for u in sources} == {limit}
-            searched.extend(sources)
-        assert sorted(searched) == list(range(g.n))
+        ground = [u for u in range(g.n) if engine.beacon_level(u) == 0]
+        above, rebroadcast = [], []
+        for predecessors, limit, sources in searches:
+            if predecessors:
+                assert 1 <= len(sources) <= graph._BFS_BLOCK
+                assert {float(radius(engine.beacon_level(u))) for u in sources} == {limit}
+                above.extend(sources)
+            elif limit == radius(0) - 1 and engine.beacon_level(sources[0]) == 0:
+                # the election and separation searches start from nodes above level 0
+                assert len(sources) <= graph._BFS_BLOCK
+                assert all(engine.beacon_level(u) == 0 for u in sources)
+                rebroadcast.extend(sources)
+        assert sorted(above) == sorted(set(range(g.n)) - set(ground)), t
+        assert sorted(rebroadcast) == ground, t
+        if t == 1:
+            continue  # no read: the next round clears level 0 first
+        searches.clear()
+        engine.dump_state_csv(io.StringIO())
+        assert {(p, limit) for p, limit, _ in searches} == {(True, float(radius(0)))}, t
+        assert sorted(u for *_, sources in searches for u in sources) == ground, t
+        searches.clear()
+        engine.dump_state_csv(io.StringIO())
+        assert not searches, t
     assert len({level for level in map(engine.beacon_level, range(g.n))}) > 2
+
+
+def deferred_runs():
+    """Seeded (name, graphs, nu, steps) runs; a step (t, read) is a round at
+    step t on the next graph, followed, where ``read`` is set, by forwards
+    and a comparison of the tables."""
+    n = 120
+    domain = DomainSpec(side=math.sqrt(n), n=n)
+    positions = sample_uniform_positions(n, domain, 83)
+    r_n = math.sqrt(2.0 * math.log(n))
+    mobile = [build_geometric_graph(positions, r_n)]
+    for t in range(1, 8):
+        positions = step(RandomWalk(max_speed=1.0), positions, domain, seed=89, t=t)
+        mobile.append(build_geometric_graph(positions, r_n))
+    return [
+        # nu = 1: every round clears level 0, so the rounds after the unread
+        # rounds 1, 2 and 4 drop their pending writes
+        ("nu1", mobile, 1, [(0, True), (1, False), (2, False), (3, True), (4, False), (5, True)]),
+        # nu = 2: the odd rounds have gamma = -1 and merge onto the table,
+        # after the unread round before them is written at its own step
+        ("nu2", mobile, 2, [(0, False), (1, True), (2, False), (3, True), (4, True), (5, False), (6, True)]),
+        # two rounds at one step on moved graphs: with gamma = 0 the second
+        # drops the first's level-0 cells, with gamma = -1 it merges onto them
+        ("same-step", mobile, 1, [(0, True), (1, False), (1, True), (2, True)]),
+        ("same-step-nu2", mobile, 2, [(0, True), (1, False), (1, True), (2, True)]),
+        # a round that raises before it clears keeps the pending write
+        ("raising-round", mobile, 1, [(0, False), (-1, True), (1, False), (1, True)]),
+    ]
+
+
+@pytest.mark.parametrize("mode", ["plain", "load_balanced"])
+def test_deferred_level_0_writes_match_a_table_read_after_every_round(mode: str) -> None:
+    """An engine whose table is read after every round, so each round's
+    level-0 flood is written before the next round, and one read only after
+    some rounds give equal reports (or errors), equal receipts (or errors)
+    and equal table columns wherever the second is read."""
+    for name, graphs, nu, steps in deferred_runs():
+        eager = ProtocolEngine(graphs[0].n, make_params(3, nu=nu), mode=mode)
+        deferred = ProtocolEngine(graphs[0].n, make_params(3, nu=nu), mode=mode)
+        rng = np.random.default_rng(97)
+        for i, (t, read) in enumerate(steps):
+            g = graphs[i]
+            got = outcome(lambda: deferred.beaconing_round(g, t=t, seed=101))
+            assert got == outcome(lambda: eager.beaconing_round(g, t=t, seed=101)), (name, i)
+            eager._table._columns()
+            if not read:
+                continue
+            for _ in range(20):
+                source, dest = (int(x) for x in rng.choice(g.n, size=2, replace=False))
+                got = forward_outcome(lambda: deferred.forward(g, source, dest))
+                assert got == forward_outcome(lambda: eager.forward(g, source, dest)), (name, i)
+            for want, column in zip(eager._table._columns(), deferred._table._columns()):
+                assert column.dtype == want.dtype and column.tolist() == want.tolist(), (name, i)
 
 
 # ---------------------------------------------------------------------------
@@ -1174,9 +1252,9 @@ def test_a_table_entry_takes_sixteen_bytes_below_65536_nodes() -> None:
     after a round has merged its writes into the table."""
     g = random_graph(1000, seed=11)
     engine, _ = run_round(g, levels=math.ceil(math.log2(diameter(g).hops)))
-    table = engine._table
-    assert table.key.size > 0
-    assert sum(column.itemsize for column in table._columns()) == 16
+    columns = engine._table._columns()
+    assert columns[0].size > 0
+    assert sum(column.itemsize for column in columns) == 16
 
 
 def test_table_rejects_node_counts_whose_merge_ranks_overflow() -> None:
@@ -1350,12 +1428,12 @@ class SequentialRound:
 
     def __init__(self, engine: ProtocolEngine) -> None:
         self.engine = engine
-        table = engine._table
+        key, dist, hop, stamp = engine._table._columns()
         # node -> {(origin, level): (distance, next hop, stamp)}
         self.tables: list[dict[tuple[int, int], tuple[int, int, int]]] = [{} for _ in range(engine.n)]
-        cell, level = np.divmod(table.key, table.width)
+        cell, level = np.divmod(key, engine._table.width)
         origin, node = np.divmod(cell, engine.n)
-        columns = (origin, node, level, table.dist, table.hop, table.stamp)
+        columns = (origin, node, level, dist, hop, stamp)
         for o, v, lvl, *entry in zip(*(column.tolist() for column in columns)):
             self.tables[v][o, lvl] = tuple(entry)
 

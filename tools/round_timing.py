@@ -5,13 +5,15 @@ sqrt(n), links them within sqrt(2 ln n) (the static-routing layout of
 perfbench), takes the level count from the exact hop diameter with kappa 1,
 and times ``ProtocolEngine.beaconing_round`` on a fresh engine at t=0 (the
 first round, every level re-elected) and then at t=1 (gamma 0: only level 0
-re-elected). Each size is run ``--runs`` times; times are process CPU
-seconds. Each size also reports the routing-table entries per node after the
-t=1 round, summed from the ``table_entries`` column of
-``ProtocolEngine.dump_state_csv``. After the last run's t=1 round it
-forwards 1,000 seeded pairs, drawn as perfbench static-routing draws them,
-and reports forwards per process CPU second and probes per forward; a pair
-the layout leaves unconnected counts as a forward with no probes and is
+re-elected). A round leaves its level-0 flood cells to the table's first
+read, so after the t=1 round each run times ``ProtocolEngine.dump_state_csv``,
+which writes them before it builds the dump, as ``t1_write_s``. Each size is
+run ``--runs`` times; times are process CPU seconds. Each size also reports
+the routing-table entries per node after the t=1 round, summed from the
+dump's ``table_entries`` column. After the last run's t=1 round it forwards
+1,000 seeded pairs, drawn as perfbench static-routing draws them, and
+reports forwards per process CPU second and probes per forward; a pair the
+layout leaves unconnected counts as a forward with no probes and is
 reported in ``undelivered``. The result is printed as JSON.
 
     python3 tools/round_timing.py                      # n = 500, 1000, 2000, 4000, seed 41
@@ -49,15 +51,17 @@ def time_rounds(n: int, seed: int, runs: int) -> dict:
     g = bs.build_geometric_graph(positions, math.sqrt(2.0 * math.log(n)))
     levels = bs.ProtocolParams.levels_for_diameter(bs.diameter(g).hops)
     params = bs.ProtocolParams(kappa=1.0, levels=levels)
-    first, second = [], []
+    first, second, write = [], [], []
     for _ in range(runs):
         engine = bs.ProtocolEngine(n, params)
         for t, times in ((0, first), (1, second)):
             start = time.process_time()
             engine.beaconing_round(g, t, seed=seed + 2)
             times.append(round(time.process_time() - start, 4))
-    state = io.StringIO()
-    engine.dump_state_csv(state)
+        state = io.StringIO()
+        start = time.process_time()
+        engine.dump_state_csv(state)  # the first read writes the level-0 cells
+        write.append(round(time.process_time() - start, 4))
     state.seek(0)
     entries = sum(int(row["table_entries"]) for row in csv.DictReader(state))
     forwards_per_s, probes_per_forward, undelivered = time_forwards(engine, g, seed)
@@ -66,6 +70,7 @@ def time_rounds(n: int, seed: int, runs: int) -> dict:
         "edges": g.num_edges,
         "t0_s": first,
         "t1_s": second,
+        "t1_write_s": write,
         "t1_entries_per_node": round(entries / n, 1),
         "forwards_per_cpu_s": forwards_per_s,
         "probes_per_forward": probes_per_forward,
