@@ -32,10 +32,11 @@ one tie rule: per (origin, node, level) key the candidate lowest in (stale,
 distance, writer order) stays. An entry is stale when written at an earlier
 step; in writer order the entries already held come first, then the round's
 writes in pi order. Level-0 floods feed only the table, so the round
-searches their origins only as far as the nodes that rebroadcast, for the
-transmission count, and leaves their cells to the table's next read, which
-merges them at the round's step after the round's own writes; a round that
-clears level 0 first drops them unread.
+leaves their cells to the table's next read, which merges them at the
+round's step after the round's own writes, and their transmission count to
+the first read of the round's report, which takes it from the written cells
+or, where it comes first, from one search of its own; a round that clears
+level 0 first drops the cells unwritten.
 
 A forward probes in stages. A stage's candidates are the origins that one
 node holds entries for at or above a level and within a distance, nearest
@@ -69,7 +70,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import IO, NamedTuple, Optional
+from typing import IO, Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -210,9 +211,21 @@ class ProbeRecord(NamedTuple):
     terminus: int
 
 
+_COUNTED = frozenset(("control_packets", "control_bits", "flood_transmissions"))
+
+
 @dataclass(frozen=True)
 class RoundReport:
-    """Per-round tallies: who got elected where and what the control cost was."""
+    """Per-round tallies: who got elected where and what the control cost was.
+
+    A beaconing round's report counts its level-0 flood transmissions, and
+    with them ``flood_transmissions``, ``control_packets`` and
+    ``control_bits``, on the first read of any of the three: from the cells
+    of the table's level-0 write where that came first, else with a search
+    of its own (``_GroundFloods``). A report that is never read makes no
+    level-0 search. Counted, it holds what a report built with every field
+    holds, and lets go of the round's floods.
+    """
 
     gamma: int
     elected: dict[int, tuple[int, ...]]
@@ -223,6 +236,33 @@ class RoundReport:
     membership_hops: int
     registration_hops: int
 
+    @classmethod
+    def _uncounted(
+        cls, floods: "_GroundFloods", flood_tx: int, flood_bits: int, membership_bits: int, **fields
+    ) -> "RoundReport":
+        """A report without the three counted fields, which its first read
+        of one fills: the round's level-0 ``floods``, its ``flood_tx``
+        transmissions above level 0 and the two packet widths stand in."""
+        report = cls.__new__(cls)
+        report.__dict__.update(fields, _floods=(floods, flood_tx, flood_bits, membership_bits))
+        return report
+
+    def __getattr__(self, name: str):
+        # Reached only for a field not yet set: a counted one before its count.
+        uncounted = self.__dict__.get("_floods") if name in _COUNTED else None
+        if uncounted is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        floods, flood_tx, flood_bits, membership_bits = uncounted
+        flood_tx += floods.transmissions()
+        other = self.membership_hops + self.registration_hops
+        self.__dict__.update(
+            control_packets=flood_tx + other,
+            control_bits=flood_tx * flood_bits + other * membership_bits,
+            flood_transmissions=flood_tx,
+        )
+        del self.__dict__["_floods"]
+        return self.__dict__[name]
+
 
 @dataclass(frozen=True)
 class ForwardReceipt:
@@ -232,6 +272,40 @@ class ForwardReceipt:
     route_hops: int
     probe_transmissions: int
     probes: tuple[ProbeRecord, ...]
+
+
+class _GroundFloods:
+    """One round's level-0 floods: each of ``origins`` floods ``radius``
+    hops on ``g`` at step ``t``. The table's pending write (``_Table.defer``)
+    and the round's report both hold it. The write searches each origin once
+    (``cells``) and counts the transmissions from those cells: the nodes
+    within radius - 1 hops, which rebroadcast. A report read before that
+    write, or after a clear dropped it, counts them with a search of its own
+    to radius - 1 hops (``transmissions``). Once counted and written, the
+    graph is let go."""
+
+    __slots__ = ("t", "g", "origins", "radius", "count")
+
+    def __init__(self, t: int, g: ConnectivityGraph, origins: np.ndarray, radius: int) -> None:
+        self.t, self.g, self.origins, self.radius = t, g, origins, radius
+        self.count: Optional[int] = None
+
+    def transmissions(self) -> int:
+        if self.count is None:
+            self.count = sum(
+                int(np.count_nonzero(dist < self.radius))
+                for _, dist in bfs_blocks(self.g, self.origins, self.radius - 1)
+            )
+        return self.count
+
+    def cells(self) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+        """The floods' cells as ``graph._reach`` yields them, counted on the
+        way; after the last the graph is let go."""
+        count = 0
+        for cells in _reach(self.g, self.origins, self.radius):
+            count += int(np.count_nonzero(cells[2] < self.radius))
+            yield cells
+        self.count, self.g = count, None
 
 
 class _Table:
@@ -248,11 +322,11 @@ class _Table:
     read after a change. A probe stage's candidates (``candidates``) are kept
     per (node, level, distance) until the entries change.
 
-    A round's level-0 flood cells are held as a pending write (``defer``):
-    the step, the graph, the level-0 origins and their flood radius. Every
+    A round's level-0 floods are held as a pending write (``defer``). Every
     read (``entries``, ``lowest_levels``, ``by_node``, ``held_by``,
-    ``candidates``, ``merge`` and ``_columns``) first searches those origins
-    and merges their cells at that step, so the four columns are read
+    ``candidates``, ``merge`` and ``_columns``) first searches their origins
+    once, counting the round's level-0 transmissions from those cells, and
+    merges the cells at the round's step, so the four columns are read
     through ``_columns`` or after another read. ``clear`` drops the pending
     write unwritten: it clears level 0, the only level the write touches.
     """
@@ -265,8 +339,7 @@ class _Table:
         self._small = np.min_scalar_type(n)  # holds every node id and hop distance
         empty = np.empty(0, dtype=np.int64)
         self._set(empty, empty, empty, empty)
-        # (step, graph, level-0 origins, flood radius) of a deferred write
-        self._pending: Optional[tuple[int, ConnectivityGraph, np.ndarray, int]] = None
+        self._pending: Optional[_GroundFloods] = None
 
     def _set(self, key, dist, hop, stamp) -> None:
         self.key = key
@@ -280,20 +353,19 @@ class _Table:
         self._settle()
         return (self.key, self.dist, self.hop, self.stamp)
 
-    def defer(self, t: int, g: ConnectivityGraph, origins: np.ndarray, radius: int) -> None:
-        """Hold the level-0 flood of ``origins`` to ``radius`` hops on ``g``
-        at step ``t`` until the next read, which writes it."""
-        self._pending = (t, g, origins, radius)
+    def defer(self, floods: _GroundFloods) -> None:
+        """Hold a round's level-0 ``floods`` until the next read, which
+        writes them."""
+        self._pending = floods
 
     def _settle(self) -> None:
-        """Write the pending level-0 flood, if any: one ``merge`` at its
+        """Write the pending level-0 floods, if any: one ``merge`` at their
         step, so the round's registrations still win ties."""
         if self._pending is not None:
-            t, g, origins, radius = self._pending
-            self._pending = None
-            cells = _reach(g, origins, radius)
+            floods, self._pending = self._pending, None
+            cells = floods.cells()
             self.merge(
-                t, [self.run(origin, node, 0, dist, pred) for origin, node, dist, pred in cells]
+                floods.t, [self.run(origin, node, 0, dist, pred) for origin, node, dist, pred in cells]
             )
 
     def entries(self, origin: int, node: int) -> tuple[int, int]:
@@ -528,11 +600,15 @@ class ProtocolEngine:
         are cleared, then the registrations and flood cells are merged into
         it in one step: per (origin, node, level) key the entry written
         first in pi order stays unless a later one is strictly shorter, and
-        an entry from an earlier step yields to either. Level-0 origins are
-        searched to their flood radius - 1 hops only, which counts their
-        transmissions; their flood cells feed no join (level-0 joins read
-        closed neighbourhoods), so the table writes them on its next read,
-        as a second merge at step ``t``, with the same outcome.
+        an entry from an earlier step yields to either. Level-0 flood cells
+        feed no join (level-0 joins read closed neighbourhoods), so the
+        round searches no level-0 origin: the table writes their cells on
+        its next read, as a second merge at step ``t`` with the same
+        outcome, and the returned report counts their transmissions on its
+        first read, from those cells where the write came first, else with
+        one search of its own to radius - 1 hops. A round whose report is
+        never read, and whose table is not read before the next round clears
+        level 0, makes no level-0 search.
         """
         self._check_graph(g)
         if t < 0:
@@ -555,9 +631,9 @@ class ProtocolEngine:
 
         # Every origin above level 0 floods at its own level, one search per
         # block of origins; their cover balls are kept, as they decide every
-        # join above level 0. A level-0 flood feeds only the table, so the
-        # round counts its transmissions (the nodes within radius - 1 hops
-        # rebroadcast) and leaves its cells to the table's next read.
+        # join above level 0. A level-0 flood feeds only the table, so its
+        # cells are left to the table's next read and its transmissions to
+        # the report's first read.
         table = self._table
         flood_tx = 0
         floods = []
@@ -569,10 +645,6 @@ class ProtocolEngine:
                 floods.append(table.run(origin, node, level, dist, pred))
                 near = np.flatnonzero(dist <= params.cover_radius(level))
                 covers.append((origin[near], node[near], dist[near], pred[near]))
-        ground = np.flatnonzero(beta == 0)
-        radius = self._flood_radius(0)
-        for _, dist in bfs_blocks(g, ground, radius - 1):
-            flood_tx += int(np.count_nonzero(dist < radius))
         origin, node, dist, pred = (np.concatenate(column) for column in zip(*covers))
         order = np.argsort(origin * n + node, kind="stable")  # merges the level runs
         covers = tuple(column[order] for column in (origin, node, dist, pred))
@@ -592,7 +664,8 @@ class ProtocolEngine:
         )
         table.clear(gamma)
         table.merge(t, [registered, *floods])
-        table.defer(t, g, ground, self._flood_radius(0))
+        ground = _GroundFloods(t, g, np.flatnonzero(beta == 0), self._flood_radius(0))
+        table.defer(ground)
 
         self._next_hops.clear()
         self._reverse.clear()
@@ -601,26 +674,19 @@ class ProtocolEngine:
         self._member_dist[joiner, join_level] = join_dist
         self._member_step[joiner, join_level] = t
 
-        membership_hops = int(join_dist.sum())
-        control_bits = (
-            flood_tx * params.flood_packet_bits(n, lb=lb)
-            + membership_hops * params.membership_packet_bits(n)
-        )
         self._assert_cover_complete()
         self._assert_separation(g, elected)
-        registration_hops = 0
-        if lb:
-            registration_hops = self._rebuild_lb_store(levels)
-            control_bits += registration_hops * params.membership_packet_bits(n)
+        registration_hops = self._rebuild_lb_store(levels) if lb else 0
 
-        return RoundReport(
+        return RoundReport._uncounted(
+            ground,
+            flood_tx,
+            params.flood_packet_bits(n, lb=lb),
+            params.membership_packet_bits(n),
             gamma=gamma,
             elected={level: tuple(sorted(nodes)) for level, nodes in elected.items()},
-            control_packets=flood_tx + membership_hops + registration_hops,
-            control_bits=control_bits,
-            flood_transmissions=flood_tx,
             membership_packets=int(np.count_nonzero(join_dist)),
-            membership_hops=membership_hops,
+            membership_hops=int(join_dist.sum()),
             registration_hops=registration_hops,
         )
 

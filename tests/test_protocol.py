@@ -1092,15 +1092,17 @@ def test_probe_reverse_state_does_not_outlive_a_round() -> None:
 @pytest.mark.parametrize("mode", ["plain", "load_balanced"])
 def test_each_origin_is_searched_once_at_its_own_flood_radius(monkeypatch, mode: str):
     """A round searches every origin above level 0 once with predecessors,
-    at the flood radius of the level it ends the round at, and every level-0
-    origin once without predecessors, to radius - 1 hops (the nodes that
-    rebroadcast), in searches of at most ``_BFS_BLOCK`` origins: on a first
+    at the flood radius of the level it ends the round at, in searches of at
+    most ``_BFS_BLOCK`` origins, and no level-0 origin at all: on a first
     round (every level open) and on the rounds after it, where the levels
     above gamma stay put. The table's first read after the round searches
     every level-0 origin once with predecessors at its flood radius, and a
-    second read searches nothing. A round that clears level 0 before any
-    read drops the pending cells, so no level-0 origin of the round before
-    it is searched with predecessors."""
+    second read searches nothing. The report counts the level-0
+    transmissions on its first read: after the table's first read with no
+    search, before it with one search per level-0 origin without
+    predecessors to radius - 1 hops (the nodes that rebroadcast), and so
+    after a clear dropped the write. An unread round whose table the next
+    round clears unread makes no level-0 search of any kind."""
     import beaconsim.graph as graph
 
     g = random_graph(700, seed=5)
@@ -1114,34 +1116,60 @@ def test_each_origin_is_searched_once_at_its_own_flood_radius(monkeypatch, mode:
         searches.append((bool(kwargs.get("return_predecessors")), kwargs.get("limit"), sources))
         return real_dijkstra(csgraph, **kwargs)
 
+    def level_0_searches(ground: list[int]) -> tuple[list[int], list[int]]:
+        """The sources of the recorded searches from level-0 origins at
+        their flood radius with predecessors, and at radius - 1 without."""
+        written, counted = [], []
+        for predecessors, limit, sources in searches:
+            if set(sources) <= set(ground):  # the round's own start from nodes above level 0
+                assert len(sources) <= graph._BFS_BLOCK
+                if predecessors and limit == radius(0):
+                    written.extend(sources)
+                elif not predecessors and limit == radius(0) - 1:
+                    counted.extend(sources)
+        return sorted(written), sorted(counted)
+
+    def read_table_twice(ground: list[int]) -> None:
+        searches.clear()
+        engine.dump_state_csv(io.StringIO())
+        assert {(p, limit) for p, limit, _ in searches} == {(True, float(radius(0)))}
+        assert level_0_searches(ground) == (ground, [])
+        searches.clear()
+        engine.dump_state_csv(io.StringIO())
+        assert not searches
+
+    def read_report(report: RoundReport, counted: list[int]) -> None:
+        searches.clear()
+        assert report.flood_transmissions > 0
+        assert level_0_searches(counted) == ([], counted)
+        assert len(searches) == math.ceil(len(counted) / graph._BFS_BLOCK)
+        searches.clear()
+        assert report.control_packets > report.flood_transmissions and report.control_bits > 0
+        assert not searches
+
     monkeypatch.setattr(graph, "dijkstra", recording_dijkstra)
     radius = engine.params.lb_flood_radius if mode == "load_balanced" else engine.params.flood_radius
-    for t in range(3):  # t = 1 clears level 0, and so does t = 2 before reading
+    reports, grounds = [], []
+    for t in range(4):
         searches.clear()
-        engine.beaconing_round(g, t=t, seed=37)
-        ground = [u for u in range(g.n) if engine.beacon_level(u) == 0]
-        above, rebroadcast = [], []
+        reports.append(engine.beaconing_round(g, t=t, seed=37))
+        grounds.append([u for u in range(g.n) if engine.beacon_level(u) == 0])
+        above = [u for predecessors, _, sources in searches if predecessors for u in sources]
         for predecessors, limit, sources in searches:
             if predecessors:
                 assert 1 <= len(sources) <= graph._BFS_BLOCK
                 assert {float(radius(engine.beacon_level(u))) for u in sources} == {limit}
-                above.extend(sources)
-            elif limit == radius(0) - 1 and engine.beacon_level(sources[0]) == 0:
-                # the election and separation searches start from nodes above level 0
-                assert len(sources) <= graph._BFS_BLOCK
-                assert all(engine.beacon_level(u) == 0 for u in sources)
-                rebroadcast.extend(sources)
-        assert sorted(above) == sorted(set(range(g.n)) - set(ground)), t
-        assert sorted(rebroadcast) == ground, t
-        if t == 1:
-            continue  # no read: the next round clears level 0 first
-        searches.clear()
-        engine.dump_state_csv(io.StringIO())
-        assert {(p, limit) for p, limit, _ in searches} == {(True, float(radius(0)))}, t
-        assert sorted(u for *_, sources in searches for u in sources) == ground, t
-        searches.clear()
-        engine.dump_state_csv(io.StringIO())
-        assert not searches, t
+        assert sorted(above) == sorted(set(range(g.n)) - set(grounds[t])), t
+        assert level_0_searches(grounds[t]) == ([], []), t
+        if t == 0:  # the report first, then the table
+            read_report(reports[t], grounds[t])
+            read_table_twice(grounds[t])
+        elif t == 1:  # the table first, then the report
+            read_table_twice(grounds[t])
+            read_report(reports[t], [])
+        elif t == 3:  # t = 2 was not read and its write is dropped unwritten
+            assert level_0_searches(grounds[2]) == ([], []), t
+            read_report(reports[2], grounds[2])
     assert len({level for level in map(engine.beacon_level, range(g.n))}) > 2
 
 
@@ -1175,27 +1203,104 @@ def deferred_runs():
 
 @pytest.mark.parametrize("mode", ["plain", "load_balanced"])
 def test_deferred_level_0_writes_match_a_table_read_after_every_round(mode: str) -> None:
-    """An engine whose table is read after every round, so each round's
-    level-0 flood is written before the next round, and one read only after
-    some rounds give equal reports (or errors), equal receipts (or errors)
-    and equal table columns wherever the second is read."""
+    """An engine whose table and report are read after every round, so each
+    round's level-0 flood is counted by a search of the report's own and
+    written before the next round, and engines read only after some rounds
+    give equal reports (or errors), equal receipts (or errors) and equal
+    table columns wherever they are read. Three deferred engines read their
+    reports at three points: as the round returns (the report's own count),
+    after the round's forwards (counted from the write's cells where there
+    were forwards) and after the next round (the write dropped or merged by
+    then); each must equal the eager report, by ``==`` and by repr."""
+
+    def round_outcome(engine: ProtocolEngine, g: ConnectivityGraph, t: int):
+        try:
+            return engine.beaconing_round(g, t=t, seed=101)
+        except (ParameterError, ProtocolInvariantError) as exc:
+            return exc
+
+    def assert_same(got, want, where) -> None:
+        assert repr(got) == repr(want), where
+        if isinstance(want, RoundReport):
+            assert got == want, where
+
     for name, graphs, nu, steps in deferred_runs():
-        eager = ProtocolEngine(graphs[0].n, make_params(3, nu=nu), mode=mode)
-        deferred = ProtocolEngine(graphs[0].n, make_params(3, nu=nu), mode=mode)
+        eager, *deferred = (
+            ProtocolEngine(graphs[0].n, make_params(3, nu=nu), mode=mode) for _ in range(4)
+        )
         rng = np.random.default_rng(97)
+        unread = None  # the report of the round before, kept unread
         for i, (t, read) in enumerate(steps):
             g = graphs[i]
-            got = outcome(lambda: deferred.beaconing_round(g, t=t, seed=101))
-            assert got == outcome(lambda: eager.beaconing_round(g, t=t, seed=101)), (name, i)
+            want = round_outcome(eager, g, t)
+            repr(want)  # counts with the report's own search, before the write
             eager._table._columns()
-            if not read:
-                continue
-            for _ in range(20):
-                source, dest = (int(x) for x in rng.choice(g.n, size=2, replace=False))
-                got = forward_outcome(lambda: deferred.forward(g, source, dest))
-                assert got == forward_outcome(lambda: eager.forward(g, source, dest)), (name, i)
-            for want, column in zip(eager._table._columns(), deferred._table._columns()):
-                assert column.dtype == want.dtype and column.tolist() == want.tolist(), (name, i)
+            at_once, after_forwards, after_next = (round_outcome(e, g, t) for e in deferred)
+            assert_same(at_once, want, (name, i, "at once"))
+            if unread is not None:
+                assert_same(*unread, (name, i - 1, "after the next round"))
+            unread = (after_next, want)
+            if read:
+                for _ in range(20):
+                    source, dest = (int(x) for x in rng.choice(g.n, size=2, replace=False))
+                    expected = forward_outcome(lambda: eager.forward(g, source, dest))
+                    for engine in deferred:
+                        got = forward_outcome(lambda: engine.forward(g, source, dest))
+                        assert got == expected, (name, i)
+                for engine in deferred:
+                    for want_column, column in zip(eager._table._columns(), engine._table._columns()):
+                        assert column.dtype == want_column.dtype, (name, i)
+                        assert column.tolist() == want_column.tolist(), (name, i)
+            assert_same(after_forwards, want, (name, i, "after the forwards"))
+        assert_same(*unread, (name, "last", "after the run"))
+
+
+@pytest.mark.parametrize("mode", ["plain", "load_balanced"])
+def test_a_counted_report_lets_go_of_its_rounds_graph(mode: str) -> None:
+    """Once a round's report is counted and the table has written or dropped
+    the round's level-0 cells, nothing of the engine's or the report's holds
+    the round's graph: whether the report counted first (nu = 1) or the
+    table's write counted for it (after forwards, or a gamma = -1 round's
+    merge with nu = 2, the report still unread). A report dropped unread
+    holds no graph past the next round."""
+    import gc
+    import weakref
+
+    def forward_some(engine: ProtocolEngine, g: ConnectivityGraph) -> None:
+        for source, dest in ((0, 60), (7, 101), (33, 2)):
+            engine.forward(g, source, dest)
+
+    def dead(ref: weakref.ref) -> bool:
+        gc.collect()
+        return ref() is None
+
+    engine = ProtocolEngine(120, make_params(3), mode=mode)
+    g = random_graph(120, seed=3)
+    report, ref = engine.beaconing_round(g, t=0, seed=37), weakref.ref(g)
+    assert report.flood_transmissions > 0  # counted before any table read
+    g = random_graph(120, seed=5)
+    kept = [report]
+    report = engine.beaconing_round(g, t=1, seed=37)  # drops t = 0's write
+    assert dead(ref)
+    forward_some(engine, g)  # writes t = 1's cells, which count the report
+    kept.append(report)
+    ref = weakref.ref(g)
+    g = random_graph(120, seed=7)
+    engine.beaconing_round(g, t=2, seed=37)  # its report is dropped unread
+    forward_some(engine, g)
+    assert dead(ref) and kept[1].flood_transmissions > 0
+    ref = weakref.ref(g)
+    g = random_graph(120, seed=11)
+    engine.beaconing_round(g, t=3, seed=37)
+    forward_some(engine, g)
+    assert dead(ref)
+
+    engine = ProtocolEngine(120, make_params(3, nu=2), mode=mode)
+    g = random_graph(120, seed=3)
+    unread, ref = engine.beaconing_round(g, t=0, seed=37), weakref.ref(g)
+    g = random_graph(120, seed=5)
+    engine.beaconing_round(g, t=1, seed=37)  # gamma = -1 merges t = 0's write
+    assert dead(ref) and unread.flood_transmissions > 0
 
 
 # ---------------------------------------------------------------------------
