@@ -6,7 +6,9 @@ mobility, layout, protocol parameters, step count, per-step pair samples, and
 four independent seed roles (placement, mobility, permutation, sampling).
 run_simulation executes the rounds and returns a MetricsSeries whose recorded
 window starts after every beacon level has refreshed at least once when nodes
-move. Experiment presets aggregate runs into the standard tables: control
+move. A full refresh leaves state that no earlier round reaches, so rounds
+before the last full refresh at or before the warm-up's end only move nodes.
+Experiment presets aggregate runs into the standard tables: control
 overhead against a 100*log2(n) envelope, the stretch distribution, and the
 cover-growth contrast between radius regimes. Everything is deterministic
 given the config, down to byte-identical CSV output.
@@ -428,10 +430,20 @@ def _is_mobile(config: SimConfig) -> bool:
     return config.max_speed > 0.0 and config.topology == "plain"
 
 
-def _warmup(config: SimConfig, levels: int) -> int:
+def _params(config: SimConfig, levels: int) -> ProtocolParams:
+    return ProtocolParams(
+        kappa=config.kappa,
+        levels=levels,
+        nu=config.nu,
+        alpha_hat=config.alpha_hat,
+    )
+
+
+def _warmup(config: SimConfig, params: ProtocolParams) -> int:
     """Rounds before recording starts: when nodes move, long enough for every
-    level to refresh at least once."""
-    return max(config.nu * 2**levels, 10) if _is_mobile(config) else 0
+    level to refresh at least once. The run beacons from the last full
+    refresh at or before this round; earlier rounds only move nodes."""
+    return max(params.refresh_period(params.levels), 10) if _is_mobile(config) else 0
 
 
 def _initial_graph(layout: _Layout) -> ConnectivityGraph:
@@ -468,7 +480,12 @@ def run_simulation(config: SimConfig) -> MetricsSeries:
 
     Each round: one mobility step (after the first round), a fresh
     connectivity graph, one beaconing round, then ``pair_samples`` forwards
-    with a same-step BFS oracle as the stretch denominator. The round's pairs
+    with a same-step BFS oracle as the stretch denominator. A mobile run
+    beacons from the last full refresh (a multiple of nu * 2**L) at or
+    before the warm-up's end: that round leaves the same state whatever came
+    before it, so the rounds before it only move nodes, with no graph and
+    no beaconing round. The protocol's invariants are asserted after every
+    round the run executes. The round's pairs
     are drawn first and their distinct sources searched together. Draws whose
     endpoints sit in different components are skipped and counted. Delivered
     routes are re-validated by the protocol engine and must stay within the
@@ -482,14 +499,10 @@ def run_simulation(config: SimConfig) -> MetricsSeries:
     positions = layout.positions
     g = _initial_graph(layout)
     levels = _levels_for(config, g)
-    params = ProtocolParams(
-        kappa=config.kappa,
-        levels=levels,
-        nu=config.nu,
-        alpha_hat=config.alpha_hat,
-    )
+    params = _params(config, levels)
     mobile = _is_mobile(config)
-    warmup = _warmup(config, levels)
+    warmup = _warmup(config, params)
+    first = warmup - warmup % params.refresh_period(levels)
     if config.steps <= warmup and mobile:
         raise ParameterError(
             f"steps={config.steps} leaves no recorded rounds after the "
@@ -498,7 +511,9 @@ def run_simulation(config: SimConfig) -> MetricsSeries:
     engine = ProtocolEngine(m, params, mode=config.protocol_mode)
     model = _mobility_model(config) if mobile else None
     recorded: list[StepMetrics] = []
-    for t in range(config.steps):
+    for t in range(1, first):  # the full refresh at ``first`` overwrites these rounds
+        positions = step(model, positions, layout.domain, seed=config.mobility_seed, t=t)
+    for t in range(first, config.steps):
         if mobile and t > 0:
             positions = step(model, positions, layout.domain, seed=config.mobility_seed, t=t)
             g = build_geometric_graph(positions, layout.r_n)
@@ -572,7 +587,8 @@ def experiment_overhead_scaling(
         for k in range(trials):
             cfg = replace(base_config, n=n).with_seed(base_config.placement_seed + k)
             levels = _levels_for(cfg, _initial_graph(_build_layout(cfg)))
-            cfg = replace(cfg, levels=levels, steps=_warmup(cfg, levels) + base_config.steps)
+            warmup = _warmup(cfg, _params(cfg, levels))
+            cfg = replace(cfg, levels=levels, steps=warmup + base_config.steps)
             series = run_simulation(cfg)
             values.extend(st.control_packets_per_node for st in series.steps)
         mean = float(np.mean(values))

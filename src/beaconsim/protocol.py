@@ -124,6 +124,12 @@ class ProtocolParams:
     their parents). ``levels`` fixes the top level L; ``nu`` scales the
     refresh cadence; ``alpha_hat`` feeds the probe-overhead factor ``mu``.
 
+    Level j refreshes in every round at a multiple of ``refresh_period(j)``
+    = nu * 2**j. A round at a multiple of ``refresh_period(levels)`` is a
+    full refresh: it re-elects every level and clears every membership and
+    routing entry before it writes, so the state it leaves depends only on
+    its graph, step and seed, not on any round before it.
+
     A load-balanced flood also carries the id of the origin's parent beacon.
     That field is counted in ``flood_packet_bits(lb=True)`` but not stored:
     chain steps are read from the memberships.
@@ -162,6 +168,10 @@ class ProtocolParams:
 
     def cover_radius(self, level: int) -> int:
         return 2**level
+
+    def refresh_period(self, level: int) -> int:
+        """Rounds between two refreshes of ``level``: nu * 2**level."""
+        return self.nu << level
 
     def flood_radius(self, level: int) -> int:
         return math.ceil(self.kappa * 3 * 2**level)
@@ -618,7 +628,7 @@ class ProtocolEngine:
         n = self.n
         lb = self.mode == "load_balanced"
 
-        qualifying = [j for j in range(levels + 1) if t % (params.nu << j) == 0]
+        qualifying = [j for j in range(levels + 1) if t % params.refresh_period(j) == 0]
         gamma = max(qualifying) if qualifying else -1
         held = self._beacon.copy()  # memberships as the round starts
         held[:, : gamma + 1] = -1

@@ -220,35 +220,53 @@ def test_same_config_twice_is_identical():
     assert a == b
 
 
-def test_driver_loop_matches_direct_composition():
+def check_driver_loop(monkeypatch, nu: int, T: int, first: int) -> None:
     # Independent replication of the documented driver semantics: uniform
     # placement with the placement seed, one mobility step per round after
     # the first, a fresh geometric graph each round, one beaconing round
     # keyed by the permutation seed, and pair sampling without replacement
     # from a generator keyed by (sampling seed, step). Metrics recorded only
     # once every level has refreshed (max(nu * 2^L, 10) steps when mobile).
-    n, T, pairs = 60, 13, 5
+    # The replication runs every round from t=0; the driver beacons only
+    # from the last full refresh at or before the warm-up's end.
+    n, pairs = 60, 5
     cfg = SimConfig(
         n=n,
         radius_mode="supercritical",
         epsilon=3.0,
         max_speed=1.0,
+        nu=nu,
         steps=T,
         pair_samples=pairs,
     ).with_seed(30)
+    calls = {"round": 0, "graph": 0, "step": 0}
+
+    def spy(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    monkeypatch.setattr(ProtocolEngine, "beaconing_round", spy("round", ProtocolEngine.beaconing_round))
+    monkeypatch.setattr(harness, "build_geometric_graph", spy("graph", harness.build_geometric_graph))
+    monkeypatch.setattr(harness, "step", spy("step", harness.step))
     series = run_simulation(cfg)
+    monkeypatch.undo()
+    assert calls == {"round": T - first, "graph": T - first + 1, "step": T - 1}
 
     domain = DomainSpec.for_nodes(n)
     r_n = math.sqrt(4.0 * math.log(n))
     positions = sample_uniform_positions(n, domain, seed=30)
     g0 = build_geometric_graph(positions, r_n)
     levels = max(0, math.ceil(math.log2(max(diameter(g0).hops, 1))))
-    warmup = max(2**levels, 10)
-    assert series.levels == levels
+    warmup = max(nu * 2**levels, 10)
+    assert series.levels == levels == 2
     assert series.warmup == warmup
+    assert first == warmup - warmup % (nu * 2**levels)
     assert len(series.steps) == T - warmup
 
-    params = ProtocolParams(kappa=1.0, levels=levels)
+    params = ProtocolParams(kappa=1.0, levels=levels, nu=nu)
     engine = ProtocolEngine(n, params)
     model = RandomWalk(max_speed=1.0)
     recorded = []
@@ -274,6 +292,16 @@ def test_driver_loop_matches_direct_composition():
     for st, (_, packets, samples) in zip(series.steps, recorded):
         assert st.control_packets_per_node == pytest.approx(packets)
         assert st.stretch_samples == samples
+
+
+def test_driver_loop_matches_direct_composition(monkeypatch):
+    # L = 2: the last full refresh, t = 8, comes before the warm-up's end
+    check_driver_loop(monkeypatch, nu=1, T=13, first=8)
+
+
+def test_driver_loop_skips_every_warmup_round_when_the_warmup_is_a_full_refresh(monkeypatch):
+    # nu * 2**L = 16 is the warm-up itself
+    check_driver_loop(monkeypatch, nu=4, T=18, first=16)
 
 
 def test_mobile_run_requires_room_after_warmup():

@@ -2074,3 +2074,46 @@ def test_staged_probes_match_the_per_candidate_reference(mode: str) -> None:
     paths = ("broken", "dest_skipped", "firm_skipped", "widened", "ring_search")
     assert all(seen[path] for path in paths), seen
     assert seen["chain_broken"] or mode == "plain", seen
+
+
+# ---------------------------------------------------------------------------
+# Full refresh: the state a round at a multiple of nu * 2**L leaves
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("nu", [1, 2])
+@pytest.mark.parametrize("mode", ["plain", "load_balanced"])
+def test_a_full_refresh_leaves_the_state_of_a_fresh_engine(mode: str, nu: int) -> None:
+    """An engine that ran rounds 0..P-1 on moving graphs, with forwards
+    between them, and then round P = nu * 2**L on graph G holds what a fresh
+    engine holds after its one round P on G: the same state, report and
+    receipts."""
+    n = 100
+    domain = DomainSpec(side=math.sqrt(n), n=n)
+    positions = sample_uniform_positions(n, domain, 83)
+    r_n = math.sqrt(2.0 * math.log(n))
+    g = build_geometric_graph(positions, r_n)
+    params = make_params(ProtocolParams.levels_for_diameter(diameter(g).hops), nu=nu)
+    full = params.refresh_period(params.levels)
+    rng = np.random.default_rng(89)
+    history = ProtocolEngine(n, params, mode=mode)
+    for t in range(full):
+        if t > 0:
+            positions = step(RandomWalk(max_speed=1.0), positions, domain, seed=97, t=t)
+            g = build_geometric_graph(positions, r_n)
+        history.beaconing_round(g, t=t, seed=101)
+        for _ in range(5):
+            source, dest = (int(x) for x in rng.choice(n, size=2, replace=False))
+            forward_outcome(lambda: history.forward(g, source, dest))
+    positions = step(RandomWalk(max_speed=1.0), positions, domain, seed=97, t=full)
+    g = build_geometric_graph(positions, r_n)
+    fresh = ProtocolEngine(n, params, mode=mode)
+    reports = [repr(engine.beaconing_round(g, t=full, seed=101)) for engine in (history, fresh)]
+    assert reports[0] == reports[1]
+    assert f"gamma={params.levels}," in reports[0]
+    assert engine_observables(history) == engine_observables(fresh)
+    pairs = [tuple(int(x) for x in rng.choice(n, size=2, replace=False)) for _ in range(40)]
+    for source, dest in pairs:
+        got = forward_outcome(lambda: history.forward(g, source, dest))
+        assert got == forward_outcome(lambda: fresh.forward(g, source, dest)), (source, dest)
+    assert engine_observables(history) == engine_observables(fresh)
