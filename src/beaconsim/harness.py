@@ -35,7 +35,7 @@ from .graph import (
     estimate_doubling_dimension,
 )
 from .mobility import Lockstep, RandomWalk, RandomWaypoint, step
-from .protocol import ProtocolEngine, ProtocolParams
+from .protocol import _MODES, ProtocolEngine, ProtocolParams
 from .topology import comb_udg, remove_squarelets, subcritical_positions, wall_graph, wall_topology
 
 __all__ = [
@@ -65,7 +65,6 @@ __all__ = [
 _RADIUS_MODES = ("supercritical", "subcritical", "fixed")
 _MOBILITY_MODELS = ("random_walk", "lockstep", "random_waypoint")
 _TOPOLOGIES = ("plain", "wall", "holes", "comb")
-_PROTOCOL_MODES = ("plain", "load_balanced")
 _STATIC_TOPOLOGIES = ("wall", "holes", "comb")
 
 
@@ -133,9 +132,9 @@ class SimConfig:
             )
         if self.hole_width < 0.0:
             raise ParameterError(f"hole_width must be >= 0, got {self.hole_width}")
-        if self.protocol_mode not in _PROTOCOL_MODES:
+        if self.protocol_mode not in _MODES:
             raise ParameterError(
-                f"protocol_mode must be one of {_PROTOCOL_MODES}, "
+                f"protocol_mode must be one of {_MODES}, "
                 f"got {self.protocol_mode!r}"
             )
         if not (self.kappa > 0.0 and math.isfinite(self.kappa)):

@@ -55,9 +55,9 @@ checked against the graph's sorted edge keys) is resolved the first time a
 look-up reaches that node and kept in a per-origin dict, so a later hop
 through the node is one dict lookup. Resolved entries hold for one table
 state and one graph: a beaconing round and a look-up on another graph each
-clear them. Walks still leave reverse entries at the nodes they cross, one
-origin -> {node: next hop} dict that each round clears, which a later walk
-follows only where a node has no table entry.
+clear them. A walk follows table entries only and leaves nothing behind; a
+node with no entry toward the relay breaks it. A probe's reply returns along
+the walked path and is counted as transmissions, not stored.
 
 Cost accounting is explicit: a round's control bits are its flood
 transmissions times the flood packet width plus its membership and
@@ -539,9 +539,6 @@ class ProtocolEngine:
         self._member_step = np.zeros((n, params.levels + 1), dtype=np.int64)
         # every node's routing entries, from floods and registrations alike
         self._table = _Table(n, params.levels)
-        # origin -> {node: next hop toward the origin}: reverse state that
-        # probe walks from the origin left behind; a round clears it
-        self._reverse: dict[int, dict[int, int]] = {}
         # Load-balanced mode: the node that stores each (member, level)
         # identifier, -1 until a load-balanced round runs
         self._lb_holder = np.full((n, params.levels + 1), -1, dtype=np.int64)
@@ -678,7 +675,6 @@ class ProtocolEngine:
         table.defer(ground)
 
         self._next_hops.clear()
-        self._reverse.clear()
         self._beacon_level[:] = beta
         self._beacon = joined
         self._member_dist[joiner, join_level] = join_dist
@@ -915,26 +911,19 @@ class ProtocolEngine:
         hop = table.hop.item(best)
         return table.key.item(best) % table.width, hop if self._is_edge(node, hop) else -1
 
-    def _reverse_entry(self, node: int, origin: int) -> Optional[tuple[int, int]]:
-        """The last resort: reverse state that a probe from ``origin`` left at
-        ``node``, at level -1."""
-        back = self._reverse.get(origin, {}).get(node)
-        if back is None:
-            return None
-        return (-1, back if self._is_edge(node, back) else -1)
-
     def _walk(self, source: int, relay: int, budget: int) -> tuple[bool, list[int]]:
         """Follow table next hops from ``source`` to ``relay`` on the graph
-        last given to ``_edge_keys``, at most ``budget`` hops, leaving
-        temporary reverse entries behind. Returns (arrived, path)."""
+        last given to ``_edge_keys``, at most ``budget`` hops. A walk reads
+        only the table's resolved entries and leaves no state behind, so its
+        outcome depends on the table state, the graph, the source, the relay
+        and the budget alone. Returns (arrived, path)."""
         toward = self._next_hops[relay]
         # Past n hops, stale tables sent the packet in a circle.
         limit = budget if budget < self.n else self.n
-        reverse = self._reverse.setdefault(source, {})
         path = [source]
         node = source
         while node != relay:
-            entry = toward[node] or self._reverse_entry(node, relay)
+            entry = toward[node]
             if entry is None or entry[1] < 0 or len(path) > limit:
                 if entry is None and node == source:
                     # a walk starts only toward a relay the source holds an entry for
@@ -943,7 +932,6 @@ class ProtocolEngine:
                     )
                 return False, path
             node = entry[1]
-            reverse[node] = path[-1]
             path.append(node)
         return True, path
 
@@ -984,8 +972,8 @@ class ProtocolEngine:
 
         In plain mode the table answers for every relay in one search before
         the first walk. In load-balanced mode an arriving question travels on
-        down the relay's identifier chain, whose walks leave reverse state
-        that later walks may follow, so each chain terminus is asked in turn.
+        down the relay's identifier chain, so each chain terminus is asked in
+        turn.
         Where ``attempted`` is given, a relay it marks firm is skipped, and
         each probe marks its relay firm unless the probe broke."""
         if not relays.size:
@@ -1024,17 +1012,16 @@ class ProtocolEngine:
     def _probe_dest(
         self, node: int, dest: int, level: Optional[int], probes: list[ProbeRecord]
     ) -> Optional[list[int]]:
-        """Probe ``dest`` straight from ``node``, along the entry ``node``
-        follows toward it (probe-installed reverse state, at level -1, as the
-        last resort) and within the flood radius of that entry's level, at
-        least level 0; the destination answers for itself once the walk
+        """Probe ``dest`` straight from ``node``, along the table entry
+        ``node`` follows toward it and within the flood radius of that
+        entry's level; the destination answers for itself once the walk
         arrives. The probe is appended to ``probes`` at ``level``, or at the
         radius' level where ``level`` is None. Returns the path walked if the
         walk arrived, None if it broke or ``node`` holds no entry."""
-        entry = self._next_hops[dest][node] or self._reverse_entry(node, dest)
+        entry = self._next_hops[dest][node]
         if entry is None:
             return None
-        lowest = max(entry[0], 0)
+        lowest = entry[0]
         arrived, path = self._walk(node, dest, self._flood_radius(lowest))
         recorded = lowest if level is None else level
         probes.append(ProbeRecord(dest, recorded, arrived, not arrived, 2 * (len(path) - 1), dest))

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import math
+import re
 from collections import deque
 from dataclasses import replace
 
@@ -94,7 +95,9 @@ def test_config_rejects_bad_fields():
         SimConfig(n=50, mobility_model="teleport")
     with pytest.raises(ParameterError):
         SimConfig(n=50, topology="moat")
-    with pytest.raises(ParameterError):
+    # the engine's mode list names the valid modes, in the config's words
+    wrong_mode = "protocol_mode must be one of ('plain', 'load_balanced'), got 'broadcast'"
+    with pytest.raises(ParameterError, match=re.escape(wrong_mode)):
         SimConfig(n=50, protocol_mode="broadcast")
     with pytest.raises(ParameterError):
         SimConfig(n=50, theta=0.0)

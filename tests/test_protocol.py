@@ -299,7 +299,6 @@ def test_probe_at_source_is_local_and_free():
     record, hit = probe(engine, g, source=0, relay=0, dest=3, level=2)
     assert record == ProbeRecord(relay=0, level=2, success=True, broken=False, transmissions=0, terminus=0)
     assert hit == (0, 0, [0])
-    assert engine._reverse[0] == {}  # nothing walked
 
 
 def test_probe_follows_entries_and_counts_round_trip():
@@ -309,7 +308,6 @@ def test_probe_follows_entries_and_counts_round_trip():
     # past the level-0 flood radius 3).
     record, hit = probe(engine, g, source=0, relay=3, dest=8, level=0)
     # Three hops out, a negative answer, three hops back.
-    assert engine._reverse[0] == {1: 0, 2: 1, 3: 2}
     assert record.transmissions == 6
     assert not record.success and not record.broken and hit is None
 
@@ -993,7 +991,7 @@ def test_resolved_next_hops_match_the_scalar_key_rule(mode: str) -> None:
             positions = step(model, positions, domain, seed=31, t=t)
             g = build_geometric_graph(positions, r_n)
         report = engine.beaconing_round(g, t=t, seed=37)
-        for _ in range(5):  # walks resolve entries and leave reverse state behind
+        for _ in range(5):  # walks resolve entries
             source, dest = (int(x) for x in rng.choice(n, size=2, replace=False))
             if not math.isinf(bfs_oracle(g, source)[dest]):
                 engine.forward(g, source=source, dest=dest)
@@ -1070,23 +1068,45 @@ def test_stage_candidates_do_not_outlive_a_round_or_a_graph() -> None:
     forward_and_check(random_graph(120, seed=5))
 
 
-def test_probe_reverse_state_does_not_outlive_a_round() -> None:
-    g = random_graph(120, seed=3)
-    levels = math.ceil(math.log2(diameter(g).hops))
-    engine, _ = run_round(g, levels=levels, seed=37)
-    source = 0
-    table = engine._table
-    held, origins, _ = table.held_by(source)
-    relay = origins.item(np.argmax(table.dist[held]))  # the farthest origin
-    record, hit = probe(engine, g, source, relay, relay, levels)
-    assert not record.broken and hit is not None
-    path = hit[2]
-    assert len(path) >= 3
-    # Every node the walk crossed now points back toward the source.
-    for back, node in zip(path, path[1:]):
-        assert engine._reverse_entry(node, source) == (-1, back)
-    engine.beaconing_round(g, t=1, seed=38)
-    assert all(engine._reverse_entry(node, source) is None for node in path)
+def static_engines(mode: str, count: int) -> tuple[ConnectivityGraph, list[ProtocolEngine]]:
+    """A static layout (n=300, seed 11) and ``count`` fresh engines on it."""
+    g = random_graph(300, seed=11)
+    levels = ProtocolParams.levels_for_diameter(diameter(g).hops)
+    return g, [ProtocolEngine(g.n, make_params(levels), mode=mode) for _ in range(count)]
+
+
+def seeded_pairs(rng: np.random.Generator, n: int, count: int) -> list[tuple[int, int]]:
+    return [tuple(int(x) for x in rng.choice(n, size=2, replace=False)) for _ in range(count)]
+
+
+@pytest.mark.parametrize("mode", ["plain", "load_balanced"])
+def test_no_probe_breaks_on_a_static_graph(mode: str) -> None:
+    """On a graph that does not change, the entries a walk follows lead to
+    its relay within the walk's budget, so no probe breaks after any round."""
+    g, (engine,) = static_engines(mode, 1)
+    rng = np.random.default_rng(11)
+    for t in range(4):
+        engine.beaconing_round(g, t=t, seed=12)
+        for source, dest in seeded_pairs(rng, g.n, 500):
+            broken = [probe for probe in engine.forward(g, source, dest).probes if probe.broken]
+            assert not broken, (t, source, dest, broken)
+
+
+@pytest.mark.parametrize("mode", ["plain", "load_balanced"])
+def test_a_forwards_receipt_does_not_depend_on_the_forwards_before_it(mode: str) -> None:
+    """Within a round a forward reads only the round's state and the graph:
+    two engines built alike forward one list of pairs in opposite orders
+    and give each pair the same receipt."""
+    g, (ahead, behind) = static_engines(mode, 2)
+    rng = np.random.default_rng(11)
+    for t in range(4):
+        for engine in (ahead, behind):
+            engine.beaconing_round(g, t=t, seed=12)
+        pairs = seeded_pairs(rng, g.n, 500)
+        want = [ahead.forward(g, source, dest) for source, dest in pairs]
+        got = [behind.forward(g, source, dest) for source, dest in reversed(pairs)]
+        for pair, receipt, other in zip(pairs, want, reversed(got)):
+            assert other == receipt, (t, pair)
 
 
 @pytest.mark.parametrize("mode", ["plain", "load_balanced"])
@@ -1580,7 +1600,6 @@ class SequentialRound:
         for held in self.tables:
             for key in [key for key in held if key[1] <= gamma]:
                 del held[key]
-        engine._reverse.clear()
         engine._beacon[:, : gamma + 1] = -1
 
         rng = np.random.default_rng((seed, t))
@@ -1773,7 +1792,7 @@ class ProbeResult(NamedTuple):
 class PerCandidateForward:
     """The forward as it reads when every candidate is probed on its own, on
     an engine's own state: the reference that ``ProtocolEngine.forward``
-    must reproduce, receipt for receipt and reverse entry for reverse entry.
+    must reproduce, receipt for receipt.
 
     Each stage sorts the node's table entries afresh, and each candidate is
     walked, asked and recorded through its own calls; the table answers one
@@ -1810,7 +1829,7 @@ class PerCandidateForward:
         if holder is None:
             direct = self.entry(g, source, dest)
             if direct is not None:
-                result = self.probe(g, source, dest, dest, levels, budget=radius_fn(max(direct[0], 0)))
+                result = self.probe(g, source, dest, dest, levels, budget=radius_fn(direct[0]))
                 probes.append(self.record(result, dest, levels))
                 if result.success:
                     holder = dest
@@ -1843,8 +1862,8 @@ class PerCandidateForward:
         while current != dest:
             direct = self.entry(g, current, dest)
             if direct is not None:
-                result = self.probe(g, current, dest, dest, levels, budget=radius_fn(max(direct[0], 0)))
-                probes.append(self.record(result, dest, max(direct[0], 0)))
+                result = self.probe(g, current, dest, dest, levels, budget=radius_fn(direct[0]))
+                probes.append(self.record(result, dest, direct[0]))
                 transmissions += result.transmissions
                 if result.success:
                     legs.append(result.path)
@@ -1910,27 +1929,24 @@ class PerCandidateForward:
         return [origin for origin in candidates if origin not in skip]
 
     def entry(self, g: ConnectivityGraph, node: int, origin: int) -> Optional[tuple[int, int]]:
-        """(level, next hop) of the entry ``node`` follows toward ``origin``
-        on ``g``, reverse state at level -1 as the last resort."""
+        """(level, next hop) of the table entry ``node`` follows toward
+        ``origin`` on ``g``."""
         engine = self.engine
         engine._edge_keys(g)
-        return engine._next_hops[origin][node] or engine._reverse_entry(node, origin)
+        return engine._next_hops[origin][node]
 
     def walk(self, g: ConnectivityGraph, source: int, relay: int, budget: Optional[int]) -> tuple[bool, list[int]]:
         engine = self.engine
         engine._edge_keys(g)
         toward = engine._next_hops[relay]
         limit = engine.n if budget is None else min(budget, engine.n)
-        reverse = engine._reverse.setdefault(source, {})
         path = [source]
         node = source
         while node != relay:
-            entry = toward[node] or engine._reverse_entry(node, relay)
+            entry = toward[node]
             if entry is None or entry[1] < 0 or len(path) > limit:
                 return False, path
-            nxt = entry[1]
-            reverse[nxt] = node
-            node = nxt
+            node = entry[1]
             path.append(node)
         return True, path
 
@@ -2050,8 +2066,7 @@ def forward_runs():
 @pytest.mark.parametrize("mode", ["plain", "load_balanced"])
 def test_staged_probes_match_the_per_candidate_reference(mode: str) -> None:
     """Every receipt and error of ``forward`` equals the per-candidate
-    reference's, and both engines hold the same reverse state after every
-    forward."""
+    reference's."""
     seen: dict[str, int] = {}
     for name, graphs, forwards in forward_runs():
         levels = ProtocolParams.levels_for_diameter(diameter(graphs[0]).hops)
@@ -2067,7 +2082,6 @@ def test_staged_probes_match_the_per_candidate_reference(mode: str) -> None:
                     got = forward_outcome(lambda: staged.forward(moved, source, dest))
                     want = forward_outcome(lambda: reference.forward(moved, source, dest))
                     assert got == want, (name, t, source, dest)
-                    assert staged._reverse == reference.engine._reverse, (name, t, source, dest)
         for key, count in reference.seen.items():
             seen[key] = seen.get(key, 0) + count
     # the runs reach every path of the probe loop and of the ring search

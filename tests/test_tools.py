@@ -30,11 +30,12 @@ def test_round_timing_reports_rounds_and_table_sizes() -> None:
     assert [len(size[key]) for key in times] == [1] * len(times)
     assert min(size["t1_write_s"] + size["t1_count_s"]) >= 0
     assert size["t1_entries_per_node"] > 0
-    # the seed-41 layout at n=128 is connected, and every delivered forward
-    # sends at least one probe
+    # the seed-41 layout at n=128 is connected, every delivered forward
+    # sends at least one probe, and on a static graph no probe breaks
     assert size["undelivered"] == 0
     assert size["forwards_per_cpu_s"] > 0
     assert size["probes_per_forward"] >= 1
+    assert size["broken_per_forward"] == 0
 
 
 def test_cover_timing_reports_rows_per_limit_and_both_times() -> None:

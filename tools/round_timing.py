@@ -16,9 +16,10 @@ counts with a search of its own), as ``t1_count_s``. Each size is run
 routing-table entries per node after the t=1 round, summed from the
 dump's ``table_entries`` column. After the last run's t=1 round it forwards
 1,000 seeded pairs, drawn as perfbench static-routing draws them, and
-reports forwards per process CPU second and probes per forward; a pair the
-layout leaves unconnected counts as a forward with no probes and is
-reported in ``undelivered``. The result is printed as JSON.
+reports forwards per process CPU second, probes per forward and broken
+probes per forward; a pair the layout leaves unconnected counts as a
+forward with no probes and is reported in ``undelivered``. The result is
+printed as JSON.
 
     python3 tools/round_timing.py                      # n = 500, 1000, 2000, 4000, seed 41
     python3 tools/round_timing.py --sizes 1000 --runs 5
@@ -74,7 +75,9 @@ def time_rounds(n: int, seed: int, runs: int) -> dict:
         count.append(round(time.process_time() - start, 4))
     state.seek(0)
     entries = sum(int(row["table_entries"]) for row in csv.DictReader(state))
-    forwards_per_s, probes_per_forward, undelivered = time_forwards(engine, g, seed)
+    forwards_per_s, probes_per_forward, broken_per_forward, undelivered = time_forwards(
+        engine, g, seed
+    )
     return {
         "levels": levels,
         "edges": g.num_edges,
@@ -85,6 +88,7 @@ def time_rounds(n: int, seed: int, runs: int) -> dict:
         "t1_entries_per_node": round(entries / n, 1),
         "forwards_per_cpu_s": forwards_per_s,
         "probes_per_forward": probes_per_forward,
+        "broken_per_forward": broken_per_forward,
         "undelivered": undelivered,
     }
 
@@ -95,15 +99,23 @@ def time_forwards(engine: bs.ProtocolEngine, g: bs.ConnectivityGraph, seed: int)
     rng = np.random.default_rng((seed, 3))
     sources = rng.integers(n, size=FORWARDS)
     dests = (sources + rng.integers(1, n, size=FORWARDS)) % n
-    probes = undelivered = 0
+    probes = broken = undelivered = 0
     start = time.process_time()
     for source, dest in zip(sources.tolist(), dests.tolist()):
         try:
-            probes += len(engine.forward(g, source, dest).probes)
+            sent = engine.forward(g, source, dest).probes
         except bs.DeliveryError:
             undelivered += 1
+            continue
+        probes += len(sent)
+        broken += sum(probe.broken for probe in sent)
     elapsed = time.process_time() - start
-    return round(FORWARDS / elapsed, 1), round(probes / FORWARDS, 2), undelivered
+    return (
+        round(FORWARDS / elapsed, 1),
+        round(probes / FORWARDS, 2),
+        round(broken / FORWARDS, 4),
+        undelivered,
+    )
 
 
 def main(argv: list[str] | None = None) -> int:
