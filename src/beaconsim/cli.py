@@ -25,6 +25,7 @@ from .harness import (
     write_cdf_csv,
     write_metrics_csv,
     write_overhead_csv,
+    write_regimes_csv,
 )
 
 __all__ = ["main"]
@@ -130,15 +131,7 @@ def _cmd_regimes(args: argparse.Namespace) -> int:
         print(f"n={row.n} {row.regime}: alpha_hat={row.alpha_hat:.2f}{flag}")
     out = _out_dir(args.out)
     if out is not None:
-        import csv as _csv
-
-        with open(out / "regimes.csv", "w", newline="") as fh:
-            writer = _csv.writer(fh)
-            writer.writerow(["n", "regime", "alpha_hat", "restricted"])
-            for row in rows:
-                writer.writerow(
-                    [row.n, row.regime, repr(row.alpha_hat), int(row.restricted)]
-                )
+        write_regimes_csv(rows, out / "regimes.csv")
     return 0
 
 

@@ -60,6 +60,7 @@ __all__ = [
     "write_cdf_csv",
     "write_metrics_csv",
     "write_overhead_csv",
+    "write_regimes_csv",
 ]
 
 _RADIUS_MODES = ("supercritical", "subcritical", "fixed")
@@ -263,13 +264,9 @@ class StepMetrics(NamedTuple):
     stretch_samples: tuple[tuple[int, int], ...]
 
 
-_STEP_METRIC_NAMES = (
-    "control_packets_per_node",
-    "control_bits_total",
-    "membership_bits",
-    "delivery_count",
-    "skipped_pairs",
-    "probe_transmissions",
+# metrics.csv's scalar metrics, one row each per step, in field order
+_STEP_METRIC_NAMES = tuple(
+    name for name in StepMetrics._fields if name not in ("step", "stretch_samples")
 )
 
 
@@ -328,34 +325,33 @@ class MetricsSeries:
 
 
 def write_metrics_csv(series: MetricsSeries, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "metric", "value"])
-        for step_index, metric, value in series.to_metric_rows():
-            writer.writerow([step_index, metric, _trim(value)])
+    _write_table(path, ("step", "metric", "value"), series.to_metric_rows())
 
 
 def write_cdf_csv(rows: Sequence[tuple[float, float]], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["stretch", "fraction"])
-        for value, fraction in rows:
-            writer.writerow([_trim(value), _trim(fraction)])
+    _write_table(path, ("stretch", "fraction"), rows)
 
 
 def write_overhead_csv(rows: Sequence["OverheadRow"], path) -> None:
+    _write_table(path, ("n", "mean", "p5", "p95", "benchmark"), rows)
+
+
+def write_regimes_csv(rows: Sequence["RegimeRow"], path) -> None:
+    _write_table(
+        path,
+        ("n", "regime", "alpha_hat", "restricted"),
+        ((row.n, row.regime, row.alpha_hat, int(row.restricted)) for row in rows),
+    )
+
+
+def _write_table(path, header: Sequence[str], rows) -> None:
+    """Write ``header`` and then ``rows`` as CSV, each float as its shortest
+    repr that round-trips, so the output is byte-stable."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["n", "mean", "p5", "p95", "benchmark"])
+        writer.writerow(header)
         for row in rows:
-            writer.writerow(
-                [row.n, _trim(row.mean), _trim(row.p5), _trim(row.p95), _trim(row.benchmark)]
-            )
-
-
-def _trim(value: float) -> str:
-    """Shortest repr that round-trips, so CSV output is byte-stable."""
-    return repr(float(value))
+            writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
 
 
 # ---------------------------------------------------------------------------
@@ -628,16 +624,12 @@ def experiment_stretch_cdf(config: SimConfig) -> list[tuple[float, float]]:
     if config.pair_samples < 1:
         raise ParameterError("stretch experiment needs pair_samples >= 1")
     series = run_simulation(config)
-    values = np.sort(series.stretch_values())
+    values = series.stretch_values()
     if len(values) == 0:
         raise ParameterError("no stretch samples were recorded")
-    total = len(values)
-    rows: list[tuple[float, float]] = []
-    for value in values:
-        fraction = float(np.searchsorted(values, value, side="right")) / total
-        if not rows or rows[-1][0] != float(value):
-            rows.append((float(value), fraction))
-    return rows
+    unique, counts = np.unique(values, return_counts=True)
+    fractions = np.cumsum(counts) / len(values)
+    return list(zip(unique.tolist(), fractions.tolist()))
 
 
 class RegimeRow(NamedTuple):

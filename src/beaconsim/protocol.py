@@ -49,15 +49,16 @@ knows the destination, the forward falls back to a ring search of expanding
 scoped floods, read from two BFS rows: the stuck node's row finds the
 nearest answerer, lowest id first, and the answerer's row lays the
 lexicographically first shortest path to it. Probes walk the tables hop by
-hop. The entry a node follows toward an origin (freshest stamp, then shortest,
-then lowest level, among the table's (origin, node) slice, its next hop
-checked against the graph's sorted edge keys) is resolved the first time a
-look-up reaches that node and kept in a per-origin dict, so a later hop
-through the node is one dict lookup. Resolved entries hold for one table
-state and one graph: a beaconing round and a look-up on another graph each
-clear them. A walk follows table entries only and leaves nothing behind; a
-node with no entry toward the relay breaks it. A probe's reply returns along
-the walked path and is counted as transmissions, not stored.
+hop. The entry a node follows toward an origin (``_Table.follow``: freshest
+stamp, then shortest, then lowest level, among the table's (origin, node)
+slice), its next hop checked against the graph's sorted edge keys, is
+resolved the first time a look-up reaches that node and kept in a per-origin
+dict, so a later hop through the node is one dict lookup. Resolved entries
+hold for one table state and one graph: a beaconing round and a look-up on
+another graph each clear them. A walk follows table entries only and leaves
+nothing behind; a node with no entry toward the relay breaks it. A probe's
+reply returns along the walked path and is counted as transmissions, not
+stored.
 
 Cost accounting is explicit: a round's control bits are its flood
 transmissions times the flood packet width plus its membership and
@@ -327,13 +328,14 @@ class _Table:
     are four flat columns sorted by ``key``, which packs (origin, node,
     level) as ``(origin * n + node) * (L + 1) + level``. No key appears
     twice, so the entries one node holds toward one origin are one contiguous
-    slice, lowest level first (``entries``); the entries one node holds are
-    read through a node-major permutation (``held_by``), built on the first
-    read after a change. A probe stage's candidates (``candidates``) are kept
-    per (node, level, distance) until the entries change.
+    slice, lowest level first, from which ``follow`` picks the one a probe
+    follows; the entries one node holds are read through a node-major
+    permutation (``held_by``), built on the first read after a change. A
+    probe stage's candidates (``candidates``) are kept per (node, level,
+    distance) until the entries change.
 
     A round's level-0 floods are held as a pending write (``defer``). Every
-    read (``entries``, ``lowest_levels``, ``by_node``, ``held_by``,
+    read (``follow``, ``lowest_levels``, ``by_node``, ``held_by``,
     ``candidates``, ``merge`` and ``_columns``) first searches their origins
     once, counting the round's level-0 transmissions from those cells, and
     merges the cells at the round's step, so the four columns are read
@@ -378,20 +380,27 @@ class _Table:
                 floods.t, [self.run(origin, node, 0, dist, pred) for origin, node, dist, pred in cells]
             )
 
-    def entries(self, origin: int, node: int) -> tuple[int, int]:
-        """Bounds of the slice of entries that ``node`` holds toward ``origin``."""
+    def follow(self, origin: int, node: int) -> Optional[tuple[int, int]]:
+        """(level, next hop) of the entry that ``node`` follows toward
+        ``origin``, None where it holds none. Fresher entries win outright
+        (they describe the current graph; older ones may point at vanished
+        edges), then shorter, then lower level."""
         self._settle()
-        key, width = self.key, self.width
+        key, stamp, dist, width = self.key, self.stamp, self.dist, self.width
         start = (origin * self.n + node) * width
-        lo = hi = int(key.searchsorted(start))
-        end = min(lo + width, key.size)  # at most L + 1 entries
-        while hi < end and key.item(hi) - start < width:
-            hi += 1
-        return lo, hi
+        best = rank = None
+        i = int(key.searchsorted(start))
+        end = min(i + width, key.size)  # at most L + 1 entries, lowest level first
+        while i < end and key.item(i) - start < width:
+            here = (-stamp.item(i), dist.item(i))
+            if best is None or here < rank:
+                best, rank = i, here
+            i += 1
+        return None if best is None else (key.item(best) - start, self.hop.item(best))
 
     def lowest_levels(self, origin: int, nodes: np.ndarray) -> np.ndarray:
-        """The level of the first entry in ``entries(origin, node)`` for each
-        of ``nodes``, L + 1 where the slice is empty: one search for all."""
+        """The level of the lowest entry that each of ``nodes`` holds toward
+        ``origin``, L + 1 where it holds none: one search for all."""
         self._settle()
         key, width = self.key, self.width
         if not key.size:
@@ -826,7 +835,7 @@ class ProtocolEngine:
         for level, nodes in elected.items():
             if len(nodes) < 2:
                 continue
-            radius = 2**level
+            radius = self.params.cover_radius(level)
             idx = np.asarray(sorted(nodes), dtype=np.int64)
             for block, dist in bfs_blocks(g, idx, radius):
                 # a node's distance 0 to itself is no violation
@@ -889,27 +898,16 @@ class ProtocolEngine:
             self._next_hops.clear()
         return self._edges[1]
 
-    def _is_edge(self, u: int, v: int) -> bool:
-        """Whether (u, v) is an edge of the graph last given to ``_edge_keys``."""
-        keys, key = self._edges[1], u * self.n + v
-        return keys.item(keys.searchsorted(key)) == key
-
     def _resolve(self, node: int, origin: int) -> Optional[tuple[int, int]]:
-        """Pick the entry for ``origin`` that probes follow at ``node``.
-        Fresher entries win outright (they describe the current graph; older
-        ones may point at vanished edges), then shorter, then lower level. A
-        winner whose next hop is no edge gets next hop -1."""
-        table = self._table
-        lo, hi = table.entries(origin, node)
-        if lo == hi:
+        """The entry for ``origin`` that probes follow at ``node``
+        (``_Table.follow``), with next hop -1 where that is no edge of the
+        graph last given to ``_edge_keys``."""
+        entry = self._table.follow(origin, node)
+        if entry is None:
             return None
-        stamp, dist = table.stamp, table.dist
-        best = lo  # the slice runs from the lowest level up
-        for i in range(lo + 1, hi):
-            if (-stamp.item(i), dist.item(i)) < (-stamp.item(best), dist.item(best)):
-                best = i
-        hop = table.hop.item(best)
-        return table.key.item(best) % table.width, hop if self._is_edge(node, hop) else -1
+        level, hop = entry
+        keys, key = self._edges[1], node * self.n + hop
+        return level, hop if keys.item(keys.searchsorted(key)) == key else -1
 
     def _walk(self, source: int, relay: int, budget: int) -> tuple[bool, list[int]]:
         """Follow table next hops from ``source`` to ``relay`` on the graph

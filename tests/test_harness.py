@@ -810,7 +810,14 @@ def test_cli_regimes_prints_rows(tmp_path, capsys):
     )
     assert code == 0
     assert "supercritical" in capsys.readouterr().out
-    assert (out / "regimes.csv").exists()
+    rows = experiment_doubling_regimes(
+        [512], theta=0.8, epsilon=1.0, trials=1, center_sample=64, seed=100
+    )
+    # byte-stable like the other tables: \r\n line ends, floats as repr
+    lines = ["n,regime,alpha_hat,restricted"] + [
+        f"{row.n},{row.regime},{row.alpha_hat!r},{int(row.restricted)}" for row in rows
+    ]
+    assert (out / "regimes.csv").read_bytes() == "".join(f"{line}\r\n" for line in lines).encode()
 
 
 def test_cli_baseline_reports_rates(tmp_path, capsys):

@@ -323,8 +323,7 @@ def test_probe_success_reflects_member_lists():
                 for source in range(4):
                     if source == beacon:
                         continue
-                    lo, hi = engine._table.entries(beacon, source)
-                    if lo == hi:
+                    if engine._table.follow(beacon, source) is None:
                         continue
                     record, hit = probe(engine, g, source=source, relay=beacon, dest=dest, level=level)
                     assert record.success and not record.broken
@@ -1962,8 +1961,10 @@ class PerCandidateForward:
                     return True, lvl
             return False, -1
         table = engine._table
-        lo, hi = table.entries(dest, relay)
-        found = table.key.item(lo) % table.width if lo < hi else table.width
+        key = table._columns()[0]
+        start = (dest * engine.n + relay) * table.width
+        lo = int(key.searchsorted(start))
+        found = key.item(lo) - start if lo < key.size else table.width
         return (True, found) if found <= top else (False, -1)
 
     def probe(

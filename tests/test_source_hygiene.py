@@ -7,8 +7,9 @@ resolve on the imported module, every private function, method or class
 of the package must be named by some package source, every attribute
 that package code stores must be read by some package source, and every
 public function, class or method of the package must be read by a package
-module, a ``tools/`` script or a non-test ``perfbench/`` module, and only
-``graph.py`` may import scipy's graph searches.
+module, a ``tools/`` script or a non-test ``perfbench/`` module, only
+``graph.py`` may import scipy's graph searches, only ``protocol._Table``
+reads the routing table's columns, and ``cli.py`` imports no ``csv``.
 """
 
 from __future__ import annotations
@@ -248,3 +249,28 @@ def test_only_the_graph_module_imports_scipy_graph_searches() -> None:
         for line in _csgraph_imports(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
     ]
     assert found == [], f"scipy.sparse.csgraph imported outside graph.py: {found}"
+
+
+def test_table_layout_and_csv_format_each_have_one_home() -> None:
+    """How the routing table packs its entries (its columns and key layout)
+    is known to ``_Table`` alone, so no other code in ``protocol.py`` reads
+    a column or the key width; and the byte-stable CSV format is the
+    harness's, so ``cli.py`` imports no ``csv``, in any form."""
+    tree = ast.parse((SRC / "protocol.py").read_text(encoding="utf-8"))
+    table = next(node for node in tree.body if getattr(node, "name", None) == "_Table")
+    inside = set(ast.walk(table))
+    outside = [
+        f"protocol.py:{node.lineno} .{node.attr}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and node.attr in {"key", "dist", "hop", "stamp", "width"}
+        and node not in inside
+    ]
+    imports = []
+    for node in ast.walk(ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            imports += [(node.lineno, alias.name) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imports.append((node.lineno, node.module or ""))
+    found = outside + [f"cli.py:{line} csv" for line, module in imports if module == "csv"]
+    assert found == [], f"table columns read outside _Table, or csv imported in cli.py: {found}"

@@ -26,9 +26,11 @@ def test_round_timing_reports_rounds_and_table_sizes() -> None:
     result = run_tool("round_timing.py", "--sizes", "128", "--runs", "1")
     size = result["sizes"]["128"]
     assert size["levels"] >= 1 and size["edges"] > 0
-    times = ("t0_s", "t1_s", "t1_write_s", "t1_count_s")
+    times = ("t0_s", "t1_s", "t1_write_s", "t1_merge_s", "t1_count_s")
     assert [len(size[key]) for key in times] == [1] * len(times)
     assert min(size["t1_write_s"] + size["t1_count_s"]) >= 0
+    # the merge runs inside the timed first read
+    assert 0 <= size["t1_merge_s"][0] <= size["t1_write_s"][0]
     assert size["t1_entries_per_node"] > 0
     # the seed-41 layout at n=128 is connected, every delivered forward
     # sends at least one probe, and on a static graph no probe breaks

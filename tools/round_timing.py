@@ -7,11 +7,13 @@ and times ``ProtocolEngine.beaconing_round`` on a fresh engine at t=0 (the
 first round, every level re-elected) and then at t=1 (gamma 0: only level 0
 re-elected). A round leaves its level-0 flood cells to the table's first
 read, so after the t=1 round each run times ``ProtocolEngine.dump_state_csv``,
-which writes them before it builds the dump, as ``t1_write_s``. A round
-also leaves its level-0 transmission count to the first read of its report,
-so ``t1_s`` does not include it: each run times that read on a second
-engine's t=1 round, before any read of that engine's table (so the report
-counts with a search of its own), as ``t1_count_s``. Each size is run
+which writes them before it builds the dump, as ``t1_write_s``, and the
+part of that read spent inside ``_Table.merge`` as ``t1_merge_s`` (the rest
+is the level-0 search, building its runs, and the dump). A round also
+leaves its level-0 transmission count to the first read of its report, so
+``t1_s`` does not include it: each run times that read on a second engine's
+t=1 round, before any read of that engine's table (so the report counts
+with a search of its own), as ``t1_count_s``. Each size is run
 ``--runs`` times; times are process CPU seconds. Each size also reports the
 routing-table entries per node after the t=1 round, summed from the
 dump's ``table_entries`` column. After the last run's t=1 round it forwards
@@ -50,13 +52,27 @@ import beaconsim as bs  # noqa: E402
 FORWARDS = 1000  # seeded pairs forwarded after the t=1 round
 
 
+class MergeTally:
+    """Stands in for one table's ``_Table.merge``: sums the process time
+    spent inside it."""
+
+    def __init__(self, merge):
+        self.merge = merge
+        self.seconds = 0.0
+
+    def __call__(self, *args):
+        start = time.process_time()
+        self.merge(*args)
+        self.seconds += time.process_time() - start
+
+
 def time_rounds(n: int, seed: int, runs: int) -> dict:
     domain = bs.DomainSpec.for_nodes(n)
     positions = bs.sample_uniform_positions(n, domain, seed)
     g = bs.build_geometric_graph(positions, math.sqrt(2.0 * math.log(n)))
     levels = bs.ProtocolParams.levels_for_diameter(bs.diameter(g).hops)
     params = bs.ProtocolParams(kappa=1.0, levels=levels)
-    first, second, write, count = [], [], [], []
+    first, second, write, merge, count = [], [], [], [], []
     for _ in range(runs):
         engine = bs.ProtocolEngine(n, params)
         for t, times in ((0, first), (1, second)):
@@ -64,9 +80,12 @@ def time_rounds(n: int, seed: int, runs: int) -> dict:
             engine.beaconing_round(g, t, seed=seed + 2)
             times.append(round(time.process_time() - start, 4))
         state = io.StringIO()
+        tally = engine._table.merge = MergeTally(engine._table.merge)
         start = time.process_time()
         engine.dump_state_csv(state)  # the first read writes the level-0 cells
         write.append(round(time.process_time() - start, 4))
+        del engine._table.merge
+        merge.append(round(tally.seconds, 4))
         counting = bs.ProtocolEngine(n, params)
         counting.beaconing_round(g, 0, seed=seed + 2)
         report = counting.beaconing_round(g, 1, seed=seed + 2)
@@ -84,6 +103,7 @@ def time_rounds(n: int, seed: int, runs: int) -> dict:
         "t0_s": first,
         "t1_s": second,
         "t1_write_s": write,
+        "t1_merge_s": merge,
         "t1_count_s": count,
         "t1_entries_per_node": round(entries / n, 1),
         "forwards_per_cpu_s": forwards_per_s,
