@@ -188,7 +188,7 @@ def _build_parser() -> argparse.ArgumentParser:
     regimes.add_argument("--sizes", required=True, help="comma-separated sizes")
     regimes.add_argument("--theta", type=float, default=0.8)
     regimes.add_argument("--epsilon", type=float, default=1.0)
-    regimes.add_argument("--trials", type=int, default=1)
+    regimes.add_argument("--trials", type=int, default=5)
     regimes.add_argument("--centers", type=int, default=256)
     regimes.add_argument("--radii", default="2,4,8")
     regimes.add_argument("--seed", type=int, default=100)

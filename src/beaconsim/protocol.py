@@ -31,12 +31,12 @@ arrays. The round writes the table through one merge of presorted runs with
 one tie rule: per (origin, node, level) key the candidate lowest in (stale,
 distance, writer order) stays. An entry is stale when written at an earlier
 step; in writer order the entries already held come first, then the round's
-writes in pi order. Level-0 floods feed only the table, so the round
-leaves their cells to the table's next read, which merges them at the
-round's step after the round's own writes, and their transmission count to
-the first read of the round's report, which takes it from the written cells
-or, where it comes first, from one search of its own; a round that clears
-level 0 first drops the cells unwritten.
+writes in pi order. The whole write waits for the table's next read, and
+level-0 floods feed only the table, so that read also searches their origins
+and merges their cells, last in writer order; their transmission count waits
+for the first read of the round's report, which takes it from the written
+cells or, where it comes first, from one search of its own. A round that
+clears level 0 applies an unread write before it without its level-0 cells.
 
 A forward probes in stages. A stage's candidates are the origins that one
 node holds entries for at or above a level and within a distance, nearest
@@ -287,18 +287,18 @@ class ForwardReceipt:
 
 class _GroundFloods:
     """One round's level-0 floods: each of ``origins`` floods ``radius``
-    hops on ``g`` at step ``t``. The table's pending write (``_Table.defer``)
-    and the round's report both hold it. The write searches each origin once
+    hops on ``g``. The table's pending write (``_Table.write``) and the
+    round's report both hold it. The write searches each origin once
     (``cells``) and counts the transmissions from those cells: the nodes
     within radius - 1 hops, which rebroadcast. A report read before that
-    write, or after a clear dropped it, counts them with a search of its own
-    to radius - 1 hops (``transmissions``). Once counted and written, the
-    graph is let go."""
+    write, or after the write was applied without these cells, counts them
+    with a search of its own to radius - 1 hops (``transmissions``). Once
+    counted and written, the graph is let go."""
 
-    __slots__ = ("t", "g", "origins", "radius", "count")
+    __slots__ = ("g", "origins", "radius", "count")
 
-    def __init__(self, t: int, g: ConnectivityGraph, origins: np.ndarray, radius: int) -> None:
-        self.t, self.g, self.origins, self.radius = t, g, origins, radius
+    def __init__(self, g: ConnectivityGraph, origins: np.ndarray, radius: int) -> None:
+        self.g, self.origins, self.radius = g, origins, radius
         self.count: Optional[int] = None
 
     def transmissions(self) -> int:
@@ -334,13 +334,14 @@ class _Table:
     probe stage's candidates (``candidates``) are kept per (node, level,
     distance) until the entries change.
 
-    A round's level-0 floods are held as a pending write (``defer``). Every
+    A round's whole write is held as a pending write (``write``). Every
     read (``follow``, ``lowest_levels``, ``by_node``, ``held_by``,
-    ``candidates``, ``merge`` and ``_columns``) first searches their origins
-    once, counting the round's level-0 transmissions from those cells, and
-    merges the cells at the round's step, so the four columns are read
-    through ``_columns`` or after another read. ``clear`` drops the pending
-    write unwritten: it clears level 0, the only level the write touches.
+    ``candidates`` and ``_columns``), and ``clear`` and ``merge``, first
+    applies it: the clear, then one merge of the round's runs and level-0 cells,
+    whose origins it searches once, so the four columns are read through
+    ``_columns`` or after another read. A write that finds one pending
+    applies it first, without its level-0 cells when the new write clears
+    level 0 and so would drop them.
     """
 
     def __init__(self, n: int, levels: int) -> None:
@@ -351,7 +352,7 @@ class _Table:
         self._small = np.min_scalar_type(n)  # holds every node id and hop distance
         empty = np.empty(0, dtype=np.int64)
         self._set(empty, empty, empty, empty)
-        self._pending: Optional[_GroundFloods] = None
+        self._pending: Optional[tuple] = None  # (t, gamma, runs, level-0 floods)
 
     def _set(self, key, dist, hop, stamp) -> None:
         self.key = key
@@ -365,20 +366,24 @@ class _Table:
         self._settle()
         return (self.key, self.dist, self.hop, self.stamp)
 
-    def defer(self, floods: _GroundFloods) -> None:
-        """Hold a round's level-0 ``floods`` until the next read, which
-        writes them."""
-        self._pending = floods
+    def write(self, t: int, gamma: int, runs: list, floods: _GroundFloods) -> None:
+        """Hold a round's write for the next read: clear levels up to ``gamma``,
+        merge ``runs`` and the level-0 ``floods`` at step ``t``. A write still
+        pending goes first, without its level-0 cells where ``gamma`` clears them."""
+        self._settle(ground=gamma < 0)
+        self._pending = (t, gamma, runs, floods)
+        self._by_node, self._candidates = None, {}
 
-    def _settle(self) -> None:
-        """Write the pending level-0 floods, if any: one ``merge`` at their
-        step, so the round's registrations still win ties."""
+    def _settle(self, ground: bool = True) -> None:
+        """Apply the pending write, if any: its clear, then one ``merge`` of
+        its runs and, last in writer order unless ``ground`` is False, its
+        level-0 cells."""
         if self._pending is not None:
-            floods, self._pending = self._pending, None
-            cells = floods.cells()
-            self.merge(
-                floods.t, [self.run(origin, node, 0, dist, pred) for origin, node, dist, pred in cells]
-            )
+            (t, gamma, runs, floods), self._pending = self._pending, None
+            self.clear(gamma)
+            cells = floods.cells() if ground else ()
+            runs += [self.run(origin, node, 0, dist, pred) for origin, node, dist, pred in cells]
+            self.merge(t, runs)
 
     def follow(self, origin: int, node: int) -> Optional[tuple[int, int]]:
         """(level, next hop) of the entry that ``node`` follows toward
@@ -447,12 +452,11 @@ class _Table:
         return candidates
 
     def clear(self, level: int) -> None:
-        """Drop the entries at levels up to ``level`` (none where it is -1),
-        and the pending level-0 write with them."""
+        """Drop the entries at levels up to ``level`` (none where it is -1)."""
         if level >= 0:
-            self._pending = None
-            kept = self.key % self.width > level
-            self._set(*(column[kept] for column in self._columns()))
+            columns = self._columns()
+            kept = columns[0] % self.width > level
+            self._set(*(column[kept] for column in columns))
 
     def run(
         self,
@@ -473,8 +477,7 @@ class _Table:
         sorted by key with no key twice. Per key, the candidate lowest in
         (stale, distance, writer order) stays: a held entry comes before
         every write and is stale when written before ``t``. So a write
-        replaces what is held when that is stale or strictly longer. A
-        pending write is written first."""
+        replaces what is held when that is stale or strictly longer."""
         columns = [self._columns()]
         for key, dist, hop in runs:
             columns.append((key, dist, hop, np.full(len(key), t, dtype=np.int32)))
@@ -521,10 +524,10 @@ class ProtocolEngine:
 
     A round leaves the state that its nodes, acting one at a time in its
     seeded permutation, would leave, computed in closed form; memberships
-    are written as block array updates and routing entries through one merge
-    into the routing table, the level-0 flood cells on the table's first
-    read after the round. Forwarding reads the state built by the most
-    recent round against the same graph.
+    are written as block array updates, and the round's routing-table write
+    (a clear and one merge, level-0 flood cells included) waits for the
+    table's first read after the round. Forwarding reads the state built by
+    the most recent round against the same graph.
     """
 
     def __init__(self, n: int, params: ProtocolParams, mode: str = "plain"):
@@ -612,19 +615,18 @@ class ProtocolEngine:
         pi-first node of level >= l within 2**l hops, so the levels are
         decided top-down (``_elect``), then every origin above level 0 is
         searched once at its own flood radius, and the joins and
-        registrations are computed as arrays. The table's levels up to gamma
-        are cleared, then the registrations and flood cells are merged into
-        it in one step: per (origin, node, level) key the entry written
-        first in pi order stays unless a later one is strictly shorter, and
-        an entry from an earlier step yields to either. Level-0 flood cells
-        feed no join (level-0 joins read closed neighbourhoods), so the
-        round searches no level-0 origin: the table writes their cells on
-        its next read, as a second merge at step ``t`` with the same
-        outcome, and the returned report counts their transmissions on its
-        first read, from those cells where the write came first, else with
-        one search of its own to radius - 1 hops. A round whose report is
-        never read, and whose table is not read before the next round clears
-        level 0, makes no level-0 search.
+        registrations are computed as arrays. The round's table write waits
+        for the table's next read, which clears the levels up to gamma, then
+        merges the registrations and flood cells in one step: per (origin,
+        node, level) key the entry written first in pi order stays unless a
+        later one is strictly shorter, and an entry from an earlier step
+        yields to either. Level-0 flood cells feed no join (level-0 joins
+        read closed neighbourhoods), so the round searches no level-0
+        origin: that read searches them, and the returned report counts
+        their transmissions on its first read, from those cells where the
+        write came first, else with one search of its own to radius - 1
+        hops. A round whose report is never read, and whose table is not
+        read before the next round clears level 0, makes no level-0 search.
         """
         self._check_graph(g)
         if t < 0:
@@ -678,10 +680,8 @@ class ProtocolEngine:
         registered = table.run(
             member[order], node[order], level[order], distance[order], next_hop[order]
         )
-        table.clear(gamma)
-        table.merge(t, [registered, *floods])
-        ground = _GroundFloods(t, g, np.flatnonzero(beta == 0), self._flood_radius(0))
-        table.defer(ground)
+        ground = _GroundFloods(g, np.flatnonzero(beta == 0), self._flood_radius(0))
+        table.write(t, gamma, [registered, *floods], ground)
 
         self._next_hops.clear()
         self._beacon_level[:] = beta

@@ -820,6 +820,17 @@ def test_cli_regimes_prints_rows(tmp_path, capsys):
     assert (out / "regimes.csv").read_bytes() == "".join(f"{line}\r\n" for line in lines).encode()
 
 
+def test_cli_regimes_defaults_pass_their_own_check(capsys):
+    """README's size pair with every other option at its default: one trial
+    per size is too coarse for the sparse radius's strict increase, so the
+    default trial count is the acceptance check's five."""
+    from beaconsim.cli import main
+
+    assert main(["regimes", "--sizes", "512,2048"]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert len(rows) == 4 and all(row.startswith("n=") for row in rows)
+
+
 def test_cli_baseline_reports_rates(tmp_path, capsys):
     from beaconsim.cli import main
 

@@ -33,6 +33,7 @@ from beaconsim.protocol import (
     ProtocolEngine,
     ProtocolParams,
     RoundReport,
+    _GroundFloods,
     _Table,
     _loop_erase,
     _ring_closest,
@@ -1320,6 +1321,69 @@ def test_a_counted_report_lets_go_of_its_rounds_graph(mode: str) -> None:
     g = random_graph(120, seed=5)
     engine.beaconing_round(g, t=1, seed=37)  # gamma = -1 merges t = 0's write
     assert dead(ref) and unread.flood_transmissions > 0
+
+
+@pytest.mark.parametrize("mode", ["plain", "load_balanced"])
+def test_a_round_and_its_first_read_make_one_table_merge(monkeypatch, mode: str) -> None:
+    """A round only holds its table write: the table's first read after it
+    makes one merge, whose last runs are the round's level-0 cells, and a
+    second read makes none. An unread round's write is applied by the next
+    round in one merge: with nu = 1 that round clears level 0, so the write
+    goes without a level-0 search, and with nu = 2 a gamma = -1 round applies
+    it with its level-0 cells."""
+    cells: list[tuple[np.ndarray, ...]] = []
+    real_cells = _GroundFloods.cells
+
+    def recording_cells(floods: _GroundFloods):
+        for block in real_cells(floods):
+            cells.append(block)
+            yield block
+
+    def recorded_engine(nu: int) -> tuple[ProtocolEngine, list]:
+        engine = ProtocolEngine(g.n, make_params(3, nu=nu), mode=mode)
+        merges, real_merge = [], engine._table.merge
+
+        def recording_merge(t: int, runs: list) -> None:
+            merges.append((t, [run[0].tolist() for run in runs]))
+            real_merge(t, runs)
+
+        engine._table.merge = recording_merge
+        return engine, merges
+
+    def one_merge(engine: ProtocolEngine, merges: list, t: int, searched: bool) -> None:
+        """Since the last check: one merge at step ``t``, ending in the runs
+        of the level-0 cells searched, and a level-0 search iff ``searched``."""
+        table = engine._table
+        ground = [table.run(origin, node, 0, dist, pred)[0].tolist() for origin, node, dist, pred in cells]
+        assert [step for step, _ in merges] == [t]
+        assert bool(ground) == searched
+        runs = merges[0][1]
+        assert runs[len(runs) - len(ground) :] == ground
+        merges.clear()
+        cells.clear()
+
+    monkeypatch.setattr(_GroundFloods, "cells", recording_cells)
+    g = random_graph(120, seed=3)
+    engine, merges = recorded_engine(nu=1)
+    engine.beaconing_round(g, t=0, seed=37)
+    assert merges == [] and cells == []
+    engine.dump_state_csv(io.StringIO())
+    one_merge(engine, merges, 0, searched=True)
+    engine.dump_state_csv(io.StringIO())
+    assert merges == [] and cells == []
+    engine.beaconing_round(g, t=1, seed=37)  # unread
+    assert merges == [] and cells == []
+    engine.beaconing_round(g, t=2, seed=37)  # gamma = 1 applies t = 1's write
+    one_merge(engine, merges, 1, searched=False)
+    engine.dump_state_csv(io.StringIO())
+    one_merge(engine, merges, 2, searched=True)
+
+    engine, merges = recorded_engine(nu=2)
+    engine.beaconing_round(g, t=0, seed=37)  # unread
+    engine.beaconing_round(g, t=1, seed=37)  # gamma = -1 applies t = 0's write
+    one_merge(engine, merges, 0, searched=True)
+    engine.dump_state_csv(io.StringIO())
+    one_merge(engine, merges, 1, searched=True)
 
 
 # ---------------------------------------------------------------------------

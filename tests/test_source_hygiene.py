@@ -9,7 +9,8 @@ that package code stores must be read by some package source, and every
 public function, class or method of the package must be read by a package
 module, a ``tools/`` script or a non-test ``perfbench/`` module, only
 ``graph.py`` may import scipy's graph searches, only ``protocol._Table``
-reads the routing table's columns, and ``cli.py`` imports no ``csv``.
+reads the routing table's columns or writes them, and ``cli.py`` imports no
+``csv``.
 """
 
 from __future__ import annotations
@@ -254,17 +255,40 @@ def test_only_the_graph_module_imports_scipy_graph_searches() -> None:
 def test_table_layout_and_csv_format_each_have_one_home() -> None:
     """How the routing table packs its entries (its columns and key layout)
     is known to ``_Table`` alone, so no other code in ``protocol.py`` reads
-    a column or the key width; and the byte-stable CSV format is the
-    harness's, so ``cli.py`` imports no ``csv``, in any form."""
+    a column or the key width; how a round's write is applied is known
+    there too, so other code hands the table a ``write`` and never asks the
+    table (``self._table`` or a name bound to it) to ``merge``, ``clear``,
+    ``_set`` or ``_settle``, or touches its ``_pending``; and the byte-stable
+    CSV format is the harness's, so ``cli.py`` imports no ``csv``, in any
+    form."""
     tree = ast.parse((SRC / "protocol.py").read_text(encoding="utf-8"))
     table = next(node for node in tree.body if getattr(node, "name", None) == "_Table")
     inside = set(ast.walk(table))
+    aliases = {
+        target.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign)
+        and isinstance(node.value, ast.Attribute)
+        and node.value.attr == "_table"
+        for target in node.targets
+        if isinstance(target, ast.Name)
+    }
+
+    def is_table(node: ast.expr) -> bool:
+        return (isinstance(node, ast.Attribute) and node.attr == "_table") or (
+            isinstance(node, ast.Name) and node.id in aliases
+        )
+
     outside = [
         f"protocol.py:{node.lineno} .{node.attr}"
         for node in ast.walk(tree)
         if isinstance(node, ast.Attribute)
-        and node.attr in {"key", "dist", "hop", "stamp", "width"}
         and node not in inside
+        and (
+            node.attr in {"key", "dist", "hop", "stamp", "width"}
+            or node.attr in {"merge", "clear", "_set", "_settle", "_pending"}
+            and is_table(node.value)
+        )
     ]
     imports = []
     for node in ast.walk(ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))):
@@ -273,4 +297,4 @@ def test_table_layout_and_csv_format_each_have_one_home() -> None:
         elif isinstance(node, ast.ImportFrom):
             imports.append((node.lineno, node.module or ""))
     found = outside + [f"cli.py:{line} csv" for line, module in imports if module == "csv"]
-    assert found == [], f"table columns read outside _Table, or csv imported in cli.py: {found}"
+    assert found == [], f"table columns read or written outside _Table, or csv in cli.py: {found}"

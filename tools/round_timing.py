@@ -5,11 +5,13 @@ sqrt(n), links them within sqrt(2 ln n) (the static-routing layout of
 perfbench), takes the level count from the exact hop diameter with kappa 1,
 and times ``ProtocolEngine.beaconing_round`` on a fresh engine at t=0 (the
 first round, every level re-elected) and then at t=1 (gamma 0: only level 0
-re-elected). A round leaves its level-0 flood cells to the table's first
-read, so after the t=1 round each run times ``ProtocolEngine.dump_state_csv``,
-which writes them before it builds the dump, as ``t1_write_s``, and the
-part of that read spent inside ``_Table.merge`` as ``t1_merge_s`` (the rest
-is the level-0 search, building its runs, and the dump). A round also
+re-elected). A round leaves its whole table write to the table's first
+read, so the t=1 round makes no table write of its own; it applies the
+unread t=0 round's write, without the level-0 cells that t=1 clears. After
+the t=1 round each run times ``ProtocolEngine.dump_state_csv``, whose read
+makes the round's whole write before it builds the dump, as ``t1_write_s``:
+the clear, the level-0 search, the one merge and the dump; and the time
+inside that one ``_Table.merge`` as ``t1_merge_s``. A round also
 leaves its level-0 transmission count to the first read of its report, so
 ``t1_s`` does not include it: each run times that read on a second engine's
 t=1 round, before any read of that engine's table (so the report counts
@@ -82,7 +84,7 @@ def time_rounds(n: int, seed: int, runs: int) -> dict:
         state = io.StringIO()
         tally = engine._table.merge = MergeTally(engine._table.merge)
         start = time.process_time()
-        engine.dump_state_csv(state)  # the first read writes the level-0 cells
+        engine.dump_state_csv(state)  # the first read makes the t=1 round's write
         write.append(round(time.process_time() - start, 4))
         del engine._table.merge
         merge.append(round(tally.seconds, 4))
