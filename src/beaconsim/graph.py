@@ -4,8 +4,9 @@ Provides the unit-disk graph builder (plain Euclidean distance), hop-distance
 queries, greedy ball covers with their growth-rate estimator, and diameter
 computation. Every scipy graph search of the package runs here:
 ``bfs_distances`` searches one source, and ``bfs_blocks`` and ``_reach`` (a
-beaconing round's floods, with BFS predecessors) search many sources in
-blocks of up to ``_BFS_BLOCK`` (64) per scipy call; ``_largest_component``
+beaconing round's floods, with BFS predecessors, each block's cells yielded
+node-major like the CSR's rows) search many sources in blocks of up to
+``_BFS_BLOCK`` (64) per scipy call; ``_largest_component``
 splits off a graph's largest connected component. The estimator advances all
 its sampled covers in lockstep, so each step's new centers cost one batched
 search. Each row is searched only as far as a cover reads it: the sampled
@@ -142,14 +143,15 @@ def _reach(
     """Every node within ``radius`` hops of each source, one scipy search per
     block of ``_BFS_BLOCK`` sources. Yields each block's cells: the source,
     the node, its hop distance and its BFS predecessor, the source itself
-    included at distance 0, in (position in ``sources``, node) order."""
+    included at distance 0, in (node, position in ``sources``) order, so a
+    block's cells come sorted node-major, as the routing table keeps them."""
     for start in range(0, len(sources), _BFS_BLOCK):
         block = sources[start : start + _BFS_BLOCK]
         dist, pred = dijkstra(
             g.csr, unweighted=True, indices=block, limit=float(radius), return_predecessors=True
         )
-        cells = np.flatnonzero(dist <= radius)
-        at, node = np.divmod(cells, g.n)
+        node, at = np.divmod(np.flatnonzero((dist <= radius).T), len(block))
+        cells = at * g.n + node
         yield block[at], node, dist.reshape(-1)[cells].astype(np.int64), pred.reshape(-1)[cells]
 
 

@@ -13,12 +13,12 @@ memberships are (n, L+1) arrays holding each node's beacon id, join distance
 and join step per level, next to a vector of beacon levels; a beacon's
 member list is read from its column, which a load-balanced round groups by
 beacon once for its chain descent. Every node's routing table is one
-store (``_Table``): flat columns of entries sorted by (origin, node, level),
-each the hop distance, next hop and writing step that the origin's scoped
-flood or a membership registration left at the node; clearing a level
-drops its entries. In load-balanced mode an (n, L+1) array names the holder
-of each (member, level) identifier. Rounds are expected at non-decreasing
-steps.
+contiguous slice of one store (``_Table``): flat columns of entries sorted
+by (node, origin, level), each the hop distance, next hop and writing step
+that the origin's scoped flood or a membership registration left at the
+node; clearing a level drops its entries. In load-balanced mode an (n, L+1)
+array names the holder of each (member, level) identifier. Rounds are
+expected at non-decreasing steps.
 
 A beaconing round has the outcome of its nodes acting one at a time in a
 seeded random order pi (each floods, then its joiners register), but is
@@ -27,22 +27,22 @@ lexicographically-first greedy rule of each level, every origin above level
 0 is then searched once at its own flood radius, one block of origins at a
 time (``graph._reach``), and the joins and registrations are computed in
 block array steps from reached-only (origin, node, distance, predecessor)
-arrays. The round writes the table through one merge of presorted runs with
-one tie rule: per (origin, node, level) key the candidate lowest in (stale,
-distance, writer order) stays. An entry is stale when written at an earlier
-step; in writer order the entries already held come first, then the round's
-writes in pi order. The whole write waits for the table's next read, and
-level-0 floods feed only the table, so that read also searches their origins
-and merges their cells, last in writer order; their transmission count waits
-for the first read of the round's report, which takes it from the written
-cells or, where it comes first, from one search of its own. A round that
-clears level 0 applies an unread write before it without its level-0 cells.
+arrays. The round writes the table through one merge of its runs, each
+sorted block by block, with one tie rule: per (node, origin, level) key the
+candidate lowest in (stale, distance, writer order) stays. An entry is stale
+when written at an earlier step; in writer order the entries already held
+come first, then the round's writes in pi order. The whole write waits for
+the table's next read, and level-0 floods feed only the table, so that read
+also searches their origins and merges their cells, last in writer order;
+their transmission count waits for the first read of the round's report,
+which takes it from the written cells or, where it comes first, from one
+search of its own. A round that clears level 0 applies an unread write
+before it without its level-0 cells.
 
 A forward probes in stages. A stage's candidates are the origins that one
 node holds entries for at or above a level and within a distance, nearest
-first, read through a node-major permutation of the table (built on the
-first read after a change; the state dump reads it too) and kept per (node,
-level, distance) until the table changes. The stage probes them in order and
+first, read from the node's slice of the table and kept per (node, level,
+distance) until the table changes. The stage probes them in order and
 stops at the first that arrives and answers; in plain mode one search of the
 table answers every candidate before the first walk. Where no probed beacon
 knows the destination, the forward falls back to a ring search of expanding
@@ -50,8 +50,8 @@ scoped floods, read from two BFS rows: the stuck node's row finds the
 nearest answerer, lowest id first, and the answerer's row lays the
 lexicographically first shortest path to it. Probes walk the tables hop by
 hop. The entry a node follows toward an origin (``_Table.follow``: freshest
-stamp, then shortest, then lowest level, among the table's (origin, node)
-slice), its next hop checked against the graph's sorted edge keys, is
+stamp, then shortest, then lowest level, among the node's slice toward the
+origin), its next hop checked against the graph's sorted edge keys, is
 resolved the first time a look-up reaches that node and kept in a per-origin
 dict, so a later hop through the node is one dict lookup. Resolved entries
 hold for one table state and one graph: a beaconing round and a look-up on
@@ -325,17 +325,17 @@ class _Table:
     An entry is what one node holds toward one origin at one level, written
     by the origin's flood or by a membership registration: the hop distance,
     the next hop toward the origin and the step that wrote it. The entries
-    are four flat columns sorted by ``key``, which packs (origin, node,
-    level) as ``(origin * n + node) * (L + 1) + level``. No key appears
-    twice, so the entries one node holds toward one origin are one contiguous
-    slice, lowest level first, from which ``follow`` picks the one a probe
-    follows; the entries one node holds are read through a node-major
-    permutation (``held_by``), built on the first read after a change. A
-    probe stage's candidates (``candidates``) are kept per (node, level,
-    distance) until the entries change.
+    are four flat columns sorted by ``key``, which packs (node, origin,
+    level) as ``(node * n + origin) * (L + 1) + level``. No key appears
+    twice, so the entries one node holds are one contiguous slice
+    (``held_by``), as its neighbours are one row of the graph's CSR, and its
+    entries toward one origin are a slice within it, lowest level first,
+    from which ``follow`` picks the one a probe follows. A probe stage's
+    candidates (``candidates``) are kept per (node, level, distance) until
+    the entries change.
 
     A round's whole write is held as a pending write (``write``). Every
-    read (``follow``, ``lowest_levels``, ``by_node``, ``held_by``,
+    read (``follow``, ``lowest_levels``, ``starts``, ``held_by``,
     ``candidates`` and ``_columns``), and ``clear`` and ``merge``, first
     applies it: the clear, then one merge of the round's runs and level-0 cells,
     whose origins it searches once, so the four columns are read through
@@ -359,7 +359,6 @@ class _Table:
         self.dist = dist.astype(self._small, copy=False)
         self.hop = hop.astype(self._small, copy=False)
         self.stamp = stamp.astype(np.int32, copy=False)
-        self._by_node: Optional[tuple[np.ndarray, np.ndarray]] = None
         self._candidates: dict[tuple[int, int, int], np.ndarray] = {}
 
     def _columns(self) -> tuple[np.ndarray, ...]:
@@ -372,7 +371,7 @@ class _Table:
         pending goes first, without its level-0 cells where ``gamma`` clears them."""
         self._settle(ground=gamma < 0)
         self._pending = (t, gamma, runs, floods)
-        self._by_node, self._candidates = None, {}
+        self._candidates = {}
 
     def _settle(self, ground: bool = True) -> None:
         """Apply the pending write, if any: its clear, then one ``merge`` of
@@ -392,7 +391,7 @@ class _Table:
         edges), then shorter, then lower level."""
         self._settle()
         key, stamp, dist, width = self.key, self.stamp, self.dist, self.width
-        start = (origin * self.n + node) * width
+        start = (node * self.n + origin) * width
         best = rank = None
         i = int(key.searchsorted(start))
         end = min(i + width, key.size)  # at most L + 1 entries, lowest level first
@@ -410,29 +409,23 @@ class _Table:
         key, width = self.key, self.width
         if not key.size:
             return np.full(len(nodes), width)
-        start = (origin * self.n + nodes) * width
+        start = (nodes * self.n + origin) * width
         gap = key.take(key.searchsorted(start), mode="clip") - start
         gap[gap < 0] = width  # past the last key
         return np.minimum(gap, width, out=gap)
 
-    def held_by(self, node: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The positions of the entries that ``node`` holds, in (origin,
+    def held_by(self, node: int) -> tuple[slice, np.ndarray, np.ndarray]:
+        """The entries that ``node`` holds, as the columns' slice in (origin,
         level) order, with their origins and levels."""
-        order, start = self.by_node()
-        held = order[start.item(node) : start.item(node + 1)]
-        cell, level = np.divmod(self.key[held], self.width)
-        return held, cell // self.n, level
+        lo, hi = self.starts(np.array([node, node + 1])).tolist()
+        cell, level = np.divmod(self.key[lo:hi], self.width)
+        return slice(lo, hi), cell % self.n, level
 
-    def by_node(self) -> tuple[np.ndarray, np.ndarray]:
-        """Entry positions in (node, origin, level) order, and each node's
-        start offset among them."""
+    def starts(self, nodes: np.ndarray) -> np.ndarray:
+        """Where each of ``nodes``' entries start: node v holds the columns'
+        slice from ``starts(v)`` up to ``starts(v + 1)``."""
         self._settle()
-        if self._by_node is None:
-            node = (self.key // self.width % self.n).astype(self._small)
-            start = np.zeros(self.n + 1, dtype=np.int64)
-            np.cumsum(np.bincount(node, minlength=self.n), out=start[1:])
-            self._by_node = (np.argsort(node, kind="stable"), start)
-        return self._by_node
+        return self.key.searchsorted(nodes * self.n * self.width)
 
     def candidates(self, node: int, min_level: int, max_distance: int) -> np.ndarray:
         """Origins with an entry at ``node`` at level >= ``min_level`` within
@@ -468,13 +461,13 @@ class _Table:
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Entries of one writer as a ``merge`` run, in the order given; an
         origin's own cell (distance 0) is no entry and is left out."""
-        key = (origin * self.n + node) * self.width + level
+        key = (node * self.n + origin) * self.width + level
         out = np.flatnonzero(dist)
         return key[out], dist[out].astype(self._small), hop[out].astype(self._small)
 
     def merge(self, t: int, runs: list[tuple[np.ndarray, np.ndarray, np.ndarray]]) -> None:
         """Write entries at step ``t``. The runs come in writer order, each
-        sorted by key with no key twice. Per key, the candidate lowest in
+        with no key twice, in any order. Per key, the candidate lowest in
         (stale, distance, writer order) stays: a held entry comes before
         every write and is stale when written before ``t``. So a write
         replaces what is held when that is stale or strictly longer."""
@@ -483,7 +476,8 @@ class _Table:
             columns.append((key, dist, hop, np.full(len(key), t, dtype=np.int32)))
         rank, dist, hop, stamp = (np.concatenate(column) for column in zip(*columns))
         # (key, stale, distance) as one rank, built in place; the stable
-        # sort merges the presorted runs and keeps writer order among equals
+        # sort keeps writer order among equals, and is cheapest where the
+        # runs come in sorted blocks
         rank *= 2 * self.n
         rank[np.flatnonzero(stamp < t)] += self.n
         rank += dist
@@ -594,7 +588,7 @@ class ProtocolEngine:
         """Write per-node beacon level, membership count, and live table size
         to the text stream ``fh``."""
         fh.write("node_id,beacon_level,membership_count,table_entries\n")
-        entries = np.diff(self._table.by_node()[1]).tolist()
+        entries = np.diff(self._table.starts(np.arange(self.n + 1))).tolist()
         joined = np.count_nonzero(self._beacon >= 0, axis=1).tolist()
         for u, beta in enumerate(self._beacon_level.tolist()):
             fh.write(f"{u},{beta},{joined[u]},{entries[u]}\n")
@@ -664,7 +658,7 @@ class ProtocolEngine:
                 near = np.flatnonzero(dist <= params.cover_radius(level))
                 covers.append((origin[near], node[near], dist[near], pred[near]))
         origin, node, dist, pred = (np.concatenate(column) for column in zip(*covers))
-        order = np.argsort(origin * n + node, kind="stable")  # merges the level runs
+        order = np.argsort(node * n + origin, kind="stable")  # merges the sorted blocks
         covers = tuple(column[order] for column in (origin, node, dist, pred))
         (joiner, join_level, beacon, join_dist), registrations = self._joins(
             held, beta, pi, rank, nearest, covers
@@ -676,7 +670,7 @@ class ProtocolEngine:
         # is pi-earlier than the member, or the member would have joined
         # itself.
         node, member, level, distance, next_hop = registrations
-        order = np.lexsort((level, node, member))
+        order = np.lexsort((level, member, node))
         registered = table.run(
             member[order], node[order], level[order], distance[order], next_hop[order]
         )
@@ -771,7 +765,7 @@ class ProtocolEngine:
         hops: at level 0 the pi-first node of its closed neighbourhood,
         above it the pi-first covering origin among the ``covers``: the
         cells (origin, node, distance, predecessor) of each origin above
-        level 0 within its cover radius, sorted by (origin, node).
+        level 0 within its cover radius, sorted by (node, origin).
         Returns the joins as (member, level, beacon, distance) and the
         registrations they send as (node, member, level, distance, next
         hop): a joiner at distance d registers at each node of its beacon's
@@ -788,7 +782,7 @@ class ProtocolEngine:
             (beacon[hop1], member[hop1], np.zeros_like(hop1), np.ones_like(hop1), member[hop1])
         ]
         origin, node, dist, pred = covers
-        keys = origin * n + node
+        keys = node * n + origin
         for level in range(1, self.params.levels + 1):
             near = np.flatnonzero(
                 (beta[origin] >= level)
@@ -806,7 +800,7 @@ class ProtocolEngine:
             for hops in range(1, int(distance.max(initial=0)) + 1):
                 walking = np.flatnonzero(distance >= hops)
                 here = toward[walking]
-                step = pred[np.searchsorted(keys, beacon[walking] * n + here)]
+                step = pred[np.searchsorted(keys, here * n + beacon[walking])]
                 registrations.append(
                     (
                         step,

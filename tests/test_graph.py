@@ -203,13 +203,22 @@ def test_bfs_blocks_match_single_source_rows_and_cut_at_the_limit() -> None:
     assert list(bfs_blocks(g, [])) == []
     with pytest.raises(ParameterError):
         list(bfs_blocks(g, [0, g.n]))
-    # _reach's cells, block by block, are those of one search per source
+    # _reach's cells, block by block, are those of one search per source,
+    # and each block's come node-major, in (node, source) order
     many = np.arange(g.n - 150, g.n)  # three blocks: 64, 64 and 22 sources
     blocks = list(_reach(g, many, 3))
     assert len(blocks) == 3
+    for source, node, _, _ in blocks:
+        assert (np.diff(node * g.n + source) > 0).all()
     one_by_one = [cells for i in range(len(many)) for cells in _reach(g, many[i : i + 1], 3)]
-    for got, expected in zip(zip(*blocks), zip(*one_by_one), strict=True):
-        assert np.array_equal(np.concatenate(got), np.concatenate(expected))
+
+    def by_source(cells) -> list[np.ndarray]:
+        columns = [np.concatenate(column) for column in zip(*cells)]
+        order = np.lexsort((columns[1], columns[0]))  # by (source, node)
+        return [column[order] for column in columns]
+
+    for column, want in zip(by_source(blocks), by_source(one_by_one), strict=True):
+        assert np.array_equal(column, want)
 
 
 def searched_ball(g: ConnectivityGraph, u: int, radius: int) -> set[int]:

@@ -90,6 +90,19 @@ def assert_route_valid(g: ConnectivityGraph, receipt: ForwardReceipt, source: in
     assert receipt.route_hops == len(route) - 1
 
 
+def decode_keys(table: _Table, key):
+    """(origin, node, level) of each table ``key``. With ``encode_keys``, the
+    one place the tests read how the table packs its keys."""
+    cell, level = np.divmod(key, table.width)
+    node, origin = np.divmod(cell, table.n)
+    return origin, node, level
+
+
+def encode_keys(table: _Table, origin, node, level):
+    """The table key of each (origin, node, level), as ``_Table.run`` packs it."""
+    return (node * table.n + origin) * table.width + level
+
+
 def held_entries(engine: ProtocolEngine, u: int) -> list[tuple[int, int, int, int]]:
     """(origin, distance, level, next hop) of every table entry that ``u``
     holds, in (origin, level) order."""
@@ -256,8 +269,7 @@ def test_flood_reverse_paths_are_shortest_paths():
     levels = math.ceil(math.log2(diameter(g).hops))
     engine, _ = run_round(g, levels=levels, seed=5)
     key, dist, next_hop, _ = engine._table._columns()
-    cell, level = np.divmod(key, engine._table.width)
-    origin, node = np.divmod(cell, g.n)
+    origin, node, level = decode_keys(engine._table, key)
     assert (level != engine._beacon_level[origin]).any()  # registrations included
     oracle = [bfs_oracle(g, u) for u in range(g.n)]
     edges = edge_set(g)
@@ -553,7 +565,7 @@ def test_every_entry_stays_within_its_flood_radius():
     for t in range(3):
         engine.beaconing_round(g, t=t, seed=5)
         key, dist, _, _ = engine._table._columns()
-        assert (dist <= radius[key % engine._table.width]).all()
+        assert (dist <= radius[decode_keys(engine._table, key)[2]]).all()
         for u in range(g.n):
             for level in range(levels + 1):
                 member = engine.membership(u, level)
@@ -568,8 +580,7 @@ def test_table_keys_stay_sorted_and_unique_with_floods_at_beacon_levels():
         report = engine.beaconing_round(g, t=t, seed=4)
         key, _, _, stamp = engine._table._columns()
         assert (np.diff(key) > 0).all()  # sorted, and no key twice
-        cell, level = np.divmod(key, engine._table.width)
-        origin = cell // g.n
+        origin, _, level = decode_keys(engine._table, key)
         # Every origin with a neighbour flooded at step t at its own beacon
         # level, so its neighbours hold a stamp-t entry toward it there.
         fresh = (stamp == t) & (level == engine._beacon_level[origin])
@@ -604,7 +615,7 @@ def test_state_snapshot_csv_lists_every_node():
     assert int(first[1]) == engine.beacon_level(0)
     assert int(first[2]) == 3  # one membership per level 0..2
     key = engine._table._columns()[0]
-    assert int(first[3]) == np.count_nonzero(key // engine._table.width % g.n == 0)
+    assert int(first[3]) == np.count_nonzero(decode_keys(engine._table, key)[1] == 0)
 
 
 def test_rounds_are_deterministic_for_fixed_seed():
@@ -733,7 +744,7 @@ def test_forward_survives_erased_membership_state_via_search():
     assert all(dest not in engine.member_list(b, level) for b in range(g.n) for level in range(levels + 1))
     table = engine._table
     columns = table._columns()
-    kept = columns[0] // table.width // g.n != dest
+    kept = decode_keys(table, columns[0])[0] != dest
     table._set(*(column[kept] for column in columns))
     assert origin_state(engine, dest)[0].size == 0
     receipt = engine.forward(g, source=source, dest=dest)
@@ -917,7 +928,7 @@ def origin_state(engine: ProtocolEngine, origin: int) -> tuple[np.ndarray, np.nd
     """The positions of the table entries toward ``origin`` and the nodes
     that hold them, found by scanning the whole table."""
     key = engine._table._columns()[0]
-    origins, nodes = np.divmod(key // engine._table.width, engine.n)
+    origins, nodes, _ = decode_keys(engine._table, key)
     held = np.flatnonzero(origins == origin)
     return held, nodes[held]
 
@@ -933,12 +944,13 @@ def best_entry_oracle(
     level, so a winner at another level is a registration (not conversely: a
     non-elected node's level-0 registrations sit at its own beacon level)."""
     key, dist, next_hop, stamp = engine._table._columns()
-    width = engine._table.width
     held, nodes = state
+    mine = held[nodes == node]
+    origins, _, levels = decode_keys(engine._table, key[mine])
     candidates = []
-    for i in held[nodes == node].tolist():
-        rule = (-int(stamp[i]), int(dist[i]), int(key[i] % width))
-        candidates.append((rule, int(next_hop[i]), int(key[i]) // width // engine.n))
+    for i, origin, level in zip(mine.tolist(), origins.tolist(), levels.tolist()):
+        rule = (-int(stamp[i]), int(dist[i]), level)
+        candidates.append((rule, int(next_hop[i]), origin))
     if not candidates:
         return None
     (neg_stamp, _, level), hop, origin = min(candidates)
@@ -1396,7 +1408,8 @@ def test_table_merge_matches_the_pairwise_fold() -> None:
     writers over a small key space, so that keys meet often and at equal
     distances. The merge must leave what writing one entry at a time leaves:
     a later write replaces the held entry iff that is older than t or the
-    write is strictly shorter."""
+    write is strictly shorter. The same runs shuffled leave the same table:
+    the merge does not depend on the order within a run."""
     rng = np.random.default_rng(61)
     n, levels, t = 5, 2, 4
     keys = np.arange(n * n * (levels + 1))
@@ -1410,6 +1423,8 @@ def test_table_merge_matches_the_pairwise_fold() -> None:
             t + rng.integers(-1, 2, held.size),
         )
         table._set(held, *columns)
+        shuffled = _Table(n, levels)
+        shuffled._set(held, *columns)
         expected = {key: entry for key, *entry in zip(held.tolist(), *(c.tolist() for c in columns))}
         runs = []
         for _ in range(int(rng.integers(1, 5))):
@@ -1432,17 +1447,45 @@ def test_table_merge_matches_the_pairwise_fold() -> None:
         }
         assert table.key.tolist() == sorted(expected)
         assert got == expected
+        mixed = []
+        for run in runs:
+            order = rng.permutation(run[0].size)
+            mixed.append(tuple(column[order] for column in run))
+        shuffled.merge(t, mixed)
+        for column, want in zip(shuffled._columns(), table._columns(), strict=True):
+            assert column.dtype == want.dtype and column.tolist() == want.tolist()
     assert all(seen.values()), seen
 
 
 def test_a_table_entry_takes_sixteen_bytes_below_65536_nodes() -> None:
     """Key, distance, next hop and stamp: 8 + 2 + 2 + 4 bytes at n=1000,
-    after a round has merged its writes into the table."""
+    after a round has merged its writes into the table. After forwards and
+    a state dump have read it, those columns are still the only arrays the
+    table holds, bar its stage-candidate memo: it keeps no derived index."""
     g = random_graph(1000, seed=11)
     engine, _ = run_round(g, levels=math.ceil(math.log2(diameter(g).hops)))
     columns = engine._table._columns()
     assert columns[0].size > 0
     assert sum(column.itemsize for column in columns) == 16
+    for source, dest in np.random.default_rng(3).choice(g.n, size=(5, 2), replace=False).tolist():
+        engine.forward(g, source, dest)
+    engine.dump_state_csv(io.StringIO())
+    assert engine._table._candidates  # the forwards read stage candidates
+
+    def arrays(value) -> list[np.ndarray]:
+        if isinstance(value, np.ndarray):
+            return [value]
+        if isinstance(value, (tuple, list)):
+            return [array for item in value for array in arrays(item)]
+        return []
+
+    held = [
+        array
+        for name, value in vars(engine._table).items()
+        if name != "_candidates"
+        for array in arrays(value)
+    ]
+    assert sum(array.nbytes for array in held) == 16 * engine._table._columns()[0].size
 
 
 def test_table_rejects_node_counts_whose_merge_ranks_overflow() -> None:
@@ -1619,17 +1662,16 @@ class SequentialRound:
         key, dist, hop, stamp = engine._table._columns()
         # node -> {(origin, level): (distance, next hop, stamp)}
         self.tables: list[dict[tuple[int, int], tuple[int, int, int]]] = [{} for _ in range(engine.n)]
-        cell, level = np.divmod(key, engine._table.width)
-        origin, node = np.divmod(cell, engine.n)
+        origin, node, level = decode_keys(engine._table, key)
         columns = (origin, node, level, dist, hop, stamp)
         for o, v, lvl, *entry in zip(*(column.tolist() for column in columns)):
             self.tables[v][o, lvl] = tuple(entry)
 
     def commit(self) -> None:
-        n, table = self.engine.n, self.engine._table
+        table = self.engine._table
         entries = np.array(
             [
-                ((origin * n + node) * table.width + level, *entry)
+                (encode_keys(table, origin, node, level), *entry)
                 for node, held in enumerate(self.tables)
                 for (origin, level), entry in held.items()
             ],
@@ -2026,10 +2068,12 @@ class PerCandidateForward:
             return False, -1
         table = engine._table
         key = table._columns()[0]
-        start = (dest * engine.n + relay) * table.width
-        lo = int(key.searchsorted(start))
-        found = key.item(lo) - start if lo < key.size else table.width
-        return (True, found) if found <= top else (False, -1)
+        lo = key.searchsorted(encode_keys(table, dest, relay, 0))
+        # the first entry at or after (dest, relay, 0): the lowest level, if relay holds one
+        origin, node, level = (column.tolist() for column in decode_keys(table, key[lo : lo + 1]))
+        if origin == [dest] and node == [relay] and level[0] <= top:
+            return True, level[0]
+        return False, -1
 
     def probe(
         self, g: ConnectivityGraph, source: int, relay: int, dest: int, max_level: int,

@@ -9,8 +9,8 @@ that package code stores must be read by some package source, and every
 public function, class or method of the package must be read by a package
 module, a ``tools/`` script or a non-test ``perfbench/`` module, only
 ``graph.py`` may import scipy's graph searches, only ``protocol._Table``
-reads the routing table's columns or writes them, and ``cli.py`` imports no
-``csv``.
+reads the routing table's columns or writes them (in the tests, only the
+two key helpers read its key width), and ``cli.py`` imports no ``csv``.
 """
 
 from __future__ import annotations
@@ -258,8 +258,10 @@ def test_table_layout_and_csv_format_each_have_one_home() -> None:
     a column or the key width; how a round's write is applied is known
     there too, so other code hands the table a ``write`` and never asks the
     table (``self._table`` or a name bound to it) to ``merge``, ``clear``,
-    ``_set`` or ``_settle``, or touches its ``_pending``; and the byte-stable
-    CSV format is the harness's, so ``cli.py`` imports no ``csv``, in any
+    ``_set`` or ``_settle``, or touches its ``_pending``; in the tests, the
+    key layout is read by ``decode_keys`` and ``encode_keys`` alone, so no
+    other test code reads a table's ``.width``; and the byte-stable CSV
+    format is the harness's, so ``cli.py`` imports no ``csv``, in any
     form."""
     tree = ast.parse((SRC / "protocol.py").read_text(encoding="utf-8"))
     table = next(node for node in tree.body if getattr(node, "name", None) == "_Table")
@@ -290,6 +292,19 @@ def test_table_layout_and_csv_format_each_have_one_home() -> None:
             and is_table(node.value)
         )
     ]
+    for path in TEST_SOURCES:
+        test_tree = ast.parse(path.read_text(encoding="utf-8"))
+        helpers = {
+            part
+            for node in test_tree.body
+            if isinstance(node, ast.FunctionDef) and node.name in {"decode_keys", "encode_keys"}
+            for part in ast.walk(node)
+        }
+        outside += [
+            f"{path.name}:{node.lineno} .width"
+            for node in ast.walk(test_tree)
+            if isinstance(node, ast.Attribute) and node.attr == "width" and node not in helpers
+        ]
     imports = []
     for node in ast.walk(ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))):
         if isinstance(node, ast.Import):
@@ -297,4 +312,7 @@ def test_table_layout_and_csv_format_each_have_one_home() -> None:
         elif isinstance(node, ast.ImportFrom):
             imports.append((node.lineno, node.module or ""))
     found = outside + [f"cli.py:{line} csv" for line, module in imports if module == "csv"]
-    assert found == [], f"table columns read or written outside _Table, or csv in cli.py: {found}"
+    assert found == [], (
+        f"table columns read or written outside _Table, key width read outside the test "
+        f"helpers, or csv in cli.py: {found}"
+    )
